@@ -10,7 +10,7 @@ power under a location tolerance, and the matching analytic curves and
 bounds.
 """
 
-from .detect import Extremum, find_local_extrema, smooth, smooth_derivative
+from .detect import Extrema, Extremum, find_local_extrema, smooth, smooth_derivative
 from .errors import (
     BandwidthTooLargeError,
     BandwidthTooSmallError,
@@ -65,6 +65,7 @@ __all__ = [
     "DetectionResult",
     "EvalConfig",
     "EvalResult",
+    "Extrema",
     "Extremum",
     "GAUSSIAN_CUTOFF",
     "GridMismatchError",

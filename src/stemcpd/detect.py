@@ -5,6 +5,10 @@ the smoothed derivative, so candidate change points are the strict local
 maxima and minima of the derivative-smoothed sequence.  Candidates are
 restricted to the interior where the full kernel support fits inside the
 data, which avoids partial-kernel bias at the boundaries.
+
+The candidates of one sequence travel through inference and selection as
+one ``Extrema``: parallel arrays of grid index, height, sign and p-value.
+It reads as a sequence of ``Extremum`` records, one per candidate.
 """
 
 from dataclasses import dataclass
@@ -14,6 +18,11 @@ import numpy as np
 from .errors import BandwidthTooLargeError, InvalidParameterError
 from .kernels import KernelSpec, kernel_weights
 from .signals import TimeSeries
+
+#: Output samples per block in ``convolve_weights``: the block, its scratch
+#: term and the two input windows (256 KiB each) stay in a per-core L2
+#: cache across all lags; much smaller blocks pay more in ufunc calls.
+_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,74 @@ class Extremum:
     p_value: float = None
 
 
+@dataclass(frozen=True, eq=False)
+class Extrema:
+    """Candidate extrema of one sequence, in positional order, as arrays.
+
+    ``index`` (int64 grid locations), ``height`` (float64), ``sign``
+    (int64, +1 for a maximum and -1 for a minimum) and ``p_value``
+    (float64, or None before inference) have one entry per candidate.
+
+    It behaves as a sequence of ``Extremum`` records: an integer index
+    gives a record holding plain Python numbers, iteration yields records
+    in order, and a slice, integer array or boolean mask gives another
+    ``Extrema``.  Equality with any sequence compares record by record, so
+    ``extrema == []`` tests for emptiness.
+    """
+
+    index: np.ndarray
+    height: np.ndarray
+    sign: np.ndarray
+    p_value: np.ndarray = None
+
+    @classmethod
+    def from_records(cls, records) -> "Extrema":
+        """Pack ``Extremum`` records; p-values are kept when every record has one."""
+        records = list(records)
+        p = [e.p_value for e in records]
+        return cls(
+            index=np.array([e.index for e in records], dtype=np.int64),
+            height=np.array([e.height for e in records], dtype=float),
+            sign=np.array([e.sign for e in records], dtype=np.int64),
+            p_value=None if None in p else np.array(p, dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            p = None if self.p_value is None else self.p_value[key].item()
+            return Extremum(self.index[key].item(), self.height[key].item(),
+                            self.sign[key].item(), p)
+        if not isinstance(key, slice):
+            key = np.asarray(key)
+            if key.size == 0:
+                key = key.astype(np.intp)
+        p = None if self.p_value is None else self.p_value[key]
+        return Extrema(self.index[key], self.height[key], self.sign[key], p)
+
+    def __iter__(self):
+        p = [None] * len(self) if self.p_value is None else self.p_value.tolist()
+        return map(Extremum, self.index.tolist(), self.height.tolist(), self.sign.tolist(), p)
+
+    def __eq__(self, other):
+        try:
+            if len(other) != len(self):
+                return False
+        except TypeError:
+            return NotImplemented
+        return all(a == b for a, b in zip(self, other))
+
+
+def as_extrema(candidates) -> Extrema:
+    """``candidates`` as an ``Extrema``: unchanged if it is one, else packed
+    from a sequence of ``Extremum`` records."""
+    if isinstance(candidates, Extrema):
+        return candidates
+    return Extrema.from_records(candidates)
+
+
 def convolve_weights(values: np.ndarray, weights: np.ndarray, spacing: float = 1.0) -> np.ndarray:
     """Centered discrete convolution with a symmetric or antisymmetric kernel.
 
@@ -39,29 +116,40 @@ def convolve_weights(values: np.ndarray, weights: np.ndarray, spacing: float = 1
     exactly zero output wherever the input is locally constant.  Entries
     within half a kernel of either end use zero padding and are only
     meaningful inside the interior range.
+
+    Every output sample is summed in one fixed order: the center term,
+    then ``w[k+j] * (y[t-j] -/+ y[t+j])`` for lags j = 1, 2, ... in turn.
+    Results are therefore bit-for-bit independent of the block size used
+    to keep the working set in cache.
     """
     n = len(values)
     k = (len(weights) - 1) // 2
     if len(weights) != 2 * k + 1:
         raise InvalidParameterError("weights must have odd length")
     center = weights[k]
-    antisymmetric = np.array_equal(weights[::-1], -weights)
+    combine = np.subtract if np.array_equal(weights[::-1], -weights) else np.add
+    lags = max(min(k, n - 1), 0)
+    padded = np.zeros(n + 2 * lags)
+    padded[lags : lags + n] = values
+    # `out` starts at +0.0 and only ever has terms added to it, so it never
+    # holds -0.0 and the sign of a zero term cannot show (the padding makes
+    # y + 0.0 where a sum of pairs without it would keep y itself)
     out = np.zeros(n)
-    if center != 0.0:
-        out += center * values
-    for j in range(1, min(k, n - 1) + 1):
-        right = weights[k + j]
-        term = np.zeros(n)
-        if antisymmetric:
-            # w[j]*y[t-j] + w[-j]*y[t+j] = w[j]*(y[t-j] - y[t+j])
-            term[j:] = values[: n - j]
-            term[: n - j] -= values[j:]
-            out += right * term
-        else:
-            term[j:] = values[: n - j]
-            term[: n - j] += values[j:]
-            out += right * term
-    return out * spacing
+    term = np.empty(min(n, _BLOCK))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        acc, tmp = out[lo:hi], term[: hi - lo]
+        if center != 0.0:
+            np.multiply(values[lo:hi], center, out=tmp)
+            acc += tmp
+        for j in range(1, lags + 1):
+            # w[j]*y[t-j] + w[-j]*y[t+j] = w[j]*(y[t-j] -/+ y[t+j])
+            combine(padded[lo + lags - j : hi + lags - j], padded[lo + lags + j : hi + lags + j],
+                    out=tmp)
+            tmp *= weights[k + j]
+            acc += tmp
+    out *= spacing
+    return out
 
 
 def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
@@ -89,7 +177,7 @@ def smooth_derivative(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
     return smooth(series, spec)
 
 
-def find_local_extrema(dy: TimeSeries) -> list:
+def find_local_extrema(dy: TimeSeries) -> Extrema:
     """Strict local maxima and minima of ``dy`` inside its interior range.
 
     A plateau of equal values flanked by strictly smaller (larger) values
@@ -106,7 +194,7 @@ def find_local_extrema(dy: TimeSeries) -> list:
     sl = dy.interior_slice()
     seg = dy.values[sl]
     if len(seg) < 3:
-        return []
+        return Extrema.from_records(())
     # run-length encode so plateaus collapse to a single candidate
     starts = np.concatenate(([0], np.flatnonzero(seg[1:] != seg[:-1]) + 1))
     run_values = seg[starts]
@@ -115,9 +203,8 @@ def find_local_extrema(dy: TimeSeries) -> list:
     is_max = nonzero & (mid > left) & (mid > right)
     is_min = nonzero & (mid < left) & (mid < right)
     hits = np.flatnonzero(is_max | is_min)
-    signs = np.where(is_max[hits], 1, -1)
-    offset = base + sl.start
-    return [
-        Extremum(index=offset + int(starts[r + 1]), height=float(run_values[r + 1]), sign=int(s))
-        for r, s in zip(hits, signs)
-    ]
+    return Extrema(
+        index=starts[hits + 1] + (base + sl.start),
+        height=run_values[hits + 1],
+        sign=np.where(is_max[hits], 1, -1),
+    )

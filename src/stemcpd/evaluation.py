@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detect import as_extrema
 from .errors import InvalidParameterError
 from .signals import PiecewiseSignal
 
@@ -66,7 +67,10 @@ class AggregateResult:
 
 
 def classify(detections, truth: PiecewiseSignal, cfg: EvalConfig) -> EvalResult:
-    """Score significant extrema against the true change points."""
+    """Score significant extrema against the true change points.
+
+    ``detections`` is an ``Extrema`` or a sequence of ``Extremum`` records.
+    """
     b = cfg.tolerance
     locations = truth.locations
     sizes = truth.sizes
@@ -82,8 +86,9 @@ def classify(detections, truth: PiecewiseSignal, cfg: EvalConfig) -> EvalResult:
         hits = tuple(False for _ in range(truth.n_jumps))
         power = float(np.mean(hits)) if truth.n_jumps else None
         return EvalResult(0, 0, 0.0, hits, power, 0, overlap)
-    pos = np.array([e.index for e in detections], dtype=float)
-    sgn = np.array([e.sign for e in detections])
+    detections = as_extrema(detections)
+    pos = detections.index.astype(float)
+    sgn = detections.sign
     if truth.n_jumps:
         inside = np.abs(pos[:, None] - locations[None, :]) < b  # (r, J)
         in_any = inside.any(axis=1)

@@ -11,6 +11,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameterError, StemcpdError
 from .evaluation import EvalConfig, aggregate, classify
 from .kernels import GAUSSIAN_CUTOFF
@@ -84,11 +86,9 @@ class CellResult:
 def _check_threshold_equivalence(result: DetectionResult) -> None:
     """The step-up rejection set must coincide with the height-threshold
     selection; a mismatch would mean the tail inversion went wrong."""
-    u = result.outcome.u_threshold
-    by_height = tuple(
-        i for i, e in enumerate(result.extrema) if e.sign * e.height > u
-    )
-    if by_height != result.outcome.rejected:
+    extrema = result.extrema
+    by_height = np.flatnonzero(extrema.sign * extrema.height > result.outcome.u_threshold)
+    if not np.array_equal(by_height, result.outcome.rejected):
         raise StemcpdError(
             "p-value and height-threshold selections disagree "
             f"({len(result.outcome.rejected)} vs {len(by_height)} rejections)"

@@ -5,7 +5,8 @@ Gaussian process, and the height of one of its local maxima has a known
 distribution driven entirely by three variances: those of the first,
 second and third derivatives of the smoothed noise.  The moments come
 either in closed form (Gaussian autocorrelation model) or from trimmed
-empirical variances of the observed smoothed derivatives.
+empirical variances of the observed smoothed derivatives.  P-values for a
+whole candidate set come from one array evaluation of the height tail.
 """
 
 import math
@@ -14,18 +15,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .detect import smooth
+from .detect import Extrema, as_extrema, smooth
 from .errors import InvalidParameterError, MomentEstimationError
-from .kernels import KernelSpec, GAUSSIAN_CUTOFF
+from .kernels import _SQRT_2PI, GAUSSIAN_CUTOFF, KernelSpec, _phi
 from .signals import NoiseModel, TimeSeries
 
 _SQRT_PI = math.sqrt(math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TINY = np.finfo(float).tiny
-
-
-def _phi(x):
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -194,15 +190,13 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     return 0.5 * (lo + hi)
 
 
-def assign_pvalues(extrema, moments: SpectralMoments) -> list:
+def assign_pvalues(extrema, moments: SpectralMoments) -> Extrema:
     """Attach a p-value to every extremum.
 
-    Maxima are tested against the right tail at their height; minima
-    against the right tail at the negated height, by sign symmetry of the
-    noise process.
+    ``extrema`` is an ``Extrema`` or a sequence of ``Extremum`` records;
+    the result is a new ``Extrema`` in the same order.  Maxima are tested
+    against the right tail at their height; minima against the right tail
+    at the negated height, by sign symmetry of the noise process.
     """
-    if not extrema:
-        return []
-    signed = np.array([e.sign * e.height for e in extrema])
-    p = np.atleast_1d(peak_height_tail(signed, moments))
-    return [replace(e, p_value=float(pi)) for e, pi in zip(extrema, p)]
+    extrema = as_extrema(extrema)
+    return replace(extrema, p_value=peak_height_tail(extrema.sign * extrema.height, moments))

@@ -23,9 +23,14 @@ TRUNCATED_GAUSSIAN = "truncated-gaussian"
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _phi(x):
+    """Standard Gaussian density at x."""
+    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+
+
 def _gauss_derivative(x: np.ndarray, order: int) -> np.ndarray:
     """Order-th derivative of the standard Gaussian density at x."""
-    phi = np.exp(-0.5 * x * x) / _SQRT_2PI
+    phi = _phi(x)
     if order == 0:
         return phi
     if order == 1:

@@ -55,7 +55,7 @@ def bh_select(pvalues, alpha: float) -> BHOutcome:
         return BHOutcome(k=0, p_threshold=0.0, rejected=())
     k = int(below[-1]) + 1
     p_threshold = k * alpha / m
-    rejected = tuple(int(i) for i in np.flatnonzero(p < p_threshold))
+    rejected = tuple(np.flatnonzero(p < p_threshold).tolist())
     return BHOutcome(k=k, p_threshold=p_threshold, rejected=rejected)
 
 

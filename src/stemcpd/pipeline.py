@@ -4,12 +4,14 @@ The four steps are: differential kernel smoothing of the observed
 sequence, extraction of strict local maxima and minima of the result,
 p-values for their heights from the null extremum-height distribution, and
 step-up selection of the significant subset at the requested FDR level.
+Candidates stay in one ``Extrema`` (parallel arrays) from extraction to the
+result, so no step loops over them in Python.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from .detect import find_local_extrema, smooth_derivative
+from .detect import Extrema, find_local_extrema, smooth_derivative
 from .errors import InvalidParameterError, MomentEstimationError
 from .inference import (
     SpectralMoments,
@@ -26,14 +28,15 @@ from .signals import NoiseModel, TimeSeries
 class DetectionResult:
     """Candidate extrema with p-values, the selection outcome, and context.
 
-    ``extrema`` is the full candidate list in positional order;
-    ``outcome.rejected`` indexes into it.  ``interior`` is the half-open
+    ``extrema`` holds every candidate in positional order;
+    ``outcome.rejected`` indexes into it and ``significant`` is that
+    subset, also an ``Extrema``.  ``interior`` is the half-open
     index range of the input where candidates were eligible.  ``moments``
     is None only when the candidate set is empty and no moment source was
     available.
     """
 
-    extrema: tuple
+    extrema: Extrema
     moments: SpectralMoments
     outcome: BHOutcome
     gamma: float
@@ -41,8 +44,8 @@ class DetectionResult:
     interior: tuple
 
     @property
-    def significant(self) -> tuple:
-        return tuple(self.extrema[i] for i in self.outcome.rejected)
+    def significant(self) -> Extrema:
+        return self.extrema[self.outcome.rejected]
 
     @property
     def n_candidates(self) -> int:
@@ -80,14 +83,14 @@ def detect_change_points(
             except MomentEstimationError:
                 if extrema:
                     raise
-    extrema = assign_pvalues(extrema, moments) if moments is not None else []
-    outcome = bh_select([e.p_value for e in extrema], alpha)
     if moments is not None:
-        outcome = with_height_threshold(outcome, moments)
+        extrema = assign_pvalues(extrema, moments)
+        outcome = with_height_threshold(bh_select(extrema.p_value, alpha), moments)
     else:
-        outcome = replace(outcome, u_threshold=-math.inf)
+        # reached only without candidates: nothing to test or select
+        outcome = replace(bh_select((), alpha), u_threshold=-math.inf)
     return DetectionResult(
-        extrema=tuple(extrema),
+        extrema=extrema,
         moments=moments,
         outcome=outcome,
         gamma=gamma,

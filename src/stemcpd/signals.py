@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InvalidParameterError
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+from .kernels import _SQRT_2PI
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +116,10 @@ class PiecewiseSignal:
     def sample(self) -> TimeSeries:
         """Evaluate the step signal on the unit grid t = 1..length."""
         t = np.arange(1, self.length + 1, dtype=float)
-        mu = np.zeros(self.length)
-        for v, a in self.jumps:
-            mu[t >= v] += a
-        return TimeSeries(mu)
+        # cumsum adds left to right from the first jump on, so each level is
+        # rounded exactly as repeated `mu[t >= v] += a` would round it
+        levels = np.concatenate(([0.0], np.cumsum(self.sizes)))
+        return TimeSeries(levels[np.searchsorted(self.locations, t, side="right")])
 
 
 def make_staircase(jump: float, separation: int, length: int) -> PiecewiseSignal:

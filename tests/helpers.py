@@ -81,3 +81,55 @@ def reference_tail(u, var_d1, var_d2, var_d3):
         * norm.pdf(u / sd)
         * norm.cdf(u * var_d2 / (sd * math.sqrt(delta)))
     )
+
+
+def convolve_weights_pairwise(values, weights, spacing=1.0):
+    """Smoothing sum accumulated lag by lag over whole arrays, one fresh
+    zero array per lag: the summation order the golden fixture depends on."""
+    n = len(values)
+    k = (len(weights) - 1) // 2
+    center = weights[k]
+    antisymmetric = np.array_equal(weights[::-1], -weights)
+    out = np.zeros(n)
+    if center != 0.0:
+        out += center * values
+    for j in range(1, min(k, n - 1) + 1):
+        right = weights[k + j]
+        term = np.zeros(n)
+        if antisymmetric:
+            # w[j]*y[t-j] + w[-j]*y[t+j] = w[j]*(y[t-j] - y[t+j])
+            term[j:] = values[: n - j]
+            term[: n - j] -= values[j:]
+            out += right * term
+        else:
+            term[j:] = values[: n - j]
+            term[: n - j] += values[j:]
+            out += right * term
+    return out * spacing
+
+
+def extrema_scan(values, lo, hi, origin=1):
+    """Strict local extrema of values[lo:hi] as (grid index, height, sign),
+    by walking runs of equal values; a run is reported at its first sample
+    and exact-zero runs never count."""
+    runs = []
+    for i in range(lo, hi):
+        if not runs or values[i] != runs[-1][1]:
+            runs.append((i, values[i]))
+    found = []
+    for (_, left), (start, v), (_, right) in zip(runs, runs[1:], runs[2:]):
+        if v != 0.0 and v > left and v > right:
+            found.append((origin + start, v, 1))
+        elif v != 0.0 and v < left and v < right:
+            found.append((origin + start, v, -1))
+    return found
+
+
+def step_signal_loop(jumps, length):
+    """Piecewise-constant mean on t = 1..length, adding each jump's size to
+    every sample at or after its location, one jump at a time."""
+    t = np.arange(1, length + 1, dtype=float)
+    mu = np.zeros(length)
+    for v, a in jumps:
+        mu[t >= v] += a
+    return mu
