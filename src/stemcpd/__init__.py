@@ -10,7 +10,7 @@ power under a location tolerance, and the matching analytic curves and
 bounds.
 """
 
-from .detect import Extrema, Extremum, find_local_extrema, smooth, smooth_derivative
+from .detect import Extrema, Extremum, find_local_extrema, smooth
 from .errors import (
     BandwidthTooLargeError,
     BandwidthTooSmallError,
@@ -104,7 +104,6 @@ __all__ = [
     "run_simulation",
     "sample_noise",
     "smooth",
-    "smooth_derivative",
     "snr",
     "theoretical_power_curve",
     "with_height_threshold",

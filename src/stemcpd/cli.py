@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import StemcpdError
-from .harness import SimulateRequest, env_threads, run_simulation
+from .harness import SimulateRequest, run_simulation
 from .inference import closed_form_moments
 from .pipeline import detect_change_points
 from .signals import NoiseModel, TimeSeries
@@ -138,16 +138,15 @@ def cmd_detect(args) -> int:
     series = TimeSeries(values)
     if args.moments == "closed":
         model = NoiseModel(sigma=args.sigma, nu=args.nu)
-        moments = closed_form_moments(model, args.gamma)
         source = f"closed(sigma={args.sigma:g},nu={args.nu:g})"
     else:
-        moments = None
+        model = None
         source = f"empirical(trim={args.trim:g})"
     result = detect_change_points(
         series,
         args.gamma,
         args.alpha,
-        moments=moments,
+        noise_model=model,
         trim=args.trim,
         cutoff=args.cutoff,
     )
@@ -174,7 +173,7 @@ def cmd_simulate(args) -> int:
         rep_start=args.rep_start,
         cutoff=args.cutoff,
     )
-    cells = run_simulation(req, threads=env_threads())
+    cells = run_simulation(req)
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(

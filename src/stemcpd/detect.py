@@ -108,10 +108,10 @@ def as_extrema(candidates) -> Extrema:
     return Extrema.from_records(candidates)
 
 
-def convolve_weights(values: np.ndarray, weights: np.ndarray, spacing: float = 1.0) -> np.ndarray:
+def convolve_weights(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Centered discrete convolution with a symmetric or antisymmetric kernel.
 
-    Equivalent to ``spacing * convolve(values, weights, mode='same')`` but
+    Equivalent to ``convolve(values, weights, mode='same')`` but
     accumulated in symmetric pairs, so exactly antisymmetric weights yield
     exactly zero output wherever the input is locally constant.  Entries
     within half a kernel of either end use zero padding and are only
@@ -148,33 +148,24 @@ def convolve_weights(values: np.ndarray, weights: np.ndarray, spacing: float = 1
                     out=tmp)
             tmp *= weights[k + j]
             acc += tmp
-    out *= spacing
     return out
 
 
 def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
     """Convolve a series with the sampled kernel derivative weights.
 
-    The output has the same length and grid as the input and carries the
-    half-open interior range where the kernel's full support fit.  Raises
-    if the series is shorter than the kernel.
+    The output has the same length as the input and carries the half-open
+    interior range where the kernel's full support fit.  Raises if the
+    series is shorter than the kernel.
     """
-    weights = kernel_weights(spec, series.spacing)
     n = len(series)
-    if n < len(weights):
+    k = spec.half_width()
+    if n < 2 * k + 1:
         raise BandwidthTooLargeError(
-            f"series of length {n} is shorter than the kernel ({len(weights)} samples)"
+            f"series of length {n} is shorter than the kernel ({2 * k + 1} samples)"
         )
-    k = (len(weights) - 1) // 2
-    out = convolve_weights(series.values, weights, series.spacing)
-    return TimeSeries(out, series.spacing, series.origin, interior=(k, n - k))
-
-
-def smooth_derivative(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
-    """First-derivative smoothing; requires a kernel spec with order 1."""
-    if spec.order != 1:
-        raise InvalidParameterError("smooth_derivative requires a kernel of order 1")
-    return smooth(series, spec)
+    out = convolve_weights(series.values, kernel_weights(spec))
+    return TimeSeries(out, interior=(k, n - k))
 
 
 def find_local_extrema(dy: TimeSeries) -> Extrema:
@@ -186,11 +177,6 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
     none.  Both flanking values must lie inside the interior, hence no
     extremum is reported within the boundary margin.
     """
-    if dy.spacing != 1.0:
-        raise InvalidParameterError("extrema detection requires unit spacing")
-    base = int(round(dy.origin))
-    if base != dy.origin:
-        raise InvalidParameterError("extrema detection requires an integer origin")
     sl = dy.interior_slice()
     seg = dy.values[sl]
     if len(seg) < 3:
@@ -204,7 +190,7 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
     is_min = nonzero & (mid < left) & (mid < right)
     hits = np.flatnonzero(is_max | is_min)
     return Extrema(
-        index=starts[hits + 1] + (base + sl.start),
+        index=starts[hits + 1] + (1 + sl.start),
         height=run_values[hits + 1],
         sign=np.where(is_max[hits], 1, -1),
     )

@@ -1,11 +1,11 @@
 """Smoothing kernels and their sampled derivative weights.
 
-Smoothing uses a bandwidth-scaled kernel ``w_g(t) = w(t/g)/g`` whose base
-shape ``w`` is unimodal, symmetric, non-negative, compactly supported and
-integrates to one.  Convolving a sequence with samples of ``w_g`` estimates
-the underlying smooth trend; convolving with samples of the k-th derivative
-of ``w_g`` estimates the k-th derivative of that trend.  Every convolution
-in this package is driven by the weight sequences produced here.
+Smoothing uses the truncated Gaussian kernel scaled by a bandwidth g,
+``w_g(t) = phi(t/g)/g`` on ``|t| <= cutoff*g`` and zero outside.
+Convolving a sequence with unit-grid samples of ``w_g`` estimates the
+underlying smooth trend; convolving with samples of the k-th derivative of
+``w_g`` estimates the k-th derivative of that trend.  Every convolution in
+this package is driven by the weight sequences produced here.
 """
 
 import math
@@ -17,8 +17,6 @@ from .errors import BandwidthTooSmallError, InvalidParameterError
 
 #: Default support half-width of the truncated Gaussian, in bandwidth units.
 GAUSSIAN_CUTOFF = 4.0
-
-TRUNCATED_GAUSSIAN = "truncated-gaussian"
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -42,41 +40,35 @@ def _gauss_derivative(x: np.ndarray, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A bandwidth-scaled kernel together with a derivative order.
+    """A bandwidth-scaled truncated Gaussian and a derivative order.
 
     Parameters
     ----------
     gamma : float
-        Bandwidth in grid units.  Must be positive.
+        Bandwidth in grid steps.  Must be positive and finite.
     order : int
         Derivative order, 0 through 3.  Order 0 is plain smoothing.
     cutoff : float
         Support half-width in bandwidth units; the kernel is identically
-        zero outside ``[-cutoff*gamma, cutoff*gamma]``.
-    family : str
-        Kernel family.  Only the truncated Gaussian is implemented.
+        zero outside ``[-cutoff*gamma, cutoff*gamma]``.  Must be positive,
+        and ``cutoff*gamma`` finite.
     """
 
     gamma: float
     order: int = 0
     cutoff: float = GAUSSIAN_CUTOFF
-    family: str = TRUNCATED_GAUSSIAN
 
     def __post_init__(self) -> None:
-        if self.family != TRUNCATED_GAUSSIAN:
-            raise InvalidParameterError(f"unknown kernel family: {self.family!r}")
-        if not self.gamma > 0:
-            raise InvalidParameterError("gamma must be positive")
-        if not self.cutoff > 0:
-            raise InvalidParameterError("cutoff must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise InvalidParameterError("gamma must be positive and finite")
+        if not (self.cutoff > 0 and self.cutoff * self.gamma < math.inf):
+            raise InvalidParameterError("cutoff must be positive, and cutoff*gamma finite")
         if self.order not in (0, 1, 2, 3):
             raise InvalidParameterError("order must be 0, 1, 2 or 3")
 
-    def half_width(self, spacing: float = 1.0) -> int:
+    def half_width(self) -> int:
         """Number of weight samples on each side of the center."""
-        if not spacing > 0:
-            raise InvalidParameterError("spacing must be positive")
-        return int(math.ceil(self.cutoff * self.gamma / spacing))
+        return int(math.ceil(self.cutoff * self.gamma))
 
 
 def kernel_value(spec: KernelSpec, t) -> np.ndarray:
@@ -92,34 +84,27 @@ def kernel_value(spec: KernelSpec, t) -> np.ndarray:
     return np.where(np.abs(t) <= spec.cutoff * spec.gamma, out, 0.0)
 
 
-def kernel_weights(spec: KernelSpec, spacing: float = 1.0) -> np.ndarray:
-    """Sampled weights of the order-th derivative of ``w_g`` on the grid.
+def kernel_weights(spec: KernelSpec) -> np.ndarray:
+    """Unit-grid samples of the order-th derivative of ``w_g``.
 
-    Returns an odd-length, centered array covering grid offsets
-    ``-K*spacing .. K*spacing`` with ``K = ceil(cutoff*gamma/spacing)``.
-    Even orders are symmetrized exactly; odd orders are antisymmetrized
-    exactly, so their true sum is zero.  Order-0 weights are rescaled so
-    that ``sum(weights) * spacing == 1`` (discrete unit action).
-
-    Discrete convolution with these weights, scaled by ``spacing``,
-    approximates the corresponding continuous convolution integral.
+    Returns an odd-length, centered array covering grid offsets ``-K .. K``
+    with ``K = ceil(cutoff*gamma)``.  Even orders are symmetrized exactly;
+    odd orders are antisymmetrized exactly, so their true sum is zero.
+    Order-0 weights are rescaled so that ``sum(weights) == 1`` (discrete
+    unit action).
     """
-    if not spacing > 0:
-        raise InvalidParameterError("spacing must be positive")
-    if spec.cutoff * spec.gamma < spacing:
+    if spec.cutoff * spec.gamma < 1.0:
         raise BandwidthTooSmallError(
             f"kernel support half-width {spec.cutoff * spec.gamma:g} is "
-            f"narrower than the grid spacing {spacing:g}"
+            "narrower than one grid step"
         )
-    k = spec.half_width(spacing)
-    offsets = np.arange(-k, k + 1) * spacing
-    w = np.asarray(kernel_value(spec, offsets))
+    k = spec.half_width()
+    w = np.asarray(kernel_value(spec, np.arange(-k, k + 1)))
     if spec.order % 2 == 1:
         w = (w - w[::-1]) / 2.0
     else:
         w = (w + w[::-1]) / 2.0
     if spec.order == 0:
-        target = 1.0 / spacing
-        w = w / (math.fsum(w) * spacing)
-        w[k] += target - math.fsum(w)
+        w = w / math.fsum(w)
+        w[k] += 1.0 - math.fsum(w)
     return w

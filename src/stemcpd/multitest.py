@@ -47,7 +47,7 @@ def bh_select(pvalues, alpha: float) -> BHOutcome:
     m = len(p)
     if m == 0:
         return BHOutcome(k=0, p_threshold=1.0, rejected=())
-    if np.any(p <= 0.0) or np.any(p > 1.0):
+    if not np.all((p > 0.0) & (p <= 1.0)):
         raise InvalidParameterError("p-values must lie in (0, 1]")
     ranked = np.sort(p)
     below = np.flatnonzero(ranked < np.arange(1, m + 1) * (alpha / m))

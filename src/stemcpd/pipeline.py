@@ -11,7 +11,8 @@ result, so no step loops over them in Python.
 import math
 from dataclasses import dataclass, replace
 
-from .detect import Extrema, find_local_extrema, smooth_derivative
+from . import detect
+from .detect import Extrema, find_local_extrema
 from .errors import InvalidParameterError, MomentEstimationError
 from .inference import (
     SpectralMoments,
@@ -72,7 +73,7 @@ def detect_change_points(
     """
     if moments is not None and noise_model is not None:
         raise InvalidParameterError("pass either moments or noise_model, not both")
-    dy = smooth_derivative(series, KernelSpec(gamma=gamma, order=1, cutoff=cutoff))
+    dy = detect.smooth(series, KernelSpec(gamma=gamma, order=1, cutoff=cutoff))
     extrema = find_local_extrema(dy)
     if moments is None:
         if noise_model is not None:

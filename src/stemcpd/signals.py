@@ -18,18 +18,15 @@ from .kernels import _SQRT_2PI
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """A uniformly sampled real-valued sequence.
+    """A real-valued sequence on the unit grid: sample ``i`` sits at
+    t = i + 1.
 
-    Sample ``i`` sits at grid location ``origin + i*spacing``.  The unit
-    grid with ``origin=1`` (locations 1..n) is the convention used by the
-    detector, the simulator and the CLI.  ``interior`` is a half-open index
-    range marking where a smoothing kernel's full support fit inside the
-    data; it is attached by the smoothing step and is None otherwise.
+    ``interior`` is a half-open index range marking where a smoothing
+    kernel's full support fit inside the data; it is attached by the
+    smoothing step and is None otherwise.
     """
 
     values: np.ndarray
-    spacing: float = 1.0
-    origin: float = 1.0
     interior: tuple = None
 
     def __post_init__(self) -> None:
@@ -39,15 +36,9 @@ class TimeSeries:
             raise InvalidParameterError("values must be one-dimensional")
         if not np.all(np.isfinite(values)):
             raise InvalidParameterError("values must be finite")
-        if not self.spacing > 0:
-            raise InvalidParameterError("spacing must be positive")
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def grid(self) -> np.ndarray:
-        """Grid locations of all samples."""
-        return self.origin + self.spacing * np.arange(len(self.values))
 
     def interior_slice(self) -> slice:
         if self.interior is None:
@@ -170,8 +161,6 @@ def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:
 
 def compose(signal: PiecewiseSignal, noise: TimeSeries) -> TimeSeries:
     """Pointwise sum of the sampled signal and a noise realization."""
-    if noise.spacing != 1.0 or noise.origin != 1.0:
-        raise GridMismatchError("noise must live on the unit grid t = 1..length")
     if len(noise) != signal.length:
         raise GridMismatchError(
             f"noise length {len(noise)} does not match signal length {signal.length}"

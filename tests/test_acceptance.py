@@ -28,7 +28,6 @@ from stemcpd import (
     run_simulation,
     sample_noise,
     smooth,
-    smooth_derivative,
     theoretical_power_curve,
 )
 from stemcpd.cli import main
@@ -47,7 +46,7 @@ def report(num, name, passed, detail):
 def test_criterion_01_null_pvalue_calibration():
     start = time.monotonic()
     noise = sample_noise(MODEL, 200_000, seed=7)
-    dy = smooth_derivative(noise, KernelSpec(gamma=6.0, order=1))
+    dy = smooth(noise, KernelSpec(gamma=6.0, order=1))
     extrema = find_local_extrema(dy)
     moments = closed_form_moments(MODEL, 6.0)
     pvalues = [e.p_value for e in assign_pvalues(extrema, moments)]
@@ -80,7 +79,7 @@ def test_criterion_02_closed_form_moments():
 
 def test_criterion_03_null_extrema_rate():
     noise = sample_noise(MODEL, 1_000_000, seed=103)
-    dy = smooth_derivative(noise, KernelSpec(gamma=6.0, order=1))
+    dy = smooth(noise, KernelSpec(gamma=6.0, order=1))
     maxima = [e for e in find_local_extrema(dy) if e.sign > 0]
     lo, hi = dy.interior
     observed = len(maxima) / (hi - lo)
@@ -203,7 +202,7 @@ def test_criterion_10_noiseless_recovery():
         for jump in (1.7, -0.9):
             sig = make_staircase(jump, sep, 15 * sep)
             y = compose(sig, TimeSeries(np.zeros(sig.length)))
-            dy = smooth_derivative(y, KernelSpec(gamma=gamma, order=1))
+            dy = smooth(y, KernelSpec(gamma=gamma, order=1))
             extrema = find_local_extrema(dy)
             want = 1 if jump > 0 else -1
             ok = (

@@ -145,9 +145,11 @@ class TestDetectCommand:
     def test_bandwidth_too_large_exit_3(self, tmp_path):
         src = tmp_path / "short.csv"
         src.write_text("value\n" + "\n".join(repr(float(i % 3)) for i in range(30)) + "\n")
-        code = run("detect", "--input", src, "--output", tmp_path / "o.csv",
-                   "--gamma", 6, "--moments", "closed")
-        assert code == 3
+        # an infinite or huge kernel is refused before any weight is sampled
+        for extra in ([], ["--gamma", "inf"], ["--cutoff", "inf"], ["--gamma", "1e12"]):
+            code = run("detect", "--input", src, "--output", tmp_path / "o.csv",
+                       "--gamma", 6, "--moments", "closed", *extra)
+            assert code == 3, extra
 
 
 class TestSimulateCommand:
@@ -205,9 +207,10 @@ class TestSimulateCommand:
         assert len(data) == 1
 
     def test_invalid_grid_exit_2(self, tmp_path):
-        code = run("simulate", "--grid-gamma", "0", "--reps", 2,
-                   "--output", tmp_path / "o.csv")
-        assert code == 2
+        for gamma in ("0", "inf"):
+            code = run("simulate", "--grid-gamma", gamma, "--reps", 2,
+                       "--output", tmp_path / "o.csv")
+            assert code == 2, gamma
 
     def test_bandwidth_exceeding_length_exit_2(self, tmp_path):
         code = run("simulate", "--length", 50, "--separation", 10,

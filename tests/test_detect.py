@@ -5,7 +5,6 @@ import pytest
 
 from stemcpd import (
     BandwidthTooLargeError,
-    InvalidParameterError,
     KernelSpec,
     NoiseModel,
     TimeSeries,
@@ -18,7 +17,6 @@ from stemcpd import (
     closed_form_moments,
     sample_noise,
     smooth,
-    smooth_derivative,
 )
 from stemcpd.detect import convolve_weights
 
@@ -33,7 +31,7 @@ class TestConvolveWeights:
         rng = np.random.default_rng(42)
         y = rng.standard_normal(300)
         w = kernel_weights(KernelSpec(gamma=3.5, order=order))
-        mine = convolve_weights(y, w, 1.0)
+        mine = convolve_weights(y, w)
         ref = np.convolve(y, w, mode="same")
         k = len(w) // 2
         assert mine[k:-k] == pytest.approx(ref[k:-k], abs=1e-12)
@@ -41,7 +39,7 @@ class TestConvolveWeights:
     def test_exact_zero_on_constant_input(self):
         y = np.full(200, 3.7)
         w = kernel_weights(KernelSpec(gamma=6.0, order=1))
-        out = convolve_weights(y, w, 1.0)
+        out = convolve_weights(y, w)
         k = len(w) // 2
         assert np.all(out[k:-k] == 0.0)
 
@@ -52,7 +50,7 @@ class TestSmoothDerivative:
         a*w(0) peaking at the jump location."""
         gamma, v, a, n = 6.0, 120, 2.0, 260
         y = series(a * (np.arange(1, n + 1) >= v))
-        dy = smooth_derivative(y, KernelSpec(gamma=gamma, order=1))
+        dy = smooth(y, KernelSpec(gamma=gamma, order=1))
         lo, hi = dy.interior
         seg = dy.values[lo:hi]
         peak_at = lo + int(np.argmax(seg)) + 1  # grid location
@@ -62,7 +60,7 @@ class TestSmoothDerivative:
 
     def test_constant_input_is_identically_zero(self):
         y = series(np.full(300, 5.0))
-        dy = smooth_derivative(y, KernelSpec(gamma=6.0, order=1))
+        dy = smooth(y, KernelSpec(gamma=6.0, order=1))
         assert np.max(np.abs(dy.values[dy.interior_slice()])) <= 1e-12
         assert find_local_extrema(dy) == []
 
@@ -75,23 +73,19 @@ class TestSmoothDerivative:
         t = np.arange(1, n + 1)
         a1, v1, a2, v2 = 1.5, 120, -2.5, 280
         y = series(a1 * (t >= v1) + a2 * (t >= v2))
-        dy = smooth_derivative(y, KernelSpec(gamma=gamma, order=1))
+        dy = smooth(y, KernelSpec(gamma=gamma, order=1))
         expected = a1 * np.asarray(kernel_value(spec0, t - v1 + 0.5)) + a2 * np.asarray(
             kernel_value(spec0, t - v2 + 0.5)
         )
         sl = dy.interior_slice()
         assert np.max(np.abs(dy.values[sl] - expected[sl])) < 3e-4 * max(abs(a1), abs(a2))
 
-    def test_requires_order_one(self):
-        with pytest.raises(InvalidParameterError):
-            smooth_derivative(series(np.zeros(100)), KernelSpec(gamma=3.0, order=0))
-
     def test_series_shorter_than_kernel(self):
         with pytest.raises(BandwidthTooLargeError):
-            smooth_derivative(series(np.zeros(30)), KernelSpec(gamma=6.0, order=1))
+            smooth(series(np.zeros(30)), KernelSpec(gamma=6.0, order=1))
 
     def test_interior_annotation(self):
-        dy = smooth_derivative(series(np.zeros(100)), KernelSpec(gamma=3.0, order=1))
+        dy = smooth(series(np.zeros(100)), KernelSpec(gamma=3.0, order=1))
         assert dy.interior == (12, 88)
 
 
@@ -140,21 +134,17 @@ class TestFindLocalExtrema:
 
     def test_alternation(self):
         noise = sample_noise(NoiseModel(1.0, 2.0), 20_000, seed=13)
-        dy = smooth_derivative(noise, KernelSpec(gamma=6.0, order=1))
+        dy = smooth(noise, KernelSpec(gamma=6.0, order=1))
         signs = [e.sign for e in find_local_extrema(dy)]
         assert all(a != b for a, b in zip(signs, signs[1:]))
 
     def test_no_extremum_near_boundary(self):
         noise = sample_noise(NoiseModel(1.0, 2.0), 5_000, seed=14)
         spec = KernelSpec(gamma=6.0, order=1)
-        dy = smooth_derivative(noise, spec)
+        dy = smooth(noise, spec)
         k = spec.half_width()
         for e in find_local_extrema(dy):
             assert k + 1 <= e.index - 1 <= len(noise) - k - 2
-
-    def test_requires_unit_spacing(self):
-        with pytest.raises(InvalidParameterError):
-            find_local_extrema(series([0, 1, 0], spacing=0.5))
 
     def test_null_extrema_count_matches_analytic_rate(self):
         """On pure noise the extrema count per unit matches twice the
@@ -162,7 +152,7 @@ class TestFindLocalExtrema:
         model = NoiseModel(1.0, 2.0)
         gamma = 6.0
         noise = sample_noise(model, 100_000, seed=15)
-        dy = smooth_derivative(noise, KernelSpec(gamma=gamma, order=1))
+        dy = smooth(noise, KernelSpec(gamma=gamma, order=1))
         extrema = find_local_extrema(dy)
         lo, hi = dy.interior
         rate = len(extrema) / (hi - lo)
@@ -178,7 +168,7 @@ class TestNoiselessRecovery:
         length = 12 * sep
         sig = make_staircase(jump, sep, length)
         y = compose(sig, TimeSeries(np.zeros(length)))
-        dy = smooth_derivative(y, KernelSpec(gamma=gamma, order=1))
+        dy = smooth(y, KernelSpec(gamma=gamma, order=1))
         extrema = find_local_extrema(dy)
         want_sign = 1 if jump > 0 else -1
         assert len(extrema) == sig.n_jumps

@@ -23,7 +23,7 @@ from stemcpd import (
     make_staircase,
     peak_height_tail,
     sample_noise,
-    smooth_derivative,
+    smooth,
 )
 from stemcpd.inference import trim_correction
 
@@ -34,7 +34,7 @@ MODEL = NoiseModel(sigma=1.0, nu=2.0)
 
 def null_maxima_heights(length, seed, gamma=6.0, model=MODEL):
     noise = sample_noise(model, length, seed=seed)
-    dy = smooth_derivative(noise, KernelSpec(gamma=gamma, order=1))
+    dy = smooth(noise, KernelSpec(gamma=gamma, order=1))
     return np.array([e.height for e in find_local_extrema(dy) if e.sign > 0])
 
 
@@ -223,7 +223,7 @@ class TestAssignPvalues:
         """Maxima p-values on pure noise pass a Kolmogorov-Smirnov check
         against the uniform distribution."""
         noise = sample_noise(MODEL, 300_000, seed=37)
-        dy = smooth_derivative(noise, KernelSpec(gamma=6.0, order=1))
+        dy = smooth(noise, KernelSpec(gamma=6.0, order=1))
         maxima = [e for e in find_local_extrema(dy) if e.sign > 0]
         assert len(maxima) >= 10_000
         m = closed_form_moments(MODEL, 6.0)

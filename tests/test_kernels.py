@@ -23,9 +23,8 @@ class TestKernelSpec:
         spec = KernelSpec(gamma=6.0)
         assert spec.order == 0
         assert spec.cutoff == 4.0
-        assert spec.family == "truncated-gaussian"
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_gamma(self, gamma):
         with pytest.raises(InvalidParameterError):
             KernelSpec(gamma=gamma)
@@ -35,16 +34,13 @@ class TestKernelSpec:
             KernelSpec(gamma=2.0, order=4)
 
     def test_invalid_cutoff(self):
-        with pytest.raises(InvalidParameterError):
-            KernelSpec(gamma=2.0, cutoff=0.0)
-
-    def test_invalid_family(self):
-        with pytest.raises(InvalidParameterError):
-            KernelSpec(gamma=2.0, family="epanechnikov")
+        # an infinite support half-width cutoff*gamma is rejected too
+        for gamma, cutoff in [(2.0, 0.0), (2.0, math.nan), (2.0, math.inf), (1e308, 4.0)]:
+            with pytest.raises(InvalidParameterError):
+                KernelSpec(gamma=gamma, cutoff=cutoff)
 
     def test_half_width(self):
         assert KernelSpec(gamma=6.0).half_width() == 24
-        assert KernelSpec(gamma=6.0).half_width(0.5) == 48
         assert KernelSpec(gamma=0.3, cutoff=4.0).half_width() == 2
 
 
@@ -56,13 +52,8 @@ class TestKernelWeights:
         assert kernel_value(spec, 0.0) == pytest.approx(0.066490, abs=1e-6)
 
     def test_unit_action_exact(self):
-        w = kernel_weights(KernelSpec(gamma=6.0), spacing=1.0)
+        w = kernel_weights(KernelSpec(gamma=6.0))
         assert math.fsum(w) == 1.0
-
-    def test_unit_action_other_spacings(self):
-        for spacing in (0.5, 0.25, 2.0):
-            w = kernel_weights(KernelSpec(gamma=6.0), spacing=spacing)
-            assert math.fsum(w) * spacing == pytest.approx(1.0, abs=1e-15)
 
     def test_odd_orders_sum_exactly_zero(self):
         for order in (1, 3):
@@ -84,14 +75,14 @@ class TestKernelWeights:
 
     def test_length_and_support(self):
         spec = KernelSpec(gamma=6.0, order=1)
-        w = kernel_weights(spec, spacing=1.0)
+        w = kernel_weights(spec)
         assert len(w) == 2 * 24 + 1
         assert w[0] != 0.0  # offset 24 <= cutoff*gamma = 24
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_weights_are_analytic_derivative_samples(self, order):
         spec = KernelSpec(gamma=3.0, order=order)
-        w = kernel_weights(spec, spacing=1.0)
+        w = kernel_weights(spec)
         k = len(w) // 2
         expected = gauss_kernel_samples(3.0, 4.0, order)
         assert w == pytest.approx(expected, rel=1e-12, abs=1e-18)
@@ -99,12 +90,13 @@ class TestKernelWeights:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_finite_difference_consistency(self, order):
-        """Central differences of order-(k-1) weights reproduce order-k
-        weights at fine spacing."""
-        spacing = 0.01
-        lower = kernel_weights(KernelSpec(gamma=6.0, order=order - 1), spacing)
-        upper = kernel_weights(KernelSpec(gamma=6.0, order=order), spacing)
-        fd = (lower[2:] - lower[:-2]) / (2.0 * spacing)
+        """Central differences of the order-(k-1) kernel reproduce the
+        order-k kernel, sampled at offsets 0.01 apart."""
+        step = 0.01
+        t = np.arange(-2400, 2401) * step
+        lower = kernel_value(KernelSpec(gamma=6.0, order=order - 1), t)
+        upper = kernel_value(KernelSpec(gamma=6.0, order=order), t)
+        fd = (lower[2:] - lower[:-2]) / (2.0 * step)
         target = upper[1:-1]
         mask = np.abs(target) > 1e-2 * np.max(np.abs(target))
         rel = np.abs(fd[mask] - target[mask]) / np.abs(target[mask])
@@ -136,11 +128,7 @@ class TestKernelWeights:
 
     def test_bandwidth_too_small(self):
         with pytest.raises(BandwidthTooSmallError):
-            kernel_weights(KernelSpec(gamma=0.2), spacing=1.0)
-
-    def test_invalid_spacing(self):
-        with pytest.raises(InvalidParameterError):
-            kernel_weights(KernelSpec(gamma=6.0), spacing=0.0)
+            kernel_weights(KernelSpec(gamma=0.2))
 
     def test_kernel_value_zero_outside_support(self):
         spec = KernelSpec(gamma=2.0, order=0)

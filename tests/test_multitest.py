@@ -105,6 +105,8 @@ class TestBHSelect:
             bh_select([0.0, 0.5], alpha=0.05)
         with pytest.raises(InvalidParameterError):
             bh_select([1.5], alpha=0.05)
+        with pytest.raises(InvalidParameterError):
+            bh_select([0.01, math.nan], alpha=0.05)
 
 
 class TestHeightThreshold:

@@ -20,17 +20,9 @@ from helpers import staircase_scan
 
 
 class TestTimeSeries:
-    def test_grid(self):
-        ts = TimeSeries(np.arange(4.0))
-        assert np.array_equal(ts.grid(), [1.0, 2.0, 3.0, 4.0])
-
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):
             TimeSeries(np.array([1.0, np.nan]))
-
-    def test_rejects_bad_spacing(self):
-        with pytest.raises(InvalidParameterError):
-            TimeSeries(np.zeros(3), spacing=0.0)
 
 
 class TestPiecewiseSignal:
@@ -178,7 +170,3 @@ class TestCompose:
     def test_length_mismatch(self):
         with pytest.raises(GridMismatchError):
             compose(make_staircase(1.0, 10, 100), TimeSeries(np.zeros(99)))
-
-    def test_grid_mismatch(self):
-        with pytest.raises(GridMismatchError):
-            compose(PiecewiseSignal((), 10), TimeSeries(np.zeros(10), spacing=0.5))
