@@ -10,6 +10,7 @@ parallelism.
 import argparse
 import csv
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -46,59 +47,123 @@ def _float_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
 
 
+#: The ASCII separator controls: numpy's number parser strips them as
+#: whitespace where Python's float() refuses them, so no input may hold one.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+class PositionLabels(Sequence):
+    """The position column of a two-column input, read from a data line
+    only when its label is asked for: the detection output needs labels
+    at its candidate rows alone."""
+
+    def __init__(self, lines):
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, i) -> str:
+        line = self._lines[i]
+        # without a quote the first field ends at the first comma
+        return _fields(line)[0] if '"' in line else line.partition(",")[0]
+
+
+def _fields(line: str) -> list:
+    """The csv fields of one line.  The reader moves on to a second line
+    only when a quoted field is still open at the end of the first."""
+    reader = csv.reader((line, ""))
+    fields = next(reader)
+    if reader.line_num > 1:
+        raise ValueError(f"a quoted field runs past the end of the line {line!r}")
+    return fields
+
+
+def _is_comment(line: str) -> bool:
+    """Whether the first field starts with '#' after leading whitespace."""
+    return "#" in line and _fields(line)[0].lstrip().startswith("#")
+
+
 def read_sequence_csv(path: str):
     """Read a one- or two-column numeric CSV (optional header).
 
     With two columns the first is an opaque position label carried through
     to the output untouched; the second is the value.  Values must be
-    finite numbers.
+    finite numbers.  Blank lines and lines whose first field starts with
+    '#' are skipped; the first row is a header when its last field is not
+    a number.  Fields may be quoted, but a quoted field cannot span lines.
+    The file is UTF-8, with or without a byte order mark.
     """
     try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    except OSError as exc:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise InputDataError(f"{path} contains no data rows")
-    width = len(rows[0])
-    if width not in (1, 2) or any(len(r) != width for r in rows):
+    if any(c in text for c in _SEPARATORS):
+        raise InputDataError(f"{path} contains an ASCII separator control character")
+    rows = list(filter(None, text.split("\n")))  # blank lines hold no row
+    try:
+        if "#" in text:
+            rows = [r for r in rows if not _is_comment(r)]
+        if not rows:
+            raise InputDataError(f"{path} contains no data rows")
+        first = _fields(rows[0])
+        _fields(rows[-1])  # loadtxt would close a quote left open at the end
+    except (ValueError, csv.Error) as exc:
+        raise InputDataError(f"{path}: {exc}") from exc
+    width = len(first)
+    if width not in (1, 2):
         raise InputDataError(f"{path} must have one or two columns throughout")
     start = 0
     try:
-        float(rows[0][-1])
+        float(first[-1])
     except ValueError:
         start = 1  # header row
-    if start == len(rows):
+    data = rows[start:]
+    if not data:
         raise InputDataError(f"{path} contains a header but no data")
+    # a structured dtype makes loadtxt check that every row has `width`
+    # fields; the position field is zero-width, PositionLabels reads labels
+    dtype = [("position", "U0"), ("value", float)][2 - width:]
     try:
-        values = np.array([float(r[-1]) for r in rows[start:]])
+        values = np.loadtxt(data, dtype=dtype, delimiter=",", quotechar='"',
+                            comments=None, ndmin=1)["value"]
     except ValueError as exc:
-        raise InputDataError(f"{path} contains non-numeric values: {exc}") from exc
+        raise InputDataError(
+            f"{path} has a data row that is not {width} column(s) of numbers ({exc})"
+        ) from exc
+    if len(values) != len(data):
+        # loadtxt carries a quoted field left open at a line end on to the next line
+        raise InputDataError(f"{path} has a quoted field that runs past the end of a line")
     if not np.all(np.isfinite(values)):
         raise InputDataError(f"{path} contains non-finite values")
-    positions = [r[0] for r in rows[start:]] if width == 2 else None
-    return values, positions
+    return values, None if width == 1 else PositionLabels(data)
 
 
 def write_detection_csv(path, result, positions=None, moment_source="") -> None:
+    extrema = result.extrema
+    rows = ()
+    if len(extrema):  # without candidates there may be no p-values either
+        index = extrema.index.tolist()
+        significant = np.zeros(len(index), dtype=np.int64)
+        significant[list(result.outcome.rejected)] = 1
+        columns = [
+            index,
+            map(repr, extrema.height.tolist()),
+            np.where(extrema.sign > 0, "max", "min").tolist(),
+            map(repr, extrema.p_value.tolist()),
+            significant.tolist(),
+        ]
+        if positions is not None:
+            columns.insert(1, [positions[i - 1] for i in index])
+        rows = zip(*columns)
+    header = ["index", "height", "sign", "p_value", "significant"]
+    if positions is not None:
+        header.insert(1, "position")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["index", "height", "sign", "p_value", "significant"]
-        if positions is not None:
-            header.insert(1, "position")
         writer.writerow(header)
-        significant = set(result.outcome.rejected)
-        for i, e in enumerate(result.extrema):
-            row = [
-                str(e.index),
-                _fmt(e.height),
-                "max" if e.sign > 0 else "min",
-                _fmt(e.p_value),
-                "1" if i in significant else "0",
-            ]
-            if positions is not None:
-                row.insert(1, positions[e.index - 1])
-            writer.writerow(row)
+        writer.writerows(rows)
         m = result.moments
         moment_of = lambda attr: _fmt(getattr(m, attr)) if m is not None else "nan"
         for key, value in [

@@ -9,6 +9,7 @@ process differentiable enough for the extremum height theory to apply.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,10 +56,10 @@ class NoiseModel:
     nu: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise InvalidParameterError("sigma must be positive")
-        if self.nu < 0:
-            raise InvalidParameterError("nu must be non-negative")
+        if not 0 < self.sigma < math.inf:
+            raise InvalidParameterError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0 <= self.nu < math.inf:
+            raise InvalidParameterError(f"nu must be non-negative and finite, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -86,19 +87,25 @@ class PiecewiseSignal:
         if any(a == 0.0 for _, a in jumps):
             raise InvalidParameterError("jump sizes must be nonzero")
 
-    @property
+    @cached_property
     def locations(self) -> np.ndarray:
-        return np.array([v for v, _ in self.jumps], dtype=float)
+        """Jump locations, built once per signal and read-only."""
+        return _read_only([v for v, _ in self.jumps])
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
-        return np.array([a for _, a in self.jumps], dtype=float)
+        """Jump sizes, built once per signal and read-only."""
+        return _read_only([a for _, a in self.jumps])
 
     @property
     def n_jumps(self) -> int:
         return len(self.jumps)
 
     def min_separation(self) -> float:
+        return self._min_separation
+
+    @cached_property
+    def _min_separation(self) -> float:
         locs = self.locations
         if len(locs) < 2:
             return math.inf
@@ -111,6 +118,12 @@ class PiecewiseSignal:
         # rounded exactly as repeated `mu[t >= v] += a` would round it
         levels = np.concatenate(([0.0], np.cumsum(self.sizes)))
         return TimeSeries(levels[np.searchsorted(self.locations, t, side="right")])
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 def make_staircase(jump: float, separation: int, length: int) -> PiecewiseSignal:

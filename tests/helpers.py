@@ -4,9 +4,12 @@ Everything here deliberately avoids the package's own code paths: plain
 loops, np.convolve and brute-force scans, so agreement is meaningful.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from stemcpd.cli import InputDataError
 
 
 def bh_bruteforce(pvalues, alpha):
@@ -133,3 +136,85 @@ def step_signal_loop(jumps, length):
     for v, a in jumps:
         mu[t >= v] += a
     return mu
+
+
+# The CSV reader and writer of the command line before it read and wrote
+# whole arrays, kept verbatim: one csv row and one float() per input line,
+# one Extremum record per output row.
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def read_sequence_csv_rows(path: str):
+    """Read a one- or two-column numeric CSV (optional header).
+
+    With two columns the first is an opaque position label carried through
+    to the output untouched; the second is the value.  Values must be
+    finite numbers.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    except OSError as exc:
+        raise InputDataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise InputDataError(f"{path} contains no data rows")
+    width = len(rows[0])
+    if width not in (1, 2) or any(len(r) != width for r in rows):
+        raise InputDataError(f"{path} must have one or two columns throughout")
+    start = 0
+    try:
+        float(rows[0][-1])
+    except ValueError:
+        start = 1  # header row
+    if start == len(rows):
+        raise InputDataError(f"{path} contains a header but no data")
+    try:
+        values = np.array([float(r[-1]) for r in rows[start:]])
+    except ValueError as exc:
+        raise InputDataError(f"{path} contains non-numeric values: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise InputDataError(f"{path} contains non-finite values")
+    positions = [r[0] for r in rows[start:]] if width == 2 else None
+    return values, positions
+
+
+def write_detection_csv_records(path, result, positions=None, moment_source="") -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        header = ["index", "height", "sign", "p_value", "significant"]
+        if positions is not None:
+            header.insert(1, "position")
+        writer.writerow(header)
+        significant = set(result.outcome.rejected)
+        for i, e in enumerate(result.extrema):
+            row = [
+                str(e.index),
+                _fmt(e.height),
+                "max" if e.sign > 0 else "min",
+                _fmt(e.p_value),
+                "1" if i in significant else "0",
+            ]
+            if positions is not None:
+                row.insert(1, positions[e.index - 1])
+            writer.writerow(row)
+        m = result.moments
+        moment_of = lambda attr: _fmt(getattr(m, attr)) if m is not None else "nan"
+        for key, value in [
+            ("m_tilde", str(result.n_candidates)),
+            ("k", str(result.outcome.k)),
+            ("p_threshold", _fmt(result.outcome.p_threshold)),
+            ("u_threshold", _fmt(result.outcome.u_threshold)),
+            ("var_d1", moment_of("var_d1")),
+            ("var_d2", moment_of("var_d2")),
+            ("var_d3", moment_of("var_d3")),
+            ("delta", moment_of("delta")),
+            ("gamma", _fmt(result.gamma)),
+            ("alpha", _fmt(result.alpha)),
+            ("moment_source", moment_source),
+        ]:
+            fh.write(f"# {key},{value}\n")

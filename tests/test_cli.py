@@ -130,10 +130,11 @@ class TestDetectCommand:
 
     def test_non_numeric_input_exit_2(self, tmp_path):
         src = tmp_path / "bad.csv"
-        src.write_text("value\n1.0\noops\n")
-        code = run("detect", "--input", src, "--output", tmp_path / "o.csv",
-                   "--gamma", 6)
-        assert code == 2
+        for content in (b"value\n1.0\noops\n", b"value\n\xff\xfe1.0\n"):  # not UTF-8
+            src.write_bytes(content)
+            code = run("detect", "--input", src, "--output", tmp_path / "o.csv",
+                       "--gamma", 6)
+            assert code == 2, content
 
     def test_nan_input_exit_2(self, tmp_path):
         src = tmp_path / "bad.csv"
@@ -207,10 +208,11 @@ class TestSimulateCommand:
         assert len(data) == 1
 
     def test_invalid_grid_exit_2(self, tmp_path):
-        for gamma in ("0", "inf"):
-            code = run("simulate", "--grid-gamma", gamma, "--reps", 2,
-                       "--output", tmp_path / "o.csv")
-            assert code == 2, gamma
+        # a non-finite noise scale is refused by name, not by a traceback
+        for bad in (["--grid-gamma", "0"], ["--grid-gamma", "inf"],
+                    ["--nu", "inf"], ["--nu", "nan"]):
+            code = run("simulate", *bad, "--reps", 2, "--output", tmp_path / "o.csv")
+            assert code == 2, bad
 
     def test_bandwidth_exceeding_length_exit_2(self, tmp_path):
         code = run("simulate", "--length", 50, "--separation", 10,
@@ -280,6 +282,29 @@ class TestReadSequenceCsv:
         src.write_text("")
         from stemcpd.cli import InputDataError
 
+        with pytest.raises(InputDataError):
+            read_sequence_csv(str(src))
+
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        src = tmp_path / "x.csv"
+        src.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        values, positions = read_sequence_csv(str(src))
+        assert list(values) == [1.5, 2.5, 3.5]
+        assert positions is None
+
+    @pytest.mark.parametrize("content", [
+        "1_0\n2.5\n",                # float() reads 10.0; numpy's parser refuses underscores
+        "\u0661.5\n2.5\n",            # an Arabic-Indic digit, which float() also reads
+        "1.5\x1c\n2.5\n",             # a separator control that numpy would strip as space
+        'x,0.5\n"a\nb",1.5\nc,2.5\n',  # a quoted field running over a line end
+        '1.5\n"2.5\n',               # a quoted field still open at the end of the file
+    ], ids=["underscore", "arabic_indic_digit", "separator_control", "quote_over_line_end",
+            "quote_open_at_end"])
+    def test_spellings_outside_the_format_rejected(self, tmp_path, content):
+        from stemcpd.cli import InputDataError
+
+        src = tmp_path / "x.csv"
+        src.write_text(content, encoding="utf-8")
         with pytest.raises(InputDataError):
             read_sequence_csv(str(src))
 

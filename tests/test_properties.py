@@ -4,10 +4,16 @@ Smoothing must reproduce the pairwise loop bit for bit (the golden fixture
 depends on its summation order), extrema extraction must agree with a
 run-by-run scan, and ``Extrema`` must behave as the sequence of
 ``Extremum`` records it stands for.  The whole detector must map a sequence
-reversed and negated to its own result mirrored.
+reversed and negated to its own result mirrored.  The command line's CSV
+reader and writer must read and write exactly what the row-by-row code
+they replaced did.
 """
 
+import csv
+import io
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +33,16 @@ from stemcpd import (
     sample_noise,
     smooth,
 )
+from stemcpd.cli import InputDataError, read_sequence_csv, write_detection_csv
 from stemcpd.detect import convolve_weights
 
-from helpers import convolve_weights_pairwise, extrema_scan, step_signal_loop
+from helpers import (
+    convolve_weights_pairwise,
+    extrema_scan,
+    read_sequence_csv_rows,
+    step_signal_loop,
+    write_detection_csv_records,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -221,3 +234,101 @@ class TestStepSignal:
         jumps = tuple(zip(locations.tolist(), sizes))
         mine = PiecewiseSignal(jumps, length).sample().values
         assert np.array_equal(bits(mine), bits(step_signal_loop(jumps, length)))
+
+
+@st.composite
+def sequence_csv(draw):
+    """A one- or two-column input file as the command line accepts it:
+    optional header, values in several spellings, labels that need csv
+    quoting, comment and blank lines anywhere, LF or CRLF line ends."""
+    width = draw(st.integers(1, 2))
+    n = draw(st.integers(12, 40))
+    lines = []
+    if draw(st.booleans()):
+        lines.append("value" if width == 1 else draw(st.sampled_from(["position,value", "pos,ratio"])))
+    for _ in range(n):
+        x = draw(st.floats(-1e6, 1e6))
+        spelling = draw(st.sampled_from(["repr", "%.17g", "int", "exp", "plus", "spaces", "quoted"]))
+        value = {
+            "repr": repr(x),
+            "%.17g": "%.17g" % x,
+            "int": "%d" % x,
+            "exp": "%.6E" % x,
+            "plus": "+" + repr(abs(x)),
+            "spaces": " \t%r " % x,
+            "quoted": '"%r"' % x,
+        }[spelling]
+        if width == 2:
+            label = draw(st.text(st.sampled_from('ab1 ,"-:#'), max_size=6))
+            field = io.StringIO()
+            csv.writer(field, lineterminator="").writerow([label])
+            value = f"{field.getvalue()},{value}"
+        lines.append(value)
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "# note", "  # a, b", "#"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return width, eol, eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def malformed(width, eol, text, defect):
+    """``text`` spoilt the way a rejected input is: a row of another width
+    late in the file, a non-numeric or non-finite last row, or nothing but
+    a header or comments."""
+    tail = {
+        "width": "1.5,2.5,3.5" if width == 2 else "a,2.5",
+        "non_numeric": "oops" if width == 1 else "a,oops",
+        "nan": "nan" if width == 1 else "a,nan",
+        "inf": "-inf" if width == 1 else "a,inf",
+    }
+    if defect == "header_only":
+        return "position,value" + eol + "# no data" + eol
+    if defect == "comments_only":
+        return "# one" + eol + eol + "  # two" + eol
+    return text + eol + tail[defect] + eol
+
+
+def read_with(reader, path):
+    try:
+        return reader(path)
+    except InputDataError as exc:
+        return exc
+
+
+class TestCsvAgainstRowCode:
+    @SETTINGS
+    @given(file=sequence_csv())
+    @example(file=(2, "\r\n", '"a,1",2.5\r\n# c\r\n\r\n"x""y", 1e3 \r\n' * 6))
+    def test_reads_and_writes_as_row_code(self, file, tmp_path_factory):
+        text = file[2]
+        path = tmp_path_factory.mktemp("csv") / "in.csv"
+        path.write_bytes(text.encode())
+        old = read_with(read_sequence_csv_rows, str(path))
+        new = read_with(read_sequence_csv, str(path))
+        if isinstance(old, InputDataError):
+            assert isinstance(new, InputDataError)
+            return
+        (old_values, old_positions), (values, positions) = old, new
+        assert np.array_equal(bits(values), bits(old_values))
+        assert (positions is None) == (old_positions is None)
+        if positions is not None:
+            assert list(positions) == old_positions
+        if len(values) < 9:
+            return  # shorter than the gamma = 1 kernel
+
+        result = detect_change_points(TimeSeries(values), 1.0, 0.5,
+                                      noise_model=NoiseModel(1.0, 2.0))
+        out_old, out_new = path.with_suffix(".old"), path.with_suffix(".new")
+        write_detection_csv_records(str(out_old), result, old_positions, "closed")
+        write_detection_csv(str(out_new), result, positions, "closed")
+        assert out_new.read_bytes() == out_old.read_bytes()
+
+    @SETTINGS
+    @given(file=sequence_csv(),
+           defect=st.sampled_from(["width", "non_numeric", "nan", "inf",
+                                   "header_only", "comments_only"]))
+    def test_rejects_as_row_code(self, file, defect, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "in.csv"
+        path.write_bytes(malformed(*file, defect).encode())
+        for reader in (read_sequence_csv_rows, read_sequence_csv):
+            with pytest.raises(InputDataError):
+                reader(str(path))

@@ -40,6 +40,14 @@ class TestPiecewiseSignal:
         assert np.array_equal(sig.sample().values, np.zeros(50))
         assert sig.min_separation() == math.inf
 
+    def test_truth_arrays_built_once_and_read_only(self):
+        sig = make_staircase(2.0, 15, 60)
+        assert sig.locations is sig.locations and sig.sizes is sig.sizes
+        for arr in (sig.locations, sig.sizes):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert sig.min_separation() == 15.0
+
     def test_sample_steps_at_locations(self):
         sig = PiecewiseSignal(((3.0, 2.0), (6.0, -1.0)), 8)
         assert np.array_equal(sig.sample().values, [0, 0, 2, 2, 2, 1, 1, 1])
@@ -142,6 +150,11 @@ class TestNoise:
             NoiseModel(sigma=0.0, nu=2.0)
         with pytest.raises(InvalidParameterError):
             NoiseModel(sigma=1.0, nu=-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(InvalidParameterError, match="sigma"):
+                NoiseModel(sigma=bad, nu=2.0)
+            with pytest.raises(InvalidParameterError, match="nu"):
+                NoiseModel(sigma=1.0, nu=bad)
 
     def test_invalid_length(self):
         with pytest.raises(InvalidParameterError):
