@@ -17,6 +17,7 @@ import numpy as np
 from .errors import StemcpdError
 from .harness import SimulateRequest, run_simulation
 from .inference import closed_form_moments
+from .kernels import GAUSSIAN_CUTOFF
 from .pipeline import detect_change_points
 from .signals import NoiseModel, TimeSeries
 from .theory import (
@@ -84,6 +85,31 @@ def _is_comment(line: str) -> bool:
     return "#" in line and _fields(line)[0].lstrip().startswith("#")
 
 
+def _load(lines: list, dtype):
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+
+
+def _first_refused(lines: list, dtype) -> int:
+    """Index of the first of ``lines`` that loadtxt refuses, by bisection;
+    loadtxt must refuse ``lines`` as a whole."""
+    good, bad = 0, len(lines)  # lines[:good] are read, lines[good:bad] hold a refused one
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _load(lines[good:mid], dtype)
+            good = mid
+        except ValueError:
+            bad = mid
+    return good
+
+
+def _line_number(text: str, row: int) -> int:
+    """1-based line of ``text`` holding its row ``row`` (from 0), where
+    blank and comment lines count as lines but hold no row."""
+    numbers = [n for n, line in enumerate(text.split("\n"), 1) if line and not _is_comment(line)]
+    return numbers[row]
+
+
 def read_sequence_csv(path: str):
     """Read a one- or two-column numeric CSV (optional header).
 
@@ -126,12 +152,13 @@ def read_sequence_csv(path: str):
     # fields; the position field is zero-width, PositionLabels reads labels
     dtype = [("position", "U0"), ("value", float)][2 - width:]
     try:
-        values = np.loadtxt(data, dtype=dtype, delimiter=",", quotechar='"',
-                            comments=None, ndmin=1)["value"]
-    except ValueError as exc:
+        values = _load(data, dtype)["value"]
+    except ValueError:
+        bad = _first_refused(data, dtype)
         raise InputDataError(
-            f"{path} has a data row that is not {width} column(s) of numbers ({exc})"
-        ) from exc
+            f"{path} line {_line_number(text, start + bad)} is not {width} column(s) "
+            f"of numbers: {data[bad]!r}"
+        ) from None
     if len(values) != len(data):
         # loadtxt carries a quoted field left open at a line end on to the next line
         raise InputDataError(f"{path} has a quoted field that runs past the end of a line")
@@ -206,37 +233,25 @@ def cmd_detect(args) -> int:
         source = f"closed(sigma={args.sigma:g},nu={args.nu:g})"
     else:
         model = None
-        source = f"empirical(trim={args.trim:g})"
-    result = detect_change_points(
-        series,
-        args.gamma,
-        args.alpha,
-        noise_model=model,
-        trim=args.trim,
-        cutoff=args.cutoff,
-    )
+        source = "empirical(trim=0.1)"
+    result = detect_change_points(series, args.gamma, args.alpha, noise_model=model)
     write_detection_csv(args.output, result, positions, source)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    if args.tolerance is not None:
-        tolerances = (args.tolerance,)
-    else:
-        tolerances = args.grid_b
     req = SimulateRequest(
         length=args.length,
         separation=args.separation,
         jumps=args.jump,
         gammas=args.grid_gamma,
-        tolerances=tolerances,
+        tolerances=args.grid_b,
         alpha=args.alpha,
         sigma=args.sigma,
         nu=args.nu,
         replications=args.reps,
         seed=args.seed,
         rep_start=args.rep_start,
-        cutoff=args.cutoff,
     )
     cells = run_simulation(req)
     with open(args.output, "w", newline="") as fh:
@@ -258,7 +273,7 @@ def cmd_simulate(args) -> int:
             ("sigma", _fmt(req.sigma)),
             ("nu", _fmt(req.nu)),
             ("rep_start", str(req.rep_start)),
-            ("cutoff", _fmt(req.cutoff)),
+            ("cutoff", _fmt(GAUSSIAN_CUTOFF)),
         ]:
             fh.write(f"# {key},{value}\n")
     return 0
@@ -276,10 +291,8 @@ def cmd_theory(args) -> int:
         writer.writerow(header)
         for gamma in args.grid_gamma:
             moments = closed_form_moments(model, gamma)
-            cfg = TheoryConfig(
-                density=args.density, alpha=args.alpha, moments=moments,
-                gamma=gamma, cutoff=args.cutoff,
-            )
+            cfg = TheoryConfig(density=args.density, alpha=args.alpha,
+                               moments=moments, gamma=gamma)
             u_star = asymptotic_bh_threshold(cfg)
             row = [
                 _fmt(gamma), _fmt(moments.var_d1), _fmt(moments.var_d2),
@@ -295,7 +308,7 @@ def cmd_theory(args) -> int:
             ("alpha", _fmt(args.alpha)),
             ("sigma", _fmt(args.sigma)),
             ("nu", _fmt(args.nu)),
-            ("cutoff", _fmt(args.cutoff)),
+            ("cutoff", _fmt(GAUSSIAN_CUTOFF)),
         ]:
             fh.write(f"# {key},{value}\n")
     return 0
@@ -317,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moments", choices=("closed", "empirical"), default="empirical")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=2.0)
-    p.add_argument("--trim", type=float, default=0.1,
-                   help="trimmed fraction for empirical moments")
-    p.add_argument("--cutoff", type=float, default=4.0)
     p.set_defaults(func=cmd_detect, input_errors=(InputDataError, OSError))
 
     p = sub.add_parser("simulate", help="run a replicated simulation grid")
@@ -332,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=tuple(float(g) for g in range(1, 11)))
     p.add_argument("--grid-b", type=_float_list,
                    default=tuple(float(b) for b in range(2, 11)))
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="single location tolerance (overrides --grid-b)")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=2.0)
@@ -341,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rep-start", type=int, default=0,
                    help="first replicate index (for split runs)")
-    p.add_argument("--cutoff", type=float, default=4.0)
     p.set_defaults(func=cmd_simulate, input_errors=(StemcpdError, OSError))
 
     p = sub.add_parser("theory", help="emit analytic curves and bounds")
@@ -354,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=2.0)
     p.add_argument("--density", type=float, default=0.01,
                    help="expected change points per unit length")
-    p.add_argument("--cutoff", type=float, default=4.0)
     p.set_defaults(func=cmd_theory, input_errors=(StemcpdError, OSError))
 
     return parser

@@ -48,29 +48,16 @@ class Extrema:
     (int64, +1 for a maximum and -1 for a minimum) and ``p_value``
     (float64, or None before inference) have one entry per candidate.
 
-    It behaves as a sequence of ``Extremum`` records: an integer index
+    It reads as a sequence of ``Extremum`` records: an integer index
     gives a record holding plain Python numbers, iteration yields records
     in order, and a slice, integer array or boolean mask gives another
-    ``Extrema``.  Equality with any sequence compares record by record, so
-    ``extrema == []`` tests for emptiness.
+    ``Extrema``.
     """
 
     index: np.ndarray
     height: np.ndarray
     sign: np.ndarray
     p_value: np.ndarray = None
-
-    @classmethod
-    def from_records(cls, records) -> "Extrema":
-        """Pack ``Extremum`` records; p-values are kept when every record has one."""
-        records = list(records)
-        p = [e.p_value for e in records]
-        return cls(
-            index=np.array([e.index for e in records], dtype=np.int64),
-            height=np.array([e.height for e in records], dtype=float),
-            sign=np.array([e.sign for e in records], dtype=np.int64),
-            p_value=None if None in p else np.array(p, dtype=float),
-        )
 
     def __len__(self) -> int:
         return len(self.index)
@@ -90,22 +77,6 @@ class Extrema:
     def __iter__(self):
         p = [None] * len(self) if self.p_value is None else self.p_value.tolist()
         return map(Extremum, self.index.tolist(), self.height.tolist(), self.sign.tolist(), p)
-
-    def __eq__(self, other):
-        try:
-            if len(other) != len(self):
-                return False
-        except TypeError:
-            return NotImplemented
-        return all(a == b for a, b in zip(self, other))
-
-
-def as_extrema(candidates) -> Extrema:
-    """``candidates`` as an ``Extrema``: unchanged if it is one, else packed
-    from a sequence of ``Extremum`` records."""
-    if isinstance(candidates, Extrema):
-        return candidates
-    return Extrema.from_records(candidates)
 
 
 def convolve_weights(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -180,7 +151,8 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
     sl = dy.interior_slice()
     seg = dy.values[sl]
     if len(seg) < 3:
-        return Extrema.from_records(())
+        empty = np.empty(0)  # the p-values here are an empty array, not None
+        return Extrema(np.empty(0, dtype=np.int64), empty, np.empty(0, dtype=np.int64), empty)
     # run-length encode so plateaus collapse to a single candidate
     starts = np.concatenate(([0], np.flatnonzero(seg[1:] != seg[:-1]) + 1))
     run_values = seg[starts]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import as_extrema
+from .detect import Extrema
 from .errors import InvalidParameterError
 from .signals import PiecewiseSignal
 
@@ -66,11 +66,8 @@ class AggregateResult:
     n_replications: int
 
 
-def classify(detections, truth: PiecewiseSignal, cfg: EvalConfig) -> EvalResult:
-    """Score significant extrema against the true change points.
-
-    ``detections`` is an ``Extrema`` or a sequence of ``Extremum`` records.
-    """
+def classify(detections: Extrema, truth: PiecewiseSignal, cfg: EvalConfig) -> EvalResult:
+    """Score significant extrema against the true change points."""
     b = cfg.tolerance
     locations = truth.locations
     sizes = truth.sizes
@@ -86,7 +83,6 @@ def classify(detections, truth: PiecewiseSignal, cfg: EvalConfig) -> EvalResult:
         hits = tuple(False for _ in range(truth.n_jumps))
         power = float(np.mean(hits)) if truth.n_jumps else None
         return EvalResult(0, 0, 0.0, hits, power, 0, overlap)
-    detections = as_extrema(detections)
     pos = detections.index.astype(float)
     sgn = detections.sign
     if truth.n_jumps:
@@ -124,32 +120,3 @@ def aggregate(results) -> AggregateResult:
         power_se = math.nan
     return AggregateResult(fdr, fdr_se, power, power_se, len(results))
 
-
-def region_sizes(truth: PiecewiseSignal, cfg: EvalConfig, gamma: float, cutoff: float = 4.0) -> dict:
-    """Diagnostic lengths of the tolerance, smoothed-support and transition
-    regions (clipped to the sampled domain); no score depends on these."""
-    length = float(truth.length)
-    signal_b = _union_length(truth.locations, cfg.tolerance, length)
-    signal_smooth = _union_length(truth.locations, cutoff * gamma, length)
-    return {
-        "signal": signal_b,
-        "null": length - signal_b,
-        "smoothed_signal": signal_smooth,
-        "transition": max(signal_smooth - signal_b, 0.0),
-    }
-
-
-def _union_length(centers: np.ndarray, half_width: float, length: float) -> float:
-    if len(centers) == 0:
-        return 0.0
-    lo = np.clip(centers - half_width, 0.0, length)
-    hi = np.clip(centers + half_width, 0.0, length)
-    total = 0.0
-    cur_lo, cur_hi = lo[0], hi[0]
-    for a, b in zip(lo[1:], hi[1:]):
-        if a > cur_hi:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = a, b
-        else:
-            cur_hi = max(cur_hi, b)
-    return total + (cur_hi - cur_lo)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, StemcpdError
 from .evaluation import EvalConfig, aggregate, classify
-from .kernels import GAUSSIAN_CUTOFF
 from .pipeline import DetectionResult, detect_change_points
 from .signals import NoiseModel, PiecewiseSignal, compose, make_staircase, sample_noise
 
@@ -43,7 +42,6 @@ class SimulateRequest:
     replications: int = 500
     seed: int = 0
     rep_start: int = 0
-    cutoff: float = GAUSSIAN_CUTOFF
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -101,9 +99,7 @@ def run_replicate(req: SimulateRequest, jump: float, gamma: float, rep: int) -> 
     truth = req.truth(jump)
     noise = sample_noise(model, req.length, req.seed ^ rep)
     observed = compose(truth, noise)
-    result = detect_change_points(
-        observed, gamma, req.alpha, noise_model=model, cutoff=req.cutoff
-    )
+    result = detect_change_points(observed, gamma, req.alpha, noise_model=model)
     _check_threshold_equivalence(result)
     detections = result.significant
     return [classify(detections, truth, EvalConfig(b)) for b in req.tolerances]

@@ -15,13 +15,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .detect import Extrema, as_extrema, smooth
+from .detect import Extrema, smooth
 from .errors import InvalidParameterError, MomentEstimationError
-from .kernels import _SQRT_2PI, GAUSSIAN_CUTOFF, KernelSpec, _phi
+from .kernels import _SQRT_2PI, KernelSpec, _phi
 from .signals import NoiseModel, TimeSeries
 
 _SQRT_PI = math.sqrt(math.pi)
 _TINY = np.finfo(float).tiny
+
+#: Fraction of largest-magnitude smoothed-derivative samples that the
+#: empirical moment estimate discards.
+_TRIM = 0.1
 
 
 @dataclass(frozen=True)
@@ -84,42 +88,33 @@ def trim_correction(trim: float) -> float:
     return 1.0 - 2.0 * c * float(_phi(c)) / (1.0 - trim)
 
 
-def _trimmed_variance(x: np.ndarray, trim: float) -> float:
+def _trimmed_variance(x: np.ndarray) -> float:
     n = len(x)
-    if trim == 0.0:
-        return float(np.mean(np.square(x)))
-    drop = int(math.ceil(trim * n))
+    drop = int(math.ceil(_TRIM * n))
     kept = np.sort(np.abs(x))[: n - drop]
-    return float(np.mean(np.square(kept))) / trim_correction(trim)
+    return float(np.mean(np.square(kept))) / trim_correction(_TRIM)
 
 
-def estimate_moments_empirical(
-    series: TimeSeries,
-    gamma: float,
-    trim: float = 0.1,
-    cutoff: float = GAUSSIAN_CUTOFF,
-) -> SpectralMoments:
+def estimate_moments_empirical(series: TimeSeries, gamma: float) -> SpectralMoments:
     """Estimate the spectral moments from the observed sequence itself.
 
     Computes the order-1, 2 and 3 smoothed derivatives and estimates each
-    variance by a trimmed second moment: the ``ceil(trim*n)`` samples of
+    variance by a trimmed second moment: the ``ceil(0.1*n)`` samples of
     largest absolute value are discarded and the mean square of the rest is
     rescaled by the trimmed-normal variance factor, so the estimator is
     unbiased under a pure-noise sequence.  Trimming suppresses the extreme
     derivative values that change points produce, without assuming their
     presence or location.
     """
-    if not 0.0 <= trim < 0.5:
-        raise InvalidParameterError("trim fraction must lie in [0, 0.5)")
     variances = []
     for order in (1, 2, 3):
-        d = smooth(series, KernelSpec(gamma=gamma, order=order, cutoff=cutoff))
+        d = smooth(series, KernelSpec(gamma=gamma, order=order))
         seg = d.values[d.interior_slice()]
         if len(seg) < 100:
             raise InvalidParameterError(
                 f"interior too short for moment estimation ({len(seg)} samples)"
             )
-        variances.append(_trimmed_variance(seg, trim))
+        variances.append(_trimmed_variance(seg))
     if min(variances) <= 0.0:
         raise MomentEstimationError("smoothed derivatives vanish; cannot estimate moments")
     v1, v2, v3 = variances
@@ -190,13 +185,11 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     return 0.5 * (lo + hi)
 
 
-def assign_pvalues(extrema, moments: SpectralMoments) -> Extrema:
+def assign_pvalues(extrema: Extrema, moments: SpectralMoments) -> Extrema:
     """Attach a p-value to every extremum.
 
-    ``extrema`` is an ``Extrema`` or a sequence of ``Extremum`` records;
-    the result is a new ``Extrema`` in the same order.  Maxima are tested
+    The result is a new ``Extrema`` in the same order.  Maxima are tested
     against the right tail at their height; minima against the right tail
     at the negated height, by sign symmetry of the noise process.
     """
-    extrema = as_extrema(extrema)
     return replace(extrema, p_value=peak_height_tail(extrema.sign * extrema.height, moments))

@@ -1,7 +1,7 @@
 """Smoothing kernels and their sampled derivative weights.
 
 Smoothing uses the truncated Gaussian kernel scaled by a bandwidth g,
-``w_g(t) = phi(t/g)/g`` on ``|t| <= cutoff*g`` and zero outside.
+``w_g(t) = phi(t/g)/g`` on ``|t| <= 4g`` and zero outside.
 Convolving a sequence with unit-grid samples of ``w_g`` estimates the
 underlying smooth trend; convolving with samples of the k-th derivative of
 ``w_g`` estimates the k-th derivative of that trend.  Every convolution in
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BandwidthTooSmallError, InvalidParameterError
 
-#: Default support half-width of the truncated Gaussian, in bandwidth units.
+#: Support half-width of the truncated Gaussian, in bandwidth units.
 GAUSSIAN_CUTOFF = 4.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -45,30 +45,26 @@ class KernelSpec:
     Parameters
     ----------
     gamma : float
-        Bandwidth in grid steps.  Must be positive and finite.
+        Bandwidth in grid steps.  Must be positive, and the support
+        half-width ``GAUSSIAN_CUTOFF*gamma`` finite.
     order : int
         Derivative order, 0 through 3.  Order 0 is plain smoothing.
-    cutoff : float
-        Support half-width in bandwidth units; the kernel is identically
-        zero outside ``[-cutoff*gamma, cutoff*gamma]``.  Must be positive,
-        and ``cutoff*gamma`` finite.
     """
 
     gamma: float
     order: int = 0
-    cutoff: float = GAUSSIAN_CUTOFF
 
     def __post_init__(self) -> None:
-        if not 0 < self.gamma < math.inf:
-            raise InvalidParameterError("gamma must be positive and finite")
-        if not (self.cutoff > 0 and self.cutoff * self.gamma < math.inf):
-            raise InvalidParameterError("cutoff must be positive, and cutoff*gamma finite")
+        if not (self.gamma > 0 and GAUSSIAN_CUTOFF * self.gamma < math.inf):
+            raise InvalidParameterError(
+                "gamma must be positive, and the support half-width 4*gamma finite"
+            )
         if self.order not in (0, 1, 2, 3):
             raise InvalidParameterError("order must be 0, 1, 2 or 3")
 
     def half_width(self) -> int:
         """Number of weight samples on each side of the center."""
-        return int(math.ceil(self.cutoff * self.gamma))
+        return int(math.ceil(GAUSSIAN_CUTOFF * self.gamma))
 
 
 def kernel_value(spec: KernelSpec, t) -> np.ndarray:
@@ -81,21 +77,21 @@ def kernel_value(spec: KernelSpec, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     x = t / spec.gamma
     out = _gauss_derivative(x, spec.order) / spec.gamma ** (spec.order + 1)
-    return np.where(np.abs(t) <= spec.cutoff * spec.gamma, out, 0.0)
+    return np.where(np.abs(t) <= GAUSSIAN_CUTOFF * spec.gamma, out, 0.0)
 
 
 def kernel_weights(spec: KernelSpec) -> np.ndarray:
     """Unit-grid samples of the order-th derivative of ``w_g``.
 
     Returns an odd-length, centered array covering grid offsets ``-K .. K``
-    with ``K = ceil(cutoff*gamma)``.  Even orders are symmetrized exactly;
+    with ``K = ceil(4*gamma)``.  Even orders are symmetrized exactly;
     odd orders are antisymmetrized exactly, so their true sum is zero.
     Order-0 weights are rescaled so that ``sum(weights) == 1`` (discrete
     unit action).
     """
-    if spec.cutoff * spec.gamma < 1.0:
+    if GAUSSIAN_CUTOFF * spec.gamma < 1.0:
         raise BandwidthTooSmallError(
-            f"kernel support half-width {spec.cutoff * spec.gamma:g} is "
+            f"kernel support half-width {GAUSSIAN_CUTOFF * spec.gamma:g} is "
             "narrower than one grid step"
         )
     k = spec.half_width()

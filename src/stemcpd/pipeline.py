@@ -13,14 +13,14 @@ from dataclasses import dataclass, replace
 
 from . import detect
 from .detect import Extrema, find_local_extrema
-from .errors import InvalidParameterError, MomentEstimationError
+from .errors import MomentEstimationError
 from .inference import (
     SpectralMoments,
     assign_pvalues,
     closed_form_moments,
     estimate_moments_empirical,
 )
-from .kernels import GAUSSIAN_CUTOFF, KernelSpec
+from .kernels import KernelSpec
 from .multitest import BHOutcome, bh_select, with_height_threshold
 from .signals import NoiseModel, TimeSeries
 
@@ -33,8 +33,8 @@ class DetectionResult:
     ``outcome.rejected`` indexes into it and ``significant`` is that
     subset, also an ``Extrema``.  ``interior`` is the half-open
     index range of the input where candidates were eligible.  ``moments``
-    is None only when the candidate set is empty and no moment source was
-    available.
+    is None only when the candidate set is empty and the moments could not
+    be estimated.
     """
 
     extrema: Extrema
@@ -57,33 +57,27 @@ def detect_change_points(
     series: TimeSeries,
     gamma: float,
     alpha: float,
-    moments: SpectralMoments = None,
     noise_model: NoiseModel = None,
-    trim: float = 0.1,
-    cutoff: float = GAUSSIAN_CUTOFF,
 ) -> DetectionResult:
     """Run the full detector on one sequence.
 
-    The null moments come from, in order of precedence: ``moments`` given
-    directly; the closed form for a known ``noise_model``; otherwise a
-    trimmed empirical estimate from the sequence itself.  A sequence with
-    no candidate extrema (for example a constant) is handled cleanly even
-    when its moments cannot be estimated: the result carries no moments
-    and an empty significant set.
+    The null moments are the closed form for a known ``noise_model``, and
+    otherwise a trimmed empirical estimate from the sequence itself.  A
+    sequence with no candidate extrema (for example a constant) is handled
+    cleanly even when its moments cannot be estimated: the result carries
+    no moments and an empty significant set.
     """
-    if moments is not None and noise_model is not None:
-        raise InvalidParameterError("pass either moments or noise_model, not both")
-    dy = detect.smooth(series, KernelSpec(gamma=gamma, order=1, cutoff=cutoff))
+    dy = detect.smooth(series, KernelSpec(gamma=gamma, order=1))
     extrema = find_local_extrema(dy)
-    if moments is None:
-        if noise_model is not None:
-            moments = closed_form_moments(noise_model, gamma)
-        else:
-            try:
-                moments = estimate_moments_empirical(series, gamma, trim=trim, cutoff=cutoff)
-            except MomentEstimationError:
-                if extrema:
-                    raise
+    if noise_model is not None:
+        moments = closed_form_moments(noise_model, gamma)
+    else:
+        try:
+            moments = estimate_moments_empirical(series, gamma)
+        except MomentEstimationError:
+            if extrema:
+                raise
+            moments = None
     if moments is not None:
         extrema = assign_pvalues(extrema, moments)
         outcome = with_height_threshold(bh_select(extrema.p_value, alpha), moments)

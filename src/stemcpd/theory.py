@@ -25,7 +25,7 @@ class TheoryConfig:
     """Inputs for threshold and bound formulas.
 
     ``density`` is the expected number of change points per unit length.
-    The kernel occupancy ``2*cutoff*gamma*density`` must stay below one,
+    The kernel occupancy ``2*GAUSSIAN_CUTOFF*gamma*density`` must stay below one,
     otherwise the null region vanishes and the formulas degenerate.
     """
 
@@ -33,7 +33,6 @@ class TheoryConfig:
     alpha: float
     moments: SpectralMoments
     gamma: float
-    cutoff: float = GAUSSIAN_CUTOFF
 
     def __post_init__(self) -> None:
         if not self.density > 0:
@@ -42,18 +41,16 @@ class TheoryConfig:
             raise InvalidParameterError("alpha must lie in (0, 1)")
         if not self.gamma > 0:
             raise InvalidParameterError("gamma must be positive")
-        if not self.cutoff > 0:
-            raise InvalidParameterError("cutoff must be positive")
         if self.null_fraction <= 0.0:
             raise DegenerateConfigError(
-                "kernel occupancy 2*cutoff*gamma*density reaches 1; "
+                "kernel occupancy 2*GAUSSIAN_CUTOFF*gamma*density reaches 1; "
                 "no null region remains"
             )
 
     @property
     def null_fraction(self) -> float:
         """Leading-term fraction of the domain outside all smoothed supports."""
-        return 1.0 - 2.0 * self.cutoff * self.gamma * self.density
+        return 1.0 - 2.0 * GAUSSIAN_CUTOFF * self.gamma * self.density
 
 
 def null_max_rate(moments: SpectralMoments) -> float:
@@ -101,7 +98,7 @@ def approx_power(jump: float, u: float, moments: SpectralMoments, gamma: float) 
 def asymptotic_bh_pvalue(cfg: TheoryConfig) -> float:
     """Deterministic limit of the step-up p-value threshold.
 
-    ``alpha*A / (A + 2*rate*(1 - 2*cutoff*gamma*A)*(1 - alpha))`` with
+    ``alpha*A / (A + 2*rate*(1 - 2*GAUSSIAN_CUTOFF*gamma*A)*(1 - alpha))`` with
     ``A`` the change-point density and ``rate`` the null maxima rate.
     """
     rate = null_max_rate(cfg.moments)
@@ -137,7 +134,6 @@ def theoretical_power_curve(
     gammas,
     density: float,
     alpha: float,
-    cutoff: float = GAUSSIAN_CUTOFF,
 ) -> np.ndarray:
     """Approximate power at the asymptotic step-up threshold, per bandwidth.
 
@@ -147,9 +143,7 @@ def theoretical_power_curve(
     powers = []
     for gamma in np.asarray(gammas, dtype=float):
         moments = closed_form_moments(model, gamma)
-        cfg = TheoryConfig(
-            density=density, alpha=alpha, moments=moments, gamma=gamma, cutoff=cutoff
-        )
+        cfg = TheoryConfig(density=density, alpha=alpha, moments=moments, gamma=gamma)
         u_star = asymptotic_bh_threshold(cfg)
         powers.append(approx_power(jump, u_star, moments, gamma))
     return np.array(powers)

@@ -1,6 +1,7 @@
-"""Independent reference implementations used as oracles by the tests.
+"""Independent reference implementations used as oracles by the tests,
+and a builder of ``Extrema`` test inputs.
 
-Everything here deliberately avoids the package's own code paths: plain
+The oracles deliberately avoid the package's own code paths: plain
 loops, np.convolve and brute-force scans, so agreement is meaningful.
 """
 
@@ -9,7 +10,15 @@ import math
 
 import numpy as np
 
+from stemcpd import Extrema
 from stemcpd.cli import InputDataError
+
+
+def extrema_of(index, height, sign, p_value=None):
+    """An ``Extrema`` from plain lists, in the dtypes the detector uses."""
+    return Extrema(np.array(index, dtype=np.int64), np.array(height, dtype=float),
+                   np.array(sign, dtype=np.int64),
+                   None if p_value is None else np.array(p_value, dtype=float))
 
 
 def bh_bruteforce(pvalues, alpha):

@@ -15,6 +15,8 @@ from helpers import bh_bruteforce, gauss_kernel_samples, reference_tail
 DATA = Path(__file__).parent / "data"
 CGH = DATA / "cgh_like.csv"
 GOLDEN = DATA / "cgh_like_golden.csv"
+SIMULATE_GOLDEN = DATA / "simulate_golden.csv"
+THEORY_GOLDEN = DATA / "theory_golden.csv"
 NULL_SEQ = DATA / "null_sequence.csv"
 
 
@@ -26,8 +28,7 @@ class TestDetectCommand:
     def test_golden_fixture_byte_exact(self, tmp_path):
         out = tmp_path / "out.csv"
         code = run("detect", "--input", CGH, "--output", out,
-                   "--gamma", 10, "--alpha", 0.2, "--moments", "empirical",
-                   "--trim", 0.1)
+                   "--gamma", 10, "--alpha", 0.2, "--moments", "empirical")
         assert code == 0
         assert out.read_bytes() == GOLDEN.read_bytes()
 
@@ -147,7 +148,7 @@ class TestDetectCommand:
         src = tmp_path / "short.csv"
         src.write_text("value\n" + "\n".join(repr(float(i % 3)) for i in range(30)) + "\n")
         # an infinite or huge kernel is refused before any weight is sampled
-        for extra in ([], ["--gamma", "inf"], ["--cutoff", "inf"], ["--gamma", "1e12"]):
+        for extra in ([], ["--gamma", "inf"], ["--gamma", "1e308"], ["--gamma", "1e12"]):
             code = run("detect", "--input", src, "--output", tmp_path / "o.csv",
                        "--gamma", 6, "--moments", "closed", *extra)
             assert code == 3, extra
@@ -156,6 +157,11 @@ class TestDetectCommand:
 class TestSimulateCommand:
     ARGS = ("simulate", "--length", 3000, "--separation", 100, "--jump", "3",
             "--grid-gamma", "6", "--grid-b", "5,8", "--reps", 3, "--seed", 5)
+
+    def test_golden_byte_exact(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run(*self.ARGS, "--output", out) == 0
+        assert out.read_bytes() == SIMULATE_GOLDEN.read_bytes()
 
     def test_csv_structure(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -184,7 +190,7 @@ class TestSimulateCommand:
     def test_split_runs_merge_through_csv(self, tmp_path):
         """Two half-size invocations merge to the single run's aggregates."""
         base = ("simulate", "--length", 3000, "--separation", 100,
-                "--jump", "3", "--grid-gamma", "6", "--tolerance", 8,
+                "--jump", "3", "--grid-gamma", "6", "--grid-b", 8,
                 "--seed", 9)
         whole, first, second = (tmp_path / n for n in ("w.csv", "a.csv", "b.csv"))
         run(*base, "--reps", 8, "--output", whole)
@@ -202,7 +208,7 @@ class TestSimulateCommand:
     def test_single_tolerance_flag(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert run("simulate", "--length", 3000, "--separation", 100,
-                   "--jump", "3", "--grid-gamma", "6", "--tolerance", 8,
+                   "--jump", "3", "--grid-gamma", "6", "--grid-b", 8,
                    "--reps", 2, "--seed", 5, "--output", out) == 0
         data = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
         assert len(data) == 1
@@ -216,14 +222,14 @@ class TestSimulateCommand:
 
     def test_bandwidth_exceeding_length_exit_2(self, tmp_path):
         code = run("simulate", "--length", 50, "--separation", 10,
-                   "--jump", "1", "--grid-gamma", "10", "--tolerance", 5,
+                   "--jump", "1", "--grid-gamma", "10", "--grid-b", 5,
                    "--reps", 2, "--output", tmp_path / "o.csv")
         assert code == 2
 
     def test_null_jump_cell(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert run("simulate", "--length", 3000, "--separation", 100,
-                   "--jump", "0", "--grid-gamma", "6", "--tolerance", 8,
+                   "--jump", "0", "--grid-gamma", "6", "--grid-b", 8,
                    "--reps", 2, "--seed", 5, "--output", out) == 0
         data = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
         row = data[0].split(",")
@@ -231,6 +237,11 @@ class TestSimulateCommand:
 
 
 class TestTheoryCommand:
+    def test_golden_byte_exact(self, tmp_path):
+        out = tmp_path / "theory.csv"
+        assert run("theory", "--output", out) == 0
+        assert out.read_bytes() == THEORY_GOLDEN.read_bytes()
+
     def test_csv_content(self, tmp_path):
         out = tmp_path / "theory.csv"
         code = run("theory", "--grid-gamma", "3,6", "--jump", "1,3",
@@ -307,6 +318,22 @@ class TestReadSequenceCsv:
         src.write_text(content, encoding="utf-8")
         with pytest.raises(InputDataError):
             read_sequence_csv(str(src))
+
+    @pytest.mark.parametrize("content, line", [
+        ("v\n1\n2,3\n", 3),
+        ("v\n1\nabc\n", 3),
+        ("v\n1\n# note\n\nabc\n", 5),  # comment and blank lines count as lines
+    ], ids=["extra_column", "non_numeric", "after_comment"])
+    def test_refused_row_named_by_its_line(self, tmp_path, content, line):
+        from stemcpd.cli import InputDataError
+
+        src = tmp_path / "x.csv"
+        src.write_text(content)
+        with pytest.raises(InputDataError) as info:
+            read_sequence_csv(str(src))
+        message = str(info.value)
+        assert f" line {line} " in message
+        assert "at row" not in message and "usecols" not in message
 
     def test_three_columns_rejected(self, tmp_path):
         src = tmp_path / "x.csv"

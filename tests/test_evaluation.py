@@ -8,20 +8,28 @@ import pytest
 from stemcpd import (
     EvalConfig,
     EvalResult,
-    Extremum,
+    Extrema,
     InvalidParameterError,
     PiecewiseSignal,
     aggregate,
     classify,
     make_staircase,
 )
-from stemcpd.evaluation import region_sizes
 
 from helpers import classify_bruteforce
 
 
-def ex(index, sign=1):
-    return Extremum(index=index, height=float(sign), sign=sign, p_value=0.001)
+def dets(index, sign=1):
+    """Significant extrema at grid locations ``index``, maxima for sign +1."""
+    index = np.array(index, dtype=np.int64)
+    sign = np.broadcast_to(np.array(sign, dtype=np.int64), index.shape).copy()
+    return Extrema(index, sign.astype(float), sign, np.full(index.shape, 0.001))
+
+
+def random_dets(rng, count, hi):
+    """``count`` significant extrema at random locations and signs."""
+    pairs = [(int(rng.integers(2, hi)), int(rng.choice([-1, 1]))) for _ in range(count)]
+    return dets([i for i, _ in pairs], [s for _, s in pairs])
 
 
 TRUTH = PiecewiseSignal(((100.0, 1.0), (200.0, -2.0), (300.0, 1.5)), 400)
@@ -29,7 +37,7 @@ TRUTH = PiecewiseSignal(((100.0, 1.0), (200.0, -2.0), (300.0, 1.5)), 400)
 
 class TestClassify:
     def test_exact_hit(self):
-        res = classify([ex(100)], TRUTH, EvalConfig(5.0))
+        res = classify(dets([100]), TRUTH, EvalConfig(5.0))
         assert (res.n_detected, res.n_false) == (1, 0)
         assert res.fdp == 0.0
         assert res.per_jump_hit == (True, False, False)
@@ -37,38 +45,38 @@ class TestClassify:
 
     def test_open_window_boundary(self):
         # distance exactly b falls outside the open interval
-        res = classify([ex(105)], TRUTH, EvalConfig(5.0))
+        res = classify(dets([105]), TRUTH, EvalConfig(5.0))
         assert res.n_false == 1
         assert res.per_jump_hit == (False, False, False)
-        res = classify([ex(104)], TRUTH, EvalConfig(5.0))
+        res = classify(dets([104]), TRUTH, EvalConfig(5.0))
         assert res.n_false == 0
         assert res.per_jump_hit == (True, False, False)
 
     def test_wrong_sign_is_neither_false_nor_hit(self):
-        res = classify([ex(100, sign=-1)], TRUTH, EvalConfig(5.0))
+        res = classify(dets([100], sign=-1), TRUTH, EvalConfig(5.0))
         assert res.n_false == 0
         assert res.per_jump_hit == (False, False, False)
         assert res.n_wrong_sign == 1
         assert res.fdp == 0.0
 
     def test_decreasing_jump_needs_minimum(self):
-        res = classify([ex(200, sign=-1)], TRUTH, EvalConfig(5.0))
+        res = classify(dets([200], sign=-1), TRUTH, EvalConfig(5.0))
         assert res.per_jump_hit == (False, True, False)
         assert res.n_false == 0
 
     def test_multiple_hits_count_once(self):
-        res = classify([ex(98), ex(99), ex(101)], TRUTH, EvalConfig(5.0))
+        res = classify(dets([98, 99, 101]), TRUTH, EvalConfig(5.0))
         assert res.per_jump_hit == (True, False, False)
         assert res.power_fraction == pytest.approx(1 / 3)
         assert res.n_detected == 3
 
     def test_no_detections(self):
-        res = classify([], TRUTH, EvalConfig(5.0))
+        res = classify(dets([]), TRUTH, EvalConfig(5.0))
         assert (res.n_detected, res.n_false, res.fdp) == (0, 0, 0.0)
         assert res.power_fraction == 0.0
 
     def test_null_truth_power_absent(self):
-        res = classify([ex(50)], PiecewiseSignal((), 400), EvalConfig(5.0))
+        res = classify(dets([50]), PiecewiseSignal((), 400), EvalConfig(5.0))
         assert res.n_false == 1
         assert res.power_fraction is None
         assert res.per_jump_hit == ()
@@ -77,27 +85,21 @@ class TestClassify:
         rng = np.random.default_rng(31)
         truth = make_staircase(1.0, 50, 1000)
         for _ in range(50):
-            dets = [
-                ex(int(rng.integers(2, 999)), sign=int(rng.choice([-1, 1])))
-                for _ in range(rng.integers(0, 30))
-            ]
-            res = classify(dets, truth, EvalConfig(4.0))
+            found = random_dets(rng, rng.integers(0, 30), 999)
+            res = classify(found, truth, EvalConfig(4.0))
             in_window = sum(
-                any(abs(d.index - v) < 4.0 for v in truth.locations) for d in dets
+                any(abs(d.index - v) < 4.0 for v in truth.locations) for d in found
             )
             assert res.n_false + in_window == res.n_detected
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(37)
         for _ in range(100):
-            dets = [
-                ex(int(rng.integers(2, 399)), sign=int(rng.choice([-1, 1])))
-                for _ in range(rng.integers(0, 12))
-            ]
+            found = random_dets(rng, rng.integers(0, 12), 399)
             b = float(rng.uniform(1.0, 20.0))
-            res = classify(dets, TRUTH, EvalConfig(b))
+            res = classify(found, TRUTH, EvalConfig(b))
             r, v, fdp, hits, power = classify_bruteforce(
-                dets, TRUTH.locations, TRUTH.sizes, b
+                found, TRUTH.locations, TRUTH.sizes, b
             )
             assert (res.n_detected, res.n_false) == (r, v)
             assert res.fdp == pytest.approx(fdp)
@@ -106,10 +108,10 @@ class TestClassify:
 
     def test_false_count_monotone_in_tolerance(self):
         rng = np.random.default_rng(41)
-        dets = [ex(int(i)) for i in rng.integers(2, 399, size=25)]
+        found = dets(rng.integers(2, 399, size=25))
         previous_v, previous_power = None, None
         for b in (2.0, 5.0, 10.0, 20.0):
-            res = classify(dets, TRUTH, EvalConfig(b))
+            res = classify(found, TRUTH, EvalConfig(b))
             if previous_v is not None:
                 assert res.n_false <= previous_v
                 assert res.power_fraction >= previous_power
@@ -118,9 +120,9 @@ class TestClassify:
     def test_overlap_warning(self):
         truth = make_staircase(1.0, 10, 100)
         with pytest.warns(UserWarning):
-            res = classify([ex(10)], truth, EvalConfig(8.0))
+            res = classify(dets([10]), truth, EvalConfig(8.0))
         assert res.overlap_warning
-        res2 = classify([ex(10)], truth, EvalConfig(4.0))
+        res2 = classify(dets([10]), truth, EvalConfig(4.0))
         assert not res2.overlap_warning
 
     def test_invalid_tolerance(self):
@@ -164,17 +166,3 @@ class TestAggregate:
         with pytest.raises(InvalidParameterError):
             aggregate([])
 
-
-class TestRegionSizes:
-    def test_partition_of_domain(self):
-        truth = make_staircase(1.0, 100, 1000)
-        sizes = region_sizes(truth, EvalConfig(5.0), gamma=6.0)
-        assert sizes["signal"] + sizes["null"] == pytest.approx(1000.0)
-        assert sizes["transition"] == pytest.approx(
-            sizes["smoothed_signal"] - sizes["signal"]
-        )
-
-    def test_no_jumps(self):
-        sizes = region_sizes(PiecewiseSignal((), 500), EvalConfig(5.0), gamma=6.0)
-        assert sizes["signal"] == 0.0
-        assert sizes["transition"] == 0.0

@@ -27,7 +27,7 @@ from stemcpd import (
 )
 from stemcpd.inference import trim_correction
 
-from helpers import reference_tail
+from helpers import extrema_of, reference_tail
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 
@@ -200,34 +200,30 @@ class TestInvertPeakHeightTail:
 
 class TestAssignPvalues:
     def test_sign_symmetry(self):
-        from stemcpd import Extremum
-
         m = closed_form_moments(MODEL, 6.0)
-        up = Extremum(index=10, height=0.05, sign=1)
-        down = Extremum(index=20, height=-0.05, sign=-1)
-        p_up, p_down = assign_pvalues([up, down], m)
+        p_up, p_down = assign_pvalues(extrema_of([10, 20], [0.05, -0.05], [1, -1]), m)
         assert p_up.p_value == p_down.p_value
 
     def test_zero_height_maximum(self):
-        from stemcpd import Extremum
-
         m = closed_form_moments(MODEL, 6.0)
-        (e,) = assign_pvalues([Extremum(index=5, height=0.0, sign=1)], m)
+        (e,) = assign_pvalues(extrema_of([5], [0.0], [1]), m)
         assert e.p_value == pytest.approx(0.8872983, abs=1e-7)
 
     def test_empty(self):
         m = closed_form_moments(MODEL, 6.0)
-        assert assign_pvalues([], m) == []
+        out = assign_pvalues(extrema_of([], [], []), m)
+        assert len(out) == 0 and len(out.p_value) == 0
 
     def test_null_pvalues_are_uniform(self):
         """Maxima p-values on pure noise pass a Kolmogorov-Smirnov check
         against the uniform distribution."""
         noise = sample_noise(MODEL, 300_000, seed=37)
         dy = smooth(noise, KernelSpec(gamma=6.0, order=1))
-        maxima = [e for e in find_local_extrema(dy) if e.sign > 0]
+        candidates = find_local_extrema(dy)
+        maxima = candidates[candidates.sign > 0]
         assert len(maxima) >= 10_000
         m = closed_form_moments(MODEL, 6.0)
-        p = [e.p_value for e in assign_pvalues(maxima, m)]
+        p = assign_pvalues(maxima, m).p_value
         assert kstest(p, "uniform").statistic < 0.02
 
 
@@ -259,32 +255,26 @@ class TestTrimCorrection:
 
 class TestEstimateMomentsEmpirical:
     def test_pure_null_trimmed(self):
-        z = sample_noise(MODEL, 100_000, seed=41)
-        est = estimate_moments_empirical(z, 6.0, trim=0.1)
         ref = closed_form_moments(MODEL, 6.0)
-        assert est.var_d1 == pytest.approx(ref.var_d1, rel=0.10)
-        assert est.var_d2 == pytest.approx(ref.var_d2, rel=0.10)
-        assert est.var_d3 == pytest.approx(ref.var_d3, rel=0.10)
-
-    def test_pure_null_untrimmed(self):
-        z = sample_noise(MODEL, 400_000, seed=43)
-        est = estimate_moments_empirical(z, 6.0, trim=0.0)
-        ref = closed_form_moments(MODEL, 6.0)
-        assert est.var_d1 == pytest.approx(ref.var_d1, rel=0.05)
-        assert est.var_d2 == pytest.approx(ref.var_d2, rel=0.05)
-        assert est.var_d3 == pytest.approx(ref.var_d3, rel=0.05)
+        # the estimate tightens around the closed form as the sequence grows
+        for length, seed, rel in [(100_000, 41, 0.10), (400_000, 43, 0.05)]:
+            est = estimate_moments_empirical(sample_noise(MODEL, length, seed=seed), 6.0)
+            assert est.var_d1 == pytest.approx(ref.var_d1, rel=rel)
+            assert est.var_d2 == pytest.approx(ref.var_d2, rel=rel)
+            assert est.var_d3 == pytest.approx(ref.var_d3, rel=rel)
 
     def test_trimming_discounts_sparse_jumps(self):
         """With sparse change points, trimming pulls every estimated moment
-        strictly down, toward its pure-noise value."""
+        strictly below the plain mean square, toward its pure-noise value."""
         length = 100_000
         sig = make_staircase(3.0, 2000, length)
         y = compose(sig, sample_noise(MODEL, length, seed=47))
-        raw = estimate_moments_empirical(y, 6.0, trim=0.0)
-        trimmed = estimate_moments_empirical(y, 6.0, trim=0.1)
+        trimmed = estimate_moments_empirical(y, 6.0)
         ref = closed_form_moments(MODEL, 6.0)
-        for attr in ("var_d1", "var_d2", "var_d3"):
-            r, t, truth = getattr(raw, attr), getattr(trimmed, attr), getattr(ref, attr)
+        for order, attr in enumerate(("var_d1", "var_d2", "var_d3"), 1):
+            d = smooth(y, KernelSpec(gamma=6.0, order=order))
+            r = float(np.mean(np.square(d.values[d.interior_slice()])))
+            t, truth = getattr(trimmed, attr), getattr(ref, attr)
             assert t < r
             assert abs(t - truth) < abs(r - truth)
 
@@ -296,7 +286,7 @@ class TestEstimateMomentsEmpirical:
             errs = []
             for seed in range(6):
                 z = sample_noise(MODEL, length, seed=100 + seed)
-                m = estimate_moments_empirical(z, 6.0, trim=0.0)
+                m = estimate_moments_empirical(z, 6.0)
                 est = np.array([m.var_d1, m.var_d2, m.var_d3])
                 errs.append(np.abs(est / truth - 1.0))
             return float(np.mean(errs))
@@ -311,13 +301,8 @@ class TestEstimateMomentsEmpirical:
         # a single-frequency input collapses the moment determinant
         t = np.arange(1, 3001, dtype=float)
         with pytest.raises(MomentEstimationError):
-            estimate_moments_empirical(TimeSeries(np.cos(0.2 * t)), 6.0, trim=0.0)
+            estimate_moments_empirical(TimeSeries(np.cos(0.2 * t)), 6.0)
 
     def test_interior_too_short(self):
         with pytest.raises(InvalidParameterError):
             estimate_moments_empirical(TimeSeries(np.random.default_rng(1).standard_normal(140)), 6.0)
-
-    def test_invalid_trim(self):
-        z = sample_noise(MODEL, 1000, seed=1)
-        with pytest.raises(InvalidParameterError):
-            estimate_moments_empirical(z, 6.0, trim=0.6)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stemcpd import (
+    GAUSSIAN_CUTOFF,
     BandwidthTooSmallError,
     InvalidParameterError,
     KernelSpec,
@@ -22,7 +23,7 @@ class TestKernelSpec:
     def test_defaults(self):
         spec = KernelSpec(gamma=6.0)
         assert spec.order == 0
-        assert spec.cutoff == 4.0
+        assert GAUSSIAN_CUTOFF == 4.0
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_gamma(self, gamma):
@@ -34,14 +35,14 @@ class TestKernelSpec:
             KernelSpec(gamma=2.0, order=4)
 
     def test_invalid_cutoff(self):
-        # an infinite support half-width cutoff*gamma is rejected too
-        for gamma, cutoff in [(2.0, 0.0), (2.0, math.nan), (2.0, math.inf), (1e308, 4.0)]:
-            with pytest.raises(InvalidParameterError):
-                KernelSpec(gamma=gamma, cutoff=cutoff)
+        # a finite gamma whose support half-width GAUSSIAN_CUTOFF*gamma
+        # overflows to infinity is rejected too
+        with pytest.raises(InvalidParameterError):
+            KernelSpec(gamma=1e308)
 
     def test_half_width(self):
         assert KernelSpec(gamma=6.0).half_width() == 24
-        assert KernelSpec(gamma=0.3, cutoff=4.0).half_width() == 2
+        assert KernelSpec(gamma=0.3).half_width() == 2
 
 
 class TestKernelWeights:
@@ -77,7 +78,7 @@ class TestKernelWeights:
         spec = KernelSpec(gamma=6.0, order=1)
         w = kernel_weights(spec)
         assert len(w) == 2 * 24 + 1
-        assert w[0] != 0.0  # offset 24 <= cutoff*gamma = 24
+        assert w[0] != 0.0  # offset 24 <= GAUSSIAN_CUTOFF*gamma = 24
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_weights_are_analytic_derivative_samples(self, order):
@@ -116,9 +117,9 @@ class TestKernelWeights:
         step = (np.arange(1, n + 1) >= v).astype(float)
         response = np.convolve(step, w1, mode="same")
         t = np.arange(1, n + 1)
-        edge = float(kernel_value(spec0, spec0.cutoff * gamma))
+        edge = float(kernel_value(spec0, GAUSSIAN_CUTOFF * gamma))
         expected = np.asarray(kernel_value(spec0, t - v + 0.5)) - edge
-        expected *= np.abs(t - v + 0.5) <= spec0.cutoff * gamma
+        expected *= np.abs(t - v + 0.5) <= GAUSSIAN_CUTOFF * gamma
         inner = slice(k + 1, n - k - 1)
         assert np.max(np.abs(response[inner] - expected[inner])) < 1e-4
         # peak height matches the kernel's center value to within a percent

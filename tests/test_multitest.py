@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stemcpd import (
-    Extremum,
+    Extrema,
     InvalidParameterError,
     NoiseModel,
     assign_pvalues,
@@ -153,14 +153,10 @@ class TestHeightThreshold:
             n = int(rng.integers(5, 120))
             heights = rng.normal(scale=1.5 * sd, size=n)
             signs = np.where(rng.uniform(size=n) < 0.5, 1, -1)
-            extrema = [
-                Extremum(index=i + 30, height=float(s * abs(h)), sign=int(s))
-                for i, (h, s) in enumerate(zip(heights, signs))
-            ]
-            extrema = assign_pvalues(extrema, MOMENTS)
-            out = with_height_threshold(
-                bh_select([e.p_value for e in extrema], 0.2), MOMENTS
+            extrema = assign_pvalues(
+                Extrema(np.arange(n) + 30, signs * np.abs(heights), signs), MOMENTS
             )
+            out = with_height_threshold(bh_select(extrema.p_value, 0.2), MOMENTS)
             by_p = set(out.rejected)
             by_height = {
                 i for i, e in enumerate(extrema) if e.sign * e.height > out.u_threshold

@@ -4,7 +4,9 @@ Smoothing must reproduce the pairwise loop bit for bit (the golden fixture
 depends on its summation order), extrema extraction must agree with a
 run-by-run scan, and ``Extrema`` must behave as the sequence of
 ``Extremum`` records it stands for.  The whole detector must map a sequence
-reversed and negated to its own result mirrored.  The command line's CSV
+reversed and negated to its own result mirrored, and a sequence scaled by
+a power of two to its own result with only the heights scaled.
+Benjamini-Hochberg rejections can only grow with the level.  The command line's CSV
 reader and writer must read and write exactly what the row-by-row code
 they replaced did.
 """
@@ -25,6 +27,7 @@ from stemcpd import (
     NoiseModel,
     PiecewiseSignal,
     TimeSeries,
+    bh_select,
     compose,
     detect_change_points,
     find_local_extrema,
@@ -38,6 +41,7 @@ from stemcpd.detect import convolve_weights
 
 from helpers import (
     convolve_weights_pairwise,
+    extrema_of,
     extrema_scan,
     read_sequence_csv_rows,
     step_signal_loop,
@@ -114,55 +118,50 @@ class TestExtremaScan:
         assert all(type(e.index) is int and type(e.height) is float for e in found)
 
 
-records = st.lists(
-    st.builds(
-        Extremum,
-        index=st.integers(-10**6, 10**6),
-        height=st.floats(allow_nan=False, allow_infinity=False),
-        sign=st.sampled_from([1, -1]),
-        p_value=st.floats(1e-300, 1.0),
-    ),
-    max_size=40,
-)
+@st.composite
+def extrema_columns(draw):
+    """Parallel index, height, sign and (possibly absent) p-value lists."""
+    n = draw(st.integers(0, 40))
+    column = lambda elements: st.lists(elements, min_size=n, max_size=n)
+    return (
+        draw(column(st.integers(-10**6, 10**6))),
+        draw(column(st.floats(allow_nan=False, allow_infinity=False))),
+        draw(column(st.sampled_from([1, -1]))),
+        draw(st.none() | column(st.floats(1e-300, 1.0))),
+    )
 
 
 class TestExtremaRecords:
     @SETTINGS
-    @given(recs=records, keep_p=st.booleans())
-    def test_record_round_trip(self, recs, keep_p):
-        if not keep_p:
-            recs = [Extremum(e.index, e.height, e.sign) for e in recs]
-        ex = Extrema.from_records(recs)
+    @given(columns=extrema_columns())
+    def test_record_round_trip(self, columns):
+        index, height, sign, p_value = columns
+        ex = extrema_of(*columns)
+        p = [None] * len(index) if p_value is None else p_value
+        recs = [Extremum(*fields) for fields in zip(index, height, sign, p)]
         assert len(ex) == len(recs)
-        assert list(ex) == recs and ex == recs and ex == tuple(recs)
+        assert list(ex) == recs
         assert [ex[i] for i in range(-len(recs), len(recs))] == recs + recs
-        back = Extrema.from_records(list(ex))
-        for name in ("index", "height", "sign"):
-            assert np.array_equal(getattr(back, name), getattr(ex, name))
-        assert np.array_equal(bits(back.height), bits([e.height for e in recs]))
-        if recs:
-            assert (back.p_value is None) == (not keep_p)
+        assert np.array_equal(bits([e.height for e in ex]), bits(height))
         assert all(type(e.index) is int and type(e.height) is float and type(e.sign) is int
-                   for e in ex)
+                   and (p_value is None or type(e.p_value) is float) for e in ex)
 
     @SETTINGS
-    @given(recs=records, start=st.integers(-45, 45), stop=st.integers(-45, 45),
-           step=st.sampled_from([None, 1, 2, 3, -1, -2]), picks=st.lists(st.integers(0, 39)))
-    def test_slices_and_index_arrays(self, recs, start, stop, step, picks):
-        ex = Extrema.from_records(recs)
+    @given(columns=extrema_columns(), start=st.integers(-45, 45), stop=st.integers(-45, 45),
+           step=st.sampled_from([None, 1, 2, 3, -1, -2]), picks=st.lists(st.integers(0, 39)),
+           mask_bits=st.integers(0, 2**40 - 1))
+    def test_slices_and_index_arrays(self, columns, start, stop, step, picks, mask_bits):
+        ex = extrema_of(*columns)
+        recs = list(ex)
         part = ex[start:stop:step]
         assert isinstance(part, Extrema)
-        assert part == recs[start:stop:step]
+        assert list(part) == recs[start:stop:step]
         picks = [i for i in picks if i < len(recs)]
-        assert ex[picks] == [recs[i] for i in picks]
-        assert ex[np.array(picks, dtype=np.int64)] == [recs[i] for i in picks]
-        assert ex[()] == [] and len(ex[[]]) == 0
-        if recs:
-            changed = list(recs)
-            changed[-1] = Extremum(changed[-1].index + 1, changed[-1].height, changed[-1].sign,
-                                   changed[-1].p_value)
-            assert ex != changed
-            assert ex != recs[:-1]
+        assert list(ex[picks]) == [recs[i] for i in picks]
+        assert list(ex[np.array(picks, dtype=np.int64)]) == [recs[i] for i in picks]
+        mask = np.array([(mask_bits >> i) & 1 for i in range(len(recs))], dtype=bool)
+        assert list(ex[mask]) == [r for r, keep in zip(recs, mask) if keep]
+        assert len(ex[()]) == 0 and len(ex[[]]) == 0
 
     @SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), jump=st.floats(0.5, 3.0),
@@ -173,7 +172,7 @@ class TestExtremaRecords:
         res = detect_change_points(y, gamma, 0.05, noise_model=model)
         sig = res.significant
         assert isinstance(sig, Extrema)
-        assert sig == [res.extrema[i] for i in res.outcome.rejected]
+        assert list(sig) == [res.extrema[i] for i in res.outcome.rejected]
         rejected = set(res.outcome.rejected)
         assert list(sig) == [e for i, e in enumerate(res.extrema) if i in rejected]
         assert np.all(np.diff(sig.index) > 0)
@@ -216,6 +215,57 @@ class TestMirrorSymmetry:
         for name in ("k", "p_threshold", "u_threshold"):
             assert getattr(fwd.outcome, name) == getattr(rev.outcome, name)
         assert np.array_equal(rev.significant.index, n + 1 - fwd.significant.index[::-1])
+
+
+class TestPowerOfTwoScaling:
+    @SETTINGS
+    @given(
+        n=st.integers(400, 6000),
+        gamma=st.floats(1.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+        kind=KINDS,
+        closed=st.booleans(),
+        k=st.integers(-3, 5),
+    )
+    def test_scaled_sequence_scales_heights_only(self, n, gamma, seed, kind, closed, k):
+        """Multiplying y by 2**k is exact in floating point and every
+        moment scales with it, so candidates, p-values and the selection
+        are bit-identical and only heights and the height threshold scale,
+        exactly.  Closed-form moments follow when sigma scales alike."""
+        y = sequence(seed, n, kind)
+        scale = 2.0 ** k
+
+        def detect(values, sigma):
+            model = NoiseModel(sigma, 2.0) if closed else None
+            try:
+                return detect_change_points(TimeSeries(values), gamma, 0.05, noise_model=model)
+            except MomentEstimationError as exc:
+                return exc
+
+        base, scaled = detect(y, 1.0), detect(y * scale, scale)
+        if isinstance(base, Exception) or isinstance(scaled, Exception):
+            assert type(base) is type(scaled)
+            return
+        a, b = base.extrema, scaled.extrema
+        assert np.array_equal(b.index, a.index)
+        assert np.array_equal(b.sign, a.sign)
+        assert np.array_equal(bits(b.height), bits(a.height * scale))
+        assert np.array_equal(bits(b.p_value), bits(a.p_value))
+        assert scaled.outcome.rejected == base.outcome.rejected
+        assert scaled.outcome.u_threshold == base.outcome.u_threshold * scale
+
+
+class TestBHMonotoneInAlpha:
+    @SETTINGS
+    @given(
+        p=st.lists(st.floats(1e-12, 1.0) | st.sampled_from([1e-4, 0.01, 0.05, 1.0]),
+                   max_size=60),
+        alphas=st.tuples(st.floats(1e-6, 1.0, exclude_max=True),
+                         st.floats(1e-6, 1.0, exclude_max=True)),
+    )
+    def test_rejections_grow_with_alpha(self, p, alphas):
+        low, high = sorted(alphas)
+        assert set(bh_select(p, low).rejected) <= set(bh_select(p, high).rejected)
 
 
 class TestStepSignal:
