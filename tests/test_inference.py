@@ -263,6 +263,16 @@ class TestEstimateMomentsEmpirical:
             assert est.var_d2 == pytest.approx(ref.var_d2, rel=rel)
             assert est.var_d3 == pytest.approx(ref.var_d3, rel=rel)
 
+    def test_pure_null_untrimmed(self):
+        """The plain mean square of each smoothed derivative of pure noise
+        matches its closed-form variance."""
+        y = sample_noise(MODEL, 400_000, seed=43)
+        ref = closed_form_moments(MODEL, 6.0)
+        for order, attr in enumerate(("var_d1", "var_d2", "var_d3"), 1):
+            d = smooth(y, KernelSpec(gamma=6.0, order=order))
+            raw = float(np.mean(np.square(d.values[d.interior_slice()])))
+            assert raw == pytest.approx(getattr(ref, attr), rel=0.05)
+
     def test_trimming_discounts_sparse_jumps(self):
         """With sparse change points, trimming pulls every estimated moment
         strictly below the plain mean square, toward its pure-noise value."""
