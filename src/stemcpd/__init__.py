@@ -20,7 +20,7 @@ from .errors import (
     MomentEstimationError,
     StemcpdError,
 )
-from .evaluation import AggregateResult, EvalConfig, EvalResult, aggregate, classify
+from .evaluation import AggregateResult, EvalResult, aggregate, classify
 from .harness import CellResult, SimulateRequest, run_replicate, run_simulation
 from .inference import (
     SpectralMoments,
@@ -63,7 +63,6 @@ __all__ = [
     "CellResult",
     "DegenerateConfigError",
     "DetectionResult",
-    "EvalConfig",
     "EvalResult",
     "Extrema",
     "Extremum",

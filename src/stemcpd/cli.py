@@ -162,8 +162,12 @@ def read_sequence_csv(path: str):
     if len(values) != len(data):
         # loadtxt carries a quoted field left open at a line end on to the next line
         raise InputDataError(f"{path} has a quoted field that runs past the end of a line")
-    if not np.all(np.isfinite(values)):
-        raise InputDataError(f"{path} contains non-finite values")
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise InputDataError(
+            f"{path} line {_line_number(text, start + bad)} is not a finite number: {data[bad]!r}"
+        )
     return values, None if width == 1 else PositionLabels(data)
 
 

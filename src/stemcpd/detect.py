@@ -151,8 +151,7 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
     sl = dy.interior_slice()
     seg = dy.values[sl]
     if len(seg) < 3:
-        empty = np.empty(0)  # the p-values here are an empty array, not None
-        return Extrema(np.empty(0, dtype=np.int64), empty, np.empty(0, dtype=np.int64), empty)
+        return Extrema(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
     # run-length encode so plateaus collapse to a single candidate
     starts = np.concatenate(([0], np.flatnonzero(seg[1:] != seg[:-1]) + 1))
     run_values = seg[starts]

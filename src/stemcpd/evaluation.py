@@ -19,17 +19,6 @@ from .signals import PiecewiseSignal
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    """Location tolerance ``b`` in grid units; windows are open intervals."""
-
-    tolerance: float
-
-    def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise InvalidParameterError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class EvalResult:
     """Error bookkeeping for one realization.
 
@@ -66,39 +55,37 @@ class AggregateResult:
     n_replications: int
 
 
-def classify(detections: Extrema, truth: PiecewiseSignal, cfg: EvalConfig) -> EvalResult:
-    """Score significant extrema against the true change points."""
-    b = cfg.tolerance
-    locations = truth.locations
-    sizes = truth.sizes
-    overlap = truth.n_jumps >= 2 and 2.0 * b > truth.min_separation()
-    if overlap:
+def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> tuple:
+    """Score significant extrema against the true change points, one
+    ``EvalResult`` per tolerance in ``tolerances``, in the order given.
+
+    Distances are taken once: each detection's nearest jump, its nearest
+    jump of matching sign, and each jump's nearest detection of matching
+    sign.  The window test at tolerance ``b`` is then ``distance < b``.
+    """
+    b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
+    if not np.all(b > 0):
+        raise InvalidParameterError("tolerance must be positive")
+    overlap = (2.0 * b[:, 0] > truth.min_separation()).tolist()
+    if any(overlap):
         warnings.warn(
             "tolerance windows overlap (2b exceeds the minimum jump spacing); "
             "counts follow the literal definitions and may double-credit",
             stacklevel=2,
         )
+    dist = np.abs(detections.index.astype(float)[:, None] - truth.locations[None, :])  # (r, J)
+    matched = np.where(detections.sign[:, None] * truth.sizes[None, :] > 0, dist, np.inf)
+    n_in_any = np.count_nonzero(dist.min(axis=1, initial=np.inf) < b, axis=1).tolist()
+    # inside a window of matching sign, hence also inside some window
+    n_in_matched = np.count_nonzero(matched.min(axis=1, initial=np.inf) < b, axis=1).tolist()
+    hits = matched.min(axis=0, initial=np.inf) < b  # (tolerances, J)
+    powers = hits.mean(axis=1).tolist() if truth.n_jumps else [None] * len(hits)
     r = len(detections)
-    if r == 0:
-        hits = tuple(False for _ in range(truth.n_jumps))
-        power = float(np.mean(hits)) if truth.n_jumps else None
-        return EvalResult(0, 0, 0.0, hits, power, 0, overlap)
-    pos = detections.index.astype(float)
-    sgn = detections.sign
-    if truth.n_jumps:
-        inside = np.abs(pos[:, None] - locations[None, :]) < b  # (r, J)
-        in_any = inside.any(axis=1)
-        sign_match = inside & (sgn[:, None] * sizes[None, :] > 0)
-        hits = tuple(bool(h) for h in sign_match.any(axis=0))
-        n_wrong = int(np.sum(in_any & ~sign_match.any(axis=1)))
-        power = float(np.mean(hits))
-    else:
-        in_any = np.zeros(r, dtype=bool)
-        hits = ()
-        n_wrong = 0
-        power = None
-    v = int(np.sum(~in_any))
-    return EvalResult(r, v, v / max(r, 1), hits, power, n_wrong, overlap)
+    return tuple(
+        EvalResult(r, r - n_in, (r - n_in) / max(r, 1), tuple(row), power, n_in - n_sign, warned)
+        for n_in, n_sign, row, power, warned
+        in zip(n_in_any, n_in_matched, hits.tolist(), powers, overlap)
+    )
 
 
 def aggregate(results) -> AggregateResult:

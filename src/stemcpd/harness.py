@@ -7,6 +7,8 @@ replicate range can be reproduced independently; aggregation runs in
 replicate order so results are deterministic regardless of parallelism.
 """
 
+import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, StemcpdError
-from .evaluation import EvalConfig, aggregate, classify
+from .evaluation import aggregate, classify
 from .pipeline import DetectionResult, detect_change_points
 from .signals import NoiseModel, PiecewiseSignal, compose, make_staircase, sample_noise
 
@@ -49,8 +51,11 @@ class SimulateRequest:
         if self.rep_start < 0 or self.seed < 0:
             raise InvalidParameterError("seed and rep_start must be non-negative")
         for name in ("jumps", "gammas", "tolerances"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise InvalidParameterError(f"{name} grid must be non-empty")
+            if not all(math.isfinite(v) for v in values):
+                raise InvalidParameterError(f"{name} grid must be finite, got {values!r}")
         if any(b <= 0 for b in self.tolerances):
             raise InvalidParameterError("tolerances must be positive")
         if any(g <= 0 for g in self.gammas):
@@ -93,20 +98,15 @@ def _check_threshold_equivalence(result: DetectionResult) -> None:
         )
 
 
-def run_replicate(req: SimulateRequest, jump: float, gamma: float, rep: int) -> list:
-    """One replicate of one (jump, bandwidth) pair, scored per tolerance."""
+def run_replicate(req: SimulateRequest, truth: PiecewiseSignal, gamma: float, rep: int) -> tuple:
+    """One replicate on the ground truth ``truth`` at bandwidth ``gamma``,
+    scored at every tolerance of ``req``."""
     model = req.noise_model()
-    truth = req.truth(jump)
     noise = sample_noise(model, req.length, req.seed ^ rep)
     observed = compose(truth, noise)
     result = detect_change_points(observed, gamma, req.alpha, noise_model=model)
     _check_threshold_equivalence(result)
-    detections = result.significant
-    return [classify(detections, truth, EvalConfig(b)) for b in req.tolerances]
-
-
-def _replicate_star(args) -> list:
-    return run_replicate(*args)
+    return classify(result.significant, truth, req.tolerances)
 
 
 def env_threads() -> int:
@@ -122,35 +122,31 @@ def run_simulation(req: SimulateRequest, threads: int = None) -> list:
     """Run the whole grid; one CellResult per (jump, gamma, tolerance).
 
     Cells appear in grid order (jumps outermost, tolerances innermost).
-    With ``threads`` above 1 replicates run in a process pool; results are
-    collected in replicate order, so output is independent of parallelism.
+    The grid is one task list of (jump, gamma, replicate); with ``threads``
+    above 1 it runs in one process pool.  Results arrive in task order, so
+    output is independent of parallelism.
     """
     if threads is None:
         threads = env_threads()
     reps = range(req.rep_start, req.rep_start + req.replications)
+    truths = [req.truth(jump) for jump in req.jumps]
+    tasks = [(req, truth, gamma, r) for truth, gamma in itertools.product(truths, req.gammas)
+             for r in reps]
+    if threads > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunk = max(1, req.replications // (4 * threads))
+            return _cells(req, pool.map(run_replicate, *zip(*tasks), chunksize=chunk))
+    return _cells(req, map(run_replicate, *zip(*tasks)))
+
+
+def _cells(req: SimulateRequest, results) -> list:
+    """Aggregate the grid's replicate results, given in task order, one
+    cell's replicates at a time, so no more than one cell is held here."""
     cells = []
-    for jump in req.jumps:
-        for gamma in req.gammas:
-            tasks = [(req, jump, gamma, r) for r in reps]
-            if threads > 1 and req.replications > 1:
-                with ProcessPoolExecutor(max_workers=threads) as pool:
-                    chunk = max(1, req.replications // (4 * threads))
-                    per_rep = list(pool.map(_replicate_star, tasks, chunksize=chunk))
-            else:
-                per_rep = [run_replicate(*t) for t in tasks]
-            for bi, b in enumerate(req.tolerances):
-                agg = aggregate([row[bi] for row in per_rep])
-                cells.append(
-                    CellResult(
-                        jump=jump,
-                        gamma=gamma,
-                        tolerance=b,
-                        fdr=agg.fdr,
-                        fdr_se=agg.fdr_se,
-                        power=agg.power,
-                        power_se=agg.power_se,
-                        replications=req.replications,
-                        seed=req.seed,
-                    )
-                )
+    for jump, gamma in itertools.product(req.jumps, req.gammas):
+        per_rep = list(itertools.islice(results, req.replications))
+        for b, scores in zip(req.tolerances, zip(*per_rep)):
+            agg = aggregate(scores)
+            cells.append(CellResult(jump, gamma, b, agg.fdr, agg.fdr_se, agg.power, agg.power_se,
+                                    req.replications, req.seed))
     return cells

@@ -161,9 +161,10 @@ def test_criterion_08_complete_null_fdr():
         length=12000, separation=100, jumps=(0.0,), gammas=(6.0,),
         tolerances=(8.0,), alpha=0.05, replications=2000, seed=505,
     )
+    truth = req.truth(0.0)
     with_rejections = 0
     for rep in range(req.replications):
-        (res,) = run_replicate(req, 0.0, 6.0, rep)
+        (res,) = run_replicate(req, truth, 6.0, rep)
         with_rejections += res.n_detected > 0
     fraction = with_rejections / req.replications
     report(

@@ -213,12 +213,19 @@ class TestSimulateCommand:
         data = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
         assert len(data) == 1
 
-    def test_invalid_grid_exit_2(self, tmp_path):
+    def test_invalid_grid_exit_2(self, tmp_path, capsys):
         # a non-finite noise scale is refused by name, not by a traceback
         for bad in (["--grid-gamma", "0"], ["--grid-gamma", "inf"],
                     ["--nu", "inf"], ["--nu", "nan"]):
             code = run("simulate", *bad, "--reps", 2, "--output", tmp_path / "o.csv")
             assert code == 2, bad
+        # a non-finite grid value is refused before any replicate runs
+        for bad, field in ((["--jump", "nan"], "jumps"), (["--grid-b", "5,nan"], "tolerances"),
+                           (["--grid-gamma", "inf"], "gammas")):
+            capsys.readouterr()
+            code = run("simulate", *bad, "--reps", 2, "--output", tmp_path / "o.csv")
+            assert code == 2, bad
+            assert f"{field} grid must be finite" in capsys.readouterr().err, bad
 
     def test_bandwidth_exceeding_length_exit_2(self, tmp_path):
         code = run("simulate", "--length", 50, "--separation", 10,
@@ -323,7 +330,9 @@ class TestReadSequenceCsv:
         ("v\n1\n2,3\n", 3),
         ("v\n1\nabc\n", 3),
         ("v\n1\n# note\n\nabc\n", 5),  # comment and blank lines count as lines
-    ], ids=["extra_column", "non_numeric", "after_comment"])
+        ("1\n2\n3\n4\n5\n6\n7\nnan\n", 8),
+        ("p,v\na,1\n\nb,inf\nc,2\n", 4),
+    ], ids=["extra_column", "non_numeric", "after_comment", "nan", "inf_after_blank"])
     def test_refused_row_named_by_its_line(self, tmp_path, content, line):
         from stemcpd.cli import InputDataError
 

@@ -116,6 +116,16 @@ class TestFindLocalExtrema:
         out = find_local_extrema(series([0.5, 0.0, 0.0, 0.0, 0.7]))
         assert len(out) == 0
 
+    def test_short_interior_has_no_pvalues(self):
+        # every empty candidate set leaves its p-values to inference, as None
+        for dy in (series([0.0, 1.0]), TimeSeries(np.arange(9.0), interior=(4, 6)),
+                   series(np.full(5, 2.0))):
+            out = find_local_extrema(dy)
+            assert len(out) == 0
+            assert out.p_value is None
+            assert (out.index.dtype, out.height.dtype, out.sign.dtype) == (
+                np.int64, np.float64, np.int64)
+
     def test_interior_restriction(self):
         vals = np.zeros(20)
         vals[1] = 5.0  # outside interior

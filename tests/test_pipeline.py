@@ -1,14 +1,16 @@
 """End-to-end detector and simulation harness tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from stemcpd import (
-    EvalConfig,
     InvalidParameterError,
     NoiseModel,
     SimulateRequest,
     TimeSeries,
+    aggregate,
     classify,
     compose,
     detect_change_points,
@@ -17,6 +19,7 @@ from stemcpd import (
     run_simulation,
     sample_noise,
 )
+from stemcpd import harness
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 
@@ -30,7 +33,7 @@ class TestDetectChangePoints:
     def test_strong_staircase_recovered(self):
         y, sig = observed()
         res = detect_change_points(y, 6.0, 0.05, noise_model=MODEL)
-        hits = classify(res.significant, sig, EvalConfig(8.0))
+        (hits,) = classify(res.significant, sig, (8.0,))
         assert hits.power_fraction == 1.0
         assert hits.fdp <= 0.1
 
@@ -53,7 +56,7 @@ class TestDetectChangePoints:
     def test_empirical_moments_default(self):
         y, sig = observed(seed=57)
         res = detect_change_points(y, 6.0, 0.05)
-        hits = classify(res.significant, sig, EvalConfig(8.0))
+        (hits,) = classify(res.significant, sig, (8.0,))
         assert hits.power_fraction >= 0.95
 
     def test_constant_input_yields_nothing(self):
@@ -85,7 +88,7 @@ class TestRunReplicate:
             length=3000, separation=100, jumps=(3.0,), gammas=(6.0,),
             tolerances=(2.0, 8.0), replications=1, seed=7,
         )
-        r2, r8 = run_replicate(req, 3.0, 6.0, rep=0)
+        r2, r8 = run_replicate(req, req.truth(3.0), 6.0, rep=0)
         assert r8.power_fraction >= r2.power_fraction
         assert r8.n_false <= r2.n_false
 
@@ -94,7 +97,7 @@ class TestRunReplicate:
             length=3000, separation=100, jumps=(0.0,), gammas=(6.0,),
             tolerances=(8.0,), replications=1, seed=7,
         )
-        (res,) = run_replicate(req, 0.0, 6.0, rep=0)
+        (res,) = run_replicate(req, req.truth(0.0), 6.0, rep=0)
         assert res.power_fraction is None
         assert res.n_false == res.n_detected
 
@@ -150,6 +153,47 @@ class TestRunSimulation:
             SimulateRequest(tolerances=(0.0,))
         with pytest.raises(InvalidParameterError):
             SimulateRequest(replications=0)
+        for field, bad in (("jumps", (1.0, math.nan)), ("gammas", (math.inf,)),
+                           ("tolerances", (math.nan,)), ("tolerances", (5.0, math.inf))):
+            with pytest.raises(InvalidParameterError, match=f"{field} grid must be finite"):
+                SimulateRequest(**{field: bad})
+
+    def test_one_pool_per_grid(self, monkeypatch):
+        pools = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        assert run_simulation(self.REQ, threads=2) == run_simulation(self.REQ, threads=1)
+        assert len(pools) == 1
+
+    def test_replicates_taken_one_cell_at_a_time(self, monkeypatch):
+        """Each cell is aggregated before the next cell's first replicate
+        runs, and each replicate is scored by one classify call."""
+        calls = {"run_replicate": 0, "classify": 0}
+        seen_at_aggregate = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def recording_aggregate(results):
+            seen_at_aggregate.append(calls["run_replicate"])
+            return aggregate(results)
+
+        monkeypatch.setattr(harness, "run_replicate", counting("run_replicate", run_replicate))
+        monkeypatch.setattr(harness, "classify", counting("classify", classify))
+        monkeypatch.setattr(harness, "aggregate", recording_aggregate)
+        cells = run_simulation(self.REQ, threads=1)
+        reps, n_tol = self.REQ.replications, len(self.REQ.tolerances)
+        n_pairs = len(cells) // n_tol
+        assert seen_at_aggregate == [reps * (c + 1) for c in range(n_pairs) for _ in range(n_tol)]
+        assert calls == {"run_replicate": reps * n_pairs, "classify": reps * n_pairs}
 
     def test_grid_monotonicities_in_tolerance(self):
         """Widening the tolerance window can only lower realized FDR and
@@ -183,7 +227,7 @@ class TestRunSimulation:
         req = SimulateRequest(length=3000, separation=100, jumps=(1.0,),
                               gammas=(6.0,), tolerances=(5.0,), replications=1, seed=21)
         (cell,) = run_simulation(req)
-        (rep,) = run_replicate(req, 1.0, 6.0, rep=0)
+        (rep,) = run_replicate(req, req.truth(1.0), 6.0, rep=0)
         truth = make_staircase(1.0, 100, 3000)
         # with one replicate the cell averages are single-outcome fractions
         assert cell.power == rep.power_fraction
