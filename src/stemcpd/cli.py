@@ -11,11 +11,12 @@ import argparse
 import csv
 import sys
 from collections.abc import Sequence
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import StemcpdError
-from .harness import SimulateRequest, run_simulation
+from .harness import CellResult, SimulateRequest, check_finite_grid, run_simulation
 from .inference import closed_form_moments
 from .kernels import GAUSSIAN_CUTOFF
 from .pipeline import detect_change_points
@@ -171,6 +172,16 @@ def read_sequence_csv(path: str):
     return values, None if width == 1 else PositionLabels(data)
 
 
+def _write_table(path, header, rows, footer) -> None:
+    """Write the output table: ``header``, the ``rows``, then one
+    ``# key,value`` line per ``(key, value)`` pair of ``footer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        fh.writelines(f"# {key},{value}\n" for key, value in footer)
+
+
 def write_detection_csv(path, result, positions=None, moment_source="") -> None:
     extrema = result.extrema
     rows = ()
@@ -191,26 +202,21 @@ def write_detection_csv(path, result, positions=None, moment_source="") -> None:
     header = ["index", "height", "sign", "p_value", "significant"]
     if positions is not None:
         header.insert(1, "position")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        m = result.moments
-        moment_of = lambda attr: _fmt(getattr(m, attr)) if m is not None else "nan"
-        for key, value in [
-            ("m_tilde", str(result.n_candidates)),
-            ("k", str(result.outcome.k)),
-            ("p_threshold", _fmt(result.outcome.p_threshold)),
-            ("u_threshold", _fmt(result.outcome.u_threshold)),
-            ("var_d1", moment_of("var_d1")),
-            ("var_d2", moment_of("var_d2")),
-            ("var_d3", moment_of("var_d3")),
-            ("delta", moment_of("delta")),
-            ("gamma", _fmt(result.gamma)),
-            ("alpha", _fmt(result.alpha)),
-            ("moment_source", moment_source),
-        ]:
-            fh.write(f"# {key},{value}\n")
+    m = result.moments
+    moment_of = lambda attr: _fmt(getattr(m, attr)) if m is not None else "nan"
+    _write_table(path, header, rows, [
+        ("m_tilde", str(result.n_candidates)),
+        ("k", str(result.outcome.k)),
+        ("p_threshold", _fmt(result.outcome.p_threshold)),
+        ("u_threshold", _fmt(result.outcome.u_threshold)),
+        ("var_d1", moment_of("var_d1")),
+        ("var_d2", moment_of("var_d2")),
+        ("var_d3", moment_of("var_d3")),
+        ("delta", moment_of("delta")),
+        ("gamma", _fmt(result.gamma)),
+        ("alpha", _fmt(result.alpha)),
+        ("moment_source", moment_source),
+    ])
 
 
 def parse_detection_csv(path: str):
@@ -244,77 +250,40 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    req = SimulateRequest(
-        length=args.length,
-        separation=args.separation,
-        jumps=args.jump,
-        gammas=args.grid_gamma,
-        tolerances=args.grid_b,
-        alpha=args.alpha,
-        sigma=args.sigma,
-        nu=args.nu,
-        replications=args.reps,
-        seed=args.seed,
-        rep_start=args.rep_start,
-    )
-    cells = run_simulation(req)
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["jump", "gamma", "tolerance", "fdr", "fdr_se", "power", "power_se",
-             "replications", "seed"]
-        )
-        for c in cells:
-            writer.writerow(
-                [_fmt(c.jump), _fmt(c.gamma), _fmt(c.tolerance), _fmt(c.fdr),
-                 _fmt(c.fdr_se), _fmt(c.power), _fmt(c.power_se),
-                 str(c.replications), str(c.seed)]
-            )
-        for key, value in [
-            ("length", str(req.length)),
-            ("separation", str(req.separation)),
-            ("alpha", _fmt(req.alpha)),
-            ("sigma", _fmt(req.sigma)),
-            ("nu", _fmt(req.nu)),
-            ("rep_start", str(req.rep_start)),
-            ("cutoff", _fmt(GAUSSIAN_CUTOFF)),
-        ]:
-            fh.write(f"# {key},{value}\n")
+    req = SimulateRequest(**{f.name: getattr(args, f.name) for f in fields(SimulateRequest)})
+    header = [f.name for f in fields(CellResult)]
+    rows = ([_fmt(getattr(c, name)) for name in header] for c in run_simulation(req))
+    footer = [(name, _fmt(getattr(req, name)))
+              for name in ("length", "separation", "alpha", "sigma", "nu", "rep_start")]
+    _write_table(args.output, header, rows, footer + [("cutoff", _fmt(GAUSSIAN_CUTOFF))])
     return 0
 
 
 def cmd_theory(args) -> int:
     model = NoiseModel(sigma=args.sigma, nu=args.nu)
-    jumps = args.jump
-    with open(args.output, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["gamma", "var_d1", "var_d2", "var_d3", "delta", "null_rate",
-                  "q_star", "u_star", "fdr_bound_bh"]
-        header += [f"snr_j{a:g}" for a in jumps]
-        header += [f"power_j{a:g}" for a in jumps]
-        writer.writerow(header)
-        for gamma in args.grid_gamma:
-            moments = closed_form_moments(model, gamma)
-            cfg = TheoryConfig(density=args.density, alpha=args.alpha,
-                               moments=moments, gamma=gamma)
-            u_star = asymptotic_bh_threshold(cfg)
-            row = [
-                _fmt(gamma), _fmt(moments.var_d1), _fmt(moments.var_d2),
-                _fmt(moments.var_d3), _fmt(moments.delta),
-                _fmt(null_max_rate(moments)), _fmt(asymptotic_bh_pvalue(cfg)),
-                _fmt(u_star), _fmt(fdr_upper_bound(cfg)),
-            ]
-            row += [_fmt(snr(a, model, gamma)) for a in jumps]
-            row += [_fmt(approx_power(a, u_star, moments, gamma)) for a in jumps]
-            writer.writerow(row)
-        for key, value in [
-            ("density", _fmt(args.density)),
-            ("alpha", _fmt(args.alpha)),
-            ("sigma", _fmt(args.sigma)),
-            ("nu", _fmt(args.nu)),
-            ("cutoff", _fmt(GAUSSIAN_CUTOFF)),
-        ]:
-            fh.write(f"# {key},{value}\n")
+    check_finite_grid("jumps", args.jumps)
+    check_finite_grid("gammas", args.gammas)
+    header = ["gamma", "var_d1", "var_d2", "var_d3", "delta", "null_rate",
+              "q_star", "u_star", "fdr_bound_bh"]
+    header += [f"snr_j{a:g}" for a in args.jumps]
+    header += [f"power_j{a:g}" for a in args.jumps]
+    rows = []
+    for gamma in args.gammas:
+        moments = closed_form_moments(model, gamma)
+        cfg = TheoryConfig(density=args.density, alpha=args.alpha,
+                           moments=moments, gamma=gamma)
+        u_star = asymptotic_bh_threshold(cfg)
+        row = [
+            _fmt(gamma), _fmt(moments.var_d1), _fmt(moments.var_d2),
+            _fmt(moments.var_d3), _fmt(moments.delta),
+            _fmt(null_max_rate(moments)), _fmt(asymptotic_bh_pvalue(cfg)),
+            _fmt(u_star), _fmt(fdr_upper_bound(cfg)),
+        ]
+        row += [_fmt(snr(a, model, gamma)) for a in args.jumps]
+        row += [_fmt(approx_power(a, u_star, moments, gamma)) for a in args.jumps]
+        rows.append(row)
+    footer = [(name, _fmt(getattr(args, name))) for name in ("density", "alpha", "sigma", "nu")]
+    _write_table(args.output, header, rows, footer + [("cutoff", _fmt(GAUSSIAN_CUTOFF))])
     return 0
 
 
@@ -325,44 +294,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "smoothed-derivative extrema",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the defaults are the paper's design, held once in SimulateRequest
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--output", required=True)
+    common.add_argument("--alpha", type=float, default=SimulateRequest.alpha, help="FDR level")
+    common.add_argument("--sigma", type=float, default=SimulateRequest.sigma)
+    common.add_argument("--nu", type=float, default=SimulateRequest.nu)
+    grids = argparse.ArgumentParser(add_help=False)
+    grids.add_argument("--jump", dest="jumps", type=_float_list,
+                       default=SimulateRequest.jumps,
+                       help="comma-separated jump sizes (0 for a null cell)")
+    grids.add_argument("--grid-gamma", dest="gammas", type=_float_list,
+                       default=SimulateRequest.gammas)
 
-    p = sub.add_parser("detect", help="detect change points in a CSV sequence")
+    p = sub.add_parser("detect", parents=[common], help="detect change points in a CSV sequence")
     p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
     p.add_argument("--gamma", type=float, required=True, help="smoothing bandwidth")
-    p.add_argument("--alpha", type=float, default=0.05, help="FDR level")
     p.add_argument("--moments", choices=("closed", "empirical"), default="empirical")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=2.0)
     p.set_defaults(func=cmd_detect, input_errors=(InputDataError, OSError))
 
-    p = sub.add_parser("simulate", help="run a replicated simulation grid")
-    p.add_argument("--output", required=True)
-    p.add_argument("--length", type=int, default=12000)
-    p.add_argument("--separation", type=int, default=100)
-    p.add_argument("--jump", type=_float_list, default=(1.0, 2.0, 3.0),
-                   help="comma-separated jump sizes (0 for a null cell)")
-    p.add_argument("--grid-gamma", type=_float_list,
-                   default=tuple(float(g) for g in range(1, 11)))
-    p.add_argument("--grid-b", type=_float_list,
-                   default=tuple(float(b) for b in range(2, 11)))
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=2.0)
-    p.add_argument("--reps", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rep-start", type=int, default=0,
+    p = sub.add_parser("simulate", parents=[common, grids],
+                       help="run a replicated simulation grid")
+    p.add_argument("--length", type=int, default=SimulateRequest.length)
+    p.add_argument("--separation", type=int, default=SimulateRequest.separation)
+    p.add_argument("--grid-b", dest="tolerances", type=_float_list,
+                   default=SimulateRequest.tolerances)
+    p.add_argument("--reps", dest="replications", type=int,
+                   default=SimulateRequest.replications)
+    p.add_argument("--seed", type=int, default=SimulateRequest.seed)
+    p.add_argument("--rep-start", type=int, default=SimulateRequest.rep_start,
                    help="first replicate index (for split runs)")
     p.set_defaults(func=cmd_simulate, input_errors=(StemcpdError, OSError))
 
-    p = sub.add_parser("theory", help="emit analytic curves and bounds")
-    p.add_argument("--output", required=True)
-    p.add_argument("--grid-gamma", type=_float_list,
-                   default=tuple(float(g) for g in range(1, 11)))
-    p.add_argument("--jump", type=_float_list, default=(1.0, 2.0, 3.0))
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=2.0)
+    p = sub.add_parser("theory", parents=[common, grids], help="emit analytic curves and bounds")
     p.add_argument("--density", type=float, default=0.01,
                    help="expected change points per unit length")
     p.set_defaults(func=cmd_theory, input_errors=(StemcpdError, OSError))

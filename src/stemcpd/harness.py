@@ -23,6 +23,12 @@ from .signals import NoiseModel, PiecewiseSignal, compose, make_staircase, sampl
 THREADS_ENV_VAR = "STEMCPD_THREADS"
 
 
+def check_finite_grid(name: str, values: tuple) -> None:
+    """Refuse a grid holding a non-finite value, naming the grid."""
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParameterError(f"{name} grid must be finite, got {values!r}")
+
+
 @dataclass(frozen=True)
 class SimulateRequest:
     """One simulation grid: jump sizes x bandwidths x tolerances.
@@ -54,8 +60,7 @@ class SimulateRequest:
             values = getattr(self, name)
             if not values:
                 raise InvalidParameterError(f"{name} grid must be non-empty")
-            if not all(math.isfinite(v) for v in values):
-                raise InvalidParameterError(f"{name} grid must be finite, got {values!r}")
+            check_finite_grid(name, values)
         if any(b <= 0 for b in self.tolerances):
             raise InvalidParameterError("tolerances must be positive")
         if any(g <= 0 for g in self.gammas):

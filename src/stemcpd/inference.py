@@ -43,9 +43,9 @@ class SpectralMoments:
     delta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.var_d1 > 0 and self.var_d2 > 0 and self.var_d3 > 0):
-            raise InvalidParameterError("derivative variances must be positive")
-        delta = self.var_d1 * self.var_d3 - self.var_d2 ** 2
+        if not all(0 < v < math.inf for v in (self.var_d1, self.var_d2, self.var_d3)):
+            raise InvalidParameterError("derivative variances must be finite and positive")
+        delta = self.var_d1 * self.var_d3 - self.var_d2 * self.var_d2
         if not delta > 0:
             raise InvalidParameterError(
                 f"degenerate spectral moments: delta = {delta:g} is not positive"
@@ -64,17 +64,26 @@ def closed_form_moments(model: NoiseModel, gamma: float) -> SpectralMoments:
     Smoothing noise of correlation scale ``nu`` with a Gaussian kernel of
     bandwidth ``gamma`` gives a Gaussian-shaped combined kernel of scale
     ``xi = sqrt(gamma^2 + nu^2)``; the variance of its k-th derivative is
-    ``(2k-1)!! * sigma^2 / (2^(k+1) sqrt(pi) xi^(2k+1))``.
+    ``(2k-1)!! * sigma^2 / (2^(k+1) sqrt(pi) xi^(2k+1))``.  Inputs whose
+    moments leave the floating-point range are refused by name.
     """
     if not gamma > 0:
         raise InvalidParameterError("gamma must be positive")
     xi = math.hypot(gamma, model.nu)
-    s2 = model.sigma ** 2
-    return SpectralMoments(
-        var_d1=s2 / (4.0 * _SQRT_PI * xi ** 3),
-        var_d2=3.0 * s2 / (8.0 * _SQRT_PI * xi ** 5),
-        var_d3=15.0 * s2 / (16.0 * _SQRT_PI * xi ** 7),
-    )
+    try:
+        s2 = model.sigma ** 2
+        return SpectralMoments(
+            var_d1=s2 / (4.0 * _SQRT_PI * xi ** 3),
+            var_d2=3.0 * s2 / (8.0 * _SQRT_PI * xi ** 5),
+            var_d3=15.0 * s2 / (16.0 * _SQRT_PI * xi ** 7),
+        )
+    except (ArithmeticError, InvalidParameterError) as exc:
+        # the true moments are finite, positive and non-degenerate for any
+        # positive sigma, nu and gamma: only overflow or underflow gets here
+        raise InvalidParameterError(
+            f"closed-form moments are out of floating-point range at sigma={model.sigma:g}, "
+            f"nu={model.nu:g}, gamma={gamma:g}"
+        ) from exc
 
 
 def trim_correction(trim: float) -> float:
@@ -118,7 +127,7 @@ def estimate_moments_empirical(series: TimeSeries, gamma: float) -> SpectralMome
     if min(variances) <= 0.0:
         raise MomentEstimationError("smoothed derivatives vanish; cannot estimate moments")
     v1, v2, v3 = variances
-    if v1 * v3 - v2 ** 2 <= 0.0:
+    if v1 * v3 - v2 * v2 <= 0.0:
         raise MomentEstimationError(
             "estimated moments are inconsistent (nonpositive determinant)"
         )

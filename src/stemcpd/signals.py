@@ -2,9 +2,10 @@
 
 The observation model is a step signal plus zero-mean stationary Gaussian
 noise, sampled on the unit grid t = 1..length.  Noise is built by
-convolving an i.i.d. standard normal sequence with a Gaussian density of
-scale ``nu`` (white noise when ``nu`` is zero), which makes the smoothed
-process differentiable enough for the extremum height theory to apply.
+convolving an i.i.d. standard normal sequence with the truncated Gaussian
+of ``kernels`` at scale ``nu`` (white noise when ``nu`` is zero), which
+makes the smoothed process differentiable enough for the extremum height
+theory to apply.
 """
 
 import math
@@ -14,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, InvalidParameterError
-from .kernels import _SQRT_2PI
+from .kernels import KernelSpec, kernel_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +112,20 @@ class PiecewiseSignal:
             return math.inf
         return float(np.min(np.diff(locs)))
 
-    def sample(self) -> TimeSeries:
-        """Evaluate the step signal on the unit grid t = 1..length."""
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """The step signal on the unit grid t = 1..length, built once per
+        signal (on first use, so an unused signal pickles small) and
+        read-only."""
         t = np.arange(1, self.length + 1, dtype=float)
         # cumsum adds left to right from the first jump on, so each level is
         # rounded exactly as repeated `mu[t >= v] += a` would round it
         levels = np.concatenate(([0.0], np.cumsum(self.sizes)))
-        return TimeSeries(levels[np.searchsorted(self.locations, t, side="right")])
+        return _read_only(levels[np.searchsorted(self.locations, t, side="right")])
+
+    def sample(self) -> TimeSeries:
+        """Evaluate the step signal on the unit grid t = 1..length."""
+        return TimeSeries(self.mean)
 
 
 def _read_only(values) -> np.ndarray:
@@ -144,29 +152,30 @@ def make_staircase(jump: float, separation: int, length: int) -> PiecewiseSignal
     return PiecewiseSignal(tuple((float(v), float(jump)) for v in locations), length)
 
 
-def noise_kernel(nu: float) -> np.ndarray:
-    """Unit-spacing samples of the Gaussian density of scale ``nu``,
-    truncated at four scales."""
-    half = int(math.ceil(4.0 * nu))
-    k = np.arange(-half, half + 1, dtype=float)
-    return np.exp(-0.5 * (k / nu) ** 2) / (nu * _SQRT_2PI)
-
-
 def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:
     """Draw one realization of the noise process on the grid t = 1..length.
 
-    White noise is drawn on a grid padded by four correlation scales on
-    each side before convolution so the returned window is stationary
-    throughout.  Output is a deterministic function of (model, length,
-    seed); the generator is numpy's PCG64.
+    White noise is drawn on a grid padded by the filter's half-width (four
+    correlation scales) on each side before convolution so the returned
+    window is stationary throughout.  The filter is the density samples of
+    ``kernel_value``, not the sum-one ``kernel_weights``, so the process
+    variance is about ``sigma^2/(2 sqrt(pi) nu)``.  A filter longer
+    than ``length`` is refused.  Output is a deterministic function of
+    (model, length, seed); the generator is numpy's PCG64.
     """
     if length < 1:
         raise InvalidParameterError("length must be at least 1")
     rng = np.random.default_rng(seed)
     if model.nu == 0.0:
         return TimeSeries(model.sigma * rng.standard_normal(length))
-    g = noise_kernel(model.nu)
-    pad = (len(g) - 1) // 2
+    spec = KernelSpec(gamma=model.nu)
+    pad = spec.half_width()
+    if 2 * pad + 1 > length:
+        raise InvalidParameterError(
+            f"noise scale nu={model.nu:g} needs a filter of 2*ceil(4*nu)+1 samples, "
+            f"more than the length {length}"
+        )
+    g = kernel_value(spec, np.arange(-pad, pad + 1))
     e = rng.standard_normal(length + 2 * pad)
     z = model.sigma * np.convolve(e, g, mode="valid")
     return TimeSeries(z)
@@ -178,4 +187,4 @@ def compose(signal: PiecewiseSignal, noise: TimeSeries) -> TimeSeries:
         raise GridMismatchError(
             f"noise length {len(noise)} does not match signal length {signal.length}"
         )
-    return TimeSeries(signal.sample().values + noise.values)
+    return TimeSeries(signal.mean + noise.values)

@@ -117,6 +117,15 @@ def gauss_kernel_samples(gamma, cutoff, order, spacing=1.0):
     return w
 
 
+def noise_kernel(nu: float) -> np.ndarray:
+    """Unit-spacing samples of the Gaussian density of scale ``nu``,
+    truncated at four scales: the noise filter as first written, kept as
+    the oracle for ``sample_noise``."""
+    half = int(math.ceil(4.0 * nu))
+    k = np.arange(-half, half + 1, dtype=float)
+    return np.exp(-0.5 * (k / nu) ** 2) / (nu * math.sqrt(2.0 * math.pi))
+
+
 def reference_tail(u, var_d1, var_d2, var_d3):
     """Extremum-height tail probability via scipy.stats.norm (scalar)."""
     from scipy.stats import norm

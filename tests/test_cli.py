@@ -2,13 +2,15 @@
 
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from stemcpd.cli import main, parse_detection_csv, read_sequence_csv
+from stemcpd.cli import build_parser, main, parse_detection_csv, read_sequence_csv
+from stemcpd.harness import SimulateRequest
 
 from helpers import bh_bruteforce, gauss_kernel_samples, reference_tail
 
@@ -153,6 +155,14 @@ class TestDetectCommand:
                        "--gamma", 6, "--moments", "closed", *extra)
             assert code == 3, extra
 
+    def test_closed_moments_out_of_range_exit_3(self, tmp_path, capsys):
+        for extra in (["--nu", "1e200"], ["--sigma", "1e200"], ["--sigma", "1e-200"]):
+            capsys.readouterr()
+            code = run("detect", "--input", NULL_SEQ, "--output", tmp_path / "o.csv",
+                       "--gamma", 6, "--moments", "closed", *extra)
+            assert code == 3, extra
+            assert "sigma=" in capsys.readouterr().err, extra
+
 
 class TestSimulateCommand:
     ARGS = ("simulate", "--length", 3000, "--separation", 100, "--jump", "3",
@@ -216,7 +226,7 @@ class TestSimulateCommand:
     def test_invalid_grid_exit_2(self, tmp_path, capsys):
         # a non-finite noise scale is refused by name, not by a traceback
         for bad in (["--grid-gamma", "0"], ["--grid-gamma", "inf"],
-                    ["--nu", "inf"], ["--nu", "nan"]):
+                    ["--nu", "inf"], ["--nu", "nan"], ["--nu", "1e200"], ["--sigma", "1e200"]):
             code = run("simulate", *bad, "--reps", 2, "--output", tmp_path / "o.csv")
             assert code == 2, bad
         # a non-finite grid value is refused before any replicate runs
@@ -285,6 +295,32 @@ class TestTheoryCommand:
         code = run("theory", "--grid-gamma", "6", "--density", 0.05,
                    "--output", tmp_path / "o.csv")
         assert code == 2
+
+    def test_out_of_range_parameters_exit_2(self, tmp_path, capsys):
+        # moments out of floating-point range are refused naming the inputs
+        for bad in (["--sigma", "1e200"], ["--sigma", "1e-200"], ["--grid-gamma", "1e200"]):
+            capsys.readouterr()
+            assert run("theory", *bad, "--output", tmp_path / "o.csv") == 2, bad
+            assert "sigma=" in capsys.readouterr().err, bad
+        # non-finite grid values are refused as simulate refuses them
+        for bad, message in ((["--jump", "nan,inf"], "jumps grid must be finite, got (nan, inf)"),
+                             (["--grid-gamma", "inf"], "gammas grid must be finite, got (inf,)")):
+            capsys.readouterr()
+            assert run("theory", *bad, "--output", tmp_path / "o.csv") == 2, bad
+            assert message in capsys.readouterr().err, bad
+
+
+@pytest.mark.parametrize("argv, shared", [
+    (["detect", "--input", "x.csv", "--gamma", "6"], {"alpha", "sigma", "nu"}),
+    (["theory"], {"alpha", "sigma", "nu", "jumps", "gammas"}),
+    (["simulate"], {f.name for f in fields(SimulateRequest)}),
+])
+def test_parser_defaults_are_the_design_defaults(argv, shared):
+    args = build_parser().parse_args([*argv, "--output", "o.csv"])
+    design = SimulateRequest()
+    assert {f.name for f in fields(SimulateRequest)} & set(vars(args)) == shared
+    assert {name: getattr(args, name) for name in shared} == \
+        {name: getattr(design, name) for name in shared}
 
 
 class TestReadSequenceCsv:

@@ -98,6 +98,15 @@ class TestClosedFormMoments:
         with pytest.raises(InvalidParameterError):
             closed_form_moments(MODEL, 0.0)
 
+    @pytest.mark.parametrize("sigma, nu, gamma", [
+        (1e200, 2.0, 6.0), (1e100, 2.0, 6.0), (1e-200, 2.0, 6.0),
+        (1.0, 1e200, 6.0), (1.0, 2.0, 1e200), (1.0, 0.0, 1e-50), (1.0, 2.0, math.inf),
+    ])
+    def test_out_of_range_refused_by_name(self, sigma, nu, gamma):
+        # overflow, underflow and a degenerate delta are all refused naming the inputs
+        with pytest.raises(InvalidParameterError, match=r"sigma=.*nu=.*gamma="):
+            closed_form_moments(NoiseModel(sigma, nu), gamma)
+
 
 class TestSpectralMoments:
     def test_delta_computed(self):
@@ -110,6 +119,8 @@ class TestSpectralMoments:
             SpectralMoments(1.0, 2.0, 1.0)  # delta < 0
         with pytest.raises(InvalidParameterError):
             SpectralMoments(1.0, -2.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            SpectralMoments(math.inf, 1.0, math.inf)  # delta = inf would pass
 
 
 class TestPeakHeightTail:

@@ -16,7 +16,7 @@ from stemcpd import (
     sample_noise,
 )
 
-from helpers import staircase_scan
+from helpers import noise_kernel, staircase_scan
 
 
 class TestTimeSeries:
@@ -47,6 +47,12 @@ class TestPiecewiseSignal:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         assert sig.min_separation() == 15.0
+        # the sampled mean is built on first use, then shared by every compose
+        assert "mean" not in vars(sig)
+        assert sig.mean is sig.mean
+        with pytest.raises(ValueError):
+            sig.mean[0] = 1.0
+        assert np.array_equal(sig.mean, 2.0 * np.minimum(np.arange(1, 61) // 15, 3))
 
     def test_sample_steps_at_locations(self):
         sig = PiecewiseSignal(((3.0, 2.0), (6.0, -1.0)), 8)
@@ -159,6 +165,24 @@ class TestNoise:
     def test_invalid_length(self):
         with pytest.raises(InvalidParameterError):
             sample_noise(NoiseModel(1.0, 2.0), 0, seed=1)
+
+    def test_filter_longer_than_length_refused(self):
+        # 2*ceil(4*nu)+1 taps must fit; the check comes before any array is built
+        assert len(sample_noise(NoiseModel(1.0, 2.0), 17, seed=1)) == 17
+        for nu, length in ((2.0, 16), (1e200, 12000)):
+            with pytest.raises(InvalidParameterError, match="nu=") as info:
+                sample_noise(NoiseModel(1.0, nu), length, seed=1)
+            assert f"length {length}" in str(info.value)
+
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_filter_matches_noise_kernel_oracle(self, nu):
+        g = noise_kernel(nu)
+        pad = (len(g) - 1) // 2
+        for length, seed in ((len(g), 0), (1000, 7), (12000, 21)):
+            e = np.random.default_rng(seed).standard_normal(length + 2 * pad)
+            expected = 1.5 * np.convolve(e, g, mode="valid")
+            got = sample_noise(NoiseModel(1.5, nu), length, seed).values
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (length, seed)
 
 
 class TestCompose:
