@@ -187,14 +187,13 @@ def write_detection_csv(path, result, positions=None, moment_source="") -> None:
     rows = ()
     if len(extrema):  # without candidates there may be no p-values either
         index = extrema.index.tolist()
-        significant = np.zeros(len(index), dtype=np.int64)
-        significant[list(result.outcome.rejected)] = 1
         columns = [
             index,
             map(repr, extrema.height.tolist()),
             np.where(extrema.sign > 0, "max", "min").tolist(),
             map(repr, extrema.p_value.tolist()),
-            significant.tolist(),
+            # rejected indices are distinct: each counts once, the rest zero
+            np.bincount(result.outcome.rejected, minlength=len(index)).tolist(),
         ]
         if positions is not None:
             columns.insert(1, [positions[i - 1] for i in index])

@@ -18,46 +18,47 @@ from .errors import InvalidParameterError
 from .signals import PiecewiseSignal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalResult:
-    """Error bookkeeping for one realization.
+    """Error bookkeeping for one realization at T tolerances, in order.
 
-    ``n_detected`` (R) counts significant extrema, ``n_false`` (V) those
-    outside every tolerance window regardless of sign, and ``fdp`` is
-    V/max(R, 1).  ``per_jump_hit`` flags, per change point, whether a
-    significant extremum of the matching sign fell inside its window;
-    ``power_fraction`` is their mean, or None when there are no jumps.
-    ``n_wrong_sign`` counts detections inside some window but matching the
-    sign of none of the windows that contain them (neither false nor a
-    hit).  ``overlap_warning`` is set when windows overlap (2b exceeds the
-    smallest jump spacing), in which case the counts are still computed
-    literally from the set definitions.
+    ``n_detected`` (R) counts significant extrema.  The other fields are
+    arrays with one row per tolerance: ``n_false`` (V) counts those outside
+    every window regardless of sign, ``fdp`` is V/max(R, 1), and the (T, J)
+    ``per_jump_hit`` flags, per change point, whether a significant extremum
+    of the matching sign fell inside its window; ``power_fraction`` is the
+    mean of each row, or NaN when there are no jumps.  ``n_wrong_sign``
+    counts detections inside some window but matching the sign of none of
+    the windows that contain them (neither false nor a hit).
+    ``overlap_warning`` is set where windows overlap (2b exceeds the
+    smallest jump spacing); the counts still follow the set definitions.
     """
 
     n_detected: int
-    n_false: int
-    fdp: float
-    per_jump_hit: tuple
-    power_fraction: float
-    n_wrong_sign: int
-    overlap_warning: bool
+    n_false: np.ndarray
+    fdp: np.ndarray
+    per_jump_hit: np.ndarray
+    power_fraction: np.ndarray
+    n_wrong_sign: np.ndarray
+    overlap_warning: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateResult:
-    """Monte Carlo averages over replications: realized FDR and power with
-    their standard errors."""
+    """Monte Carlo averages over one cell's replicates, one entry per tolerance:
+    realized FDR and power (NaN without jumps) with their standard errors."""
 
-    fdr: float
-    fdr_se: float
-    power: float
-    power_se: float
+    fdr: np.ndarray
+    fdr_se: np.ndarray
+    power: np.ndarray
+    power_se: np.ndarray
     n_replications: int
 
 
-def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> tuple:
-    """Score significant extrema against the true change points, one
-    ``EvalResult`` per tolerance in ``tolerances``, in the order given.
+def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> EvalResult:
+    """Score significant extrema against the true change points at every
+    tolerance in ``tolerances``: one ``EvalResult`` whose row t is the
+    score at the t-th tolerance.
 
     Distances are taken once: each detection's nearest jump, its nearest
     jump of matching sign, and each jump's nearest detection of matching
@@ -66,8 +67,8 @@ def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> tuple:
     b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
     if not np.all(b > 0):
         raise InvalidParameterError("tolerance must be positive")
-    overlap = (2.0 * b[:, 0] > truth.min_separation()).tolist()
-    if any(overlap):
+    overlap = 2.0 * b[:, 0] > truth.min_separation()
+    if overlap.any():
         warnings.warn(
             "tolerance windows overlap (2b exceeds the minimum jump spacing); "
             "counts follow the literal definitions and may double-credit",
@@ -75,35 +76,30 @@ def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> tuple:
         )
     dist = np.abs(detections.index.astype(float)[:, None] - truth.locations[None, :])  # (r, J)
     matched = np.where(detections.sign[:, None] * truth.sizes[None, :] > 0, dist, np.inf)
-    n_in_any = np.count_nonzero(dist.min(axis=1, initial=np.inf) < b, axis=1).tolist()
+    n_in_any = np.count_nonzero(dist.min(axis=1, initial=np.inf) < b, axis=1)
     # inside a window of matching sign, hence also inside some window
-    n_in_matched = np.count_nonzero(matched.min(axis=1, initial=np.inf) < b, axis=1).tolist()
-    hits = matched.min(axis=0, initial=np.inf) < b  # (tolerances, J)
-    powers = hits.mean(axis=1).tolist() if truth.n_jumps else [None] * len(hits)
+    n_in_matched = np.count_nonzero(matched.min(axis=1, initial=np.inf) < b, axis=1)
+    hits = matched.min(axis=0, initial=np.inf) < b  # (T, J)
+    power = hits.mean(axis=1) if truth.n_jumps else np.full(len(hits), np.nan)
     r = len(detections)
-    return tuple(
-        EvalResult(r, r - n_in, (r - n_in) / max(r, 1), tuple(row), power, n_in - n_sign, warned)
-        for n_in, n_sign, row, power, warned
-        in zip(n_in_any, n_in_matched, hits.tolist(), powers, overlap)
-    )
+    n_false = r - n_in_any
+    n_wrong_sign = n_in_any - n_in_matched
+    return EvalResult(r, n_false, n_false / max(r, 1), hits, power, n_wrong_sign, overlap)
 
 
 def aggregate(results) -> AggregateResult:
-    """Average realized FDP and power over replications, in input order."""
+    """Average realized FDP and power over the replicates of one cell, all
+    scored at the same tolerances, in input order.
+
+    Reducing the last axis of a C-contiguous (2, T, R) stack, numpy uses the
+    pairwise summation of a 1-D array: each tolerance's mean and sd are bit
+    for bit those of its own replicates.  A single replicate's error is 0,
+    or NaN with NaN power."""
     results = list(results)
     if not results:
         raise InvalidParameterError("aggregate requires at least one result")
-    fdp = np.array([res.fdp for res in results])
-    powers = np.array([res.power_fraction for res in results if res.power_fraction is not None])
-    fdr = float(np.mean(fdp))
-    fdr_se = float(np.std(fdp, ddof=1) / math.sqrt(len(fdp))) if len(fdp) > 1 else 0.0
-    if len(powers):
-        power = float(np.mean(powers))
-        power_se = (
-            float(np.std(powers, ddof=1) / math.sqrt(len(powers))) if len(powers) > 1 else 0.0
-        )
-    else:
-        power = math.nan
-        power_se = math.nan
-    return AggregateResult(fdr, fdr_se, power, power_se, len(results))
-
+    x = np.array([(res.fdp, res.power_fraction) for res in results]).transpose(1, 2, 0).copy()
+    mean = x.mean(axis=-1)
+    se = (np.std(x, axis=-1, ddof=1) / math.sqrt(len(results)) if len(results) > 1
+          else np.where(np.isnan(mean), np.nan, 0.0))
+    return AggregateResult(mean[0], se[0], mean[1], se[1], len(results))

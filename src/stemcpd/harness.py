@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, StemcpdError
-from .evaluation import aggregate, classify
+from .evaluation import EvalResult, aggregate, classify
 from .pipeline import DetectionResult, detect_change_points
 from .signals import NoiseModel, PiecewiseSignal, compose, make_staircase, sample_noise
 
@@ -103,9 +103,10 @@ def _check_threshold_equivalence(result: DetectionResult) -> None:
         )
 
 
-def run_replicate(req: SimulateRequest, truth: PiecewiseSignal, gamma: float, rep: int) -> tuple:
+def run_replicate(req: SimulateRequest, truth: PiecewiseSignal, gamma: float,
+                  rep: int) -> EvalResult:
     """One replicate on the ground truth ``truth`` at bandwidth ``gamma``,
-    scored at every tolerance of ``req``."""
+    scored at every tolerance of ``req`` in one ``EvalResult``."""
     model = req.noise_model()
     noise = sample_noise(model, req.length, req.seed ^ rep)
     observed = compose(truth, noise)
@@ -145,13 +146,15 @@ def run_simulation(req: SimulateRequest, threads: int = None) -> list:
 
 
 def _cells(req: SimulateRequest, results) -> list:
-    """Aggregate the grid's replicate results, given in task order, one
-    cell's replicates at a time, so no more than one cell is held here."""
+    """Aggregate the grid's replicate results, given in task order, in one
+    ``aggregate`` call per (jump, gamma): one cell's replicates at a time."""
     cells = []
     for jump, gamma in itertools.product(req.jumps, req.gammas):
-        per_rep = list(itertools.islice(results, req.replications))
-        for b, scores in zip(req.tolerances, zip(*per_rep)):
-            agg = aggregate(scores)
-            cells.append(CellResult(jump, gamma, b, agg.fdr, agg.fdr_se, agg.power, agg.power_se,
-                                    req.replications, req.seed))
+        agg = aggregate(list(itertools.islice(results, req.replications)))
+        # a null cell's NaN power is math.nan itself: CellResult equality
+        # holds for a NaN field only through object identity
+        columns = ([math.nan if math.isnan(v) else v for v in a.tolist()]
+                   for a in (agg.fdr, agg.fdr_se, agg.power, agg.power_se))
+        cells += [CellResult(jump, gamma, b, *values, req.replications, req.seed)
+                  for b, *values in zip(req.tolerances, *columns)]
     return cells

@@ -97,36 +97,39 @@ def trim_correction(trim: float) -> float:
     return 1.0 - 2.0 * c * float(_phi(c)) / (1.0 - trim)
 
 
-def _trimmed_variance(x: np.ndarray) -> float:
+def _trimmed_variance(d: TimeSeries) -> float:
+    x = d.values[d.interior_slice()]
     n = len(x)
     drop = int(math.ceil(_TRIM * n))
     kept = np.sort(np.abs(x))[: n - drop]
-    return float(np.mean(np.square(kept))) / trim_correction(_TRIM)
+    return float(np.mean(np.square(kept)) / trim_correction(_TRIM))
 
 
-def estimate_moments_empirical(series: TimeSeries, gamma: float) -> SpectralMoments:
+def estimate_moments_empirical(series: TimeSeries, gamma: float, dy: TimeSeries) -> SpectralMoments:
     """Estimate the spectral moments from the observed sequence itself.
 
-    Computes the order-1, 2 and 3 smoothed derivatives and estimates each
-    variance by a trimmed second moment: the ``ceil(0.1*n)`` samples of
-    largest absolute value are discarded and the mean square of the rest is
+    ``dy`` is the order-1 smoothed derivative the detector already holds;
+    orders 2 and 3 are smoothed here.  Each variance is estimated by a
+    trimmed second moment: the ``ceil(0.1*n)`` interior samples of largest
+    absolute value are discarded and the mean square of the rest is
     rescaled by the trimmed-normal variance factor, so the estimator is
     unbiased under a pure-noise sequence.  Trimming suppresses the extreme
     derivative values that change points produce, without assuming their
     presence or location.
     """
-    variances = []
-    for order in (1, 2, 3):
-        d = smooth(series, KernelSpec(gamma=gamma, order=order))
-        seg = d.values[d.interior_slice()]
-        if len(seg) < 100:
-            raise InvalidParameterError(
-                f"interior too short for moment estimation ({len(seg)} samples)"
-            )
-        variances.append(_trimmed_variance(seg))
+    lo, hi = dy.interior
+    if hi - lo < 100:
+        raise InvalidParameterError(f"interior too short for moment estimation ({hi - lo} samples)")
+    variances = [_trimmed_variance(dy)]
+    variances += (_trimmed_variance(smooth(series, KernelSpec(gamma=gamma, order=order)))
+                  for order in (2, 3))
     if min(variances) <= 0.0:
         raise MomentEstimationError("smoothed derivatives vanish; cannot estimate moments")
     v1, v2, v3 = variances
+    if not all(_TINY <= v < math.inf for v in (v1 * v3, v2 * v2)):
+        raise MomentEstimationError(
+            "empirical moments are out of floating-point range for an input of magnitude "
+            f"{np.max(np.abs(series.values)):g} at gamma={gamma:g}")
     if v1 * v3 - v2 * v2 <= 0.0:
         raise MomentEstimationError(
             "estimated moments are inconsistent (nonpositive determinant)"

@@ -16,21 +16,21 @@ from .errors import InvalidParameterError
 from .inference import SpectralMoments, invert_peak_height_tail
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BHOutcome:
     """Result of the step-up procedure on one candidate set.
 
     ``k`` is the number of rejections, ``p_threshold`` the rejection
     threshold ``k*alpha/m`` (0 when nothing is rejected, 1 when the
     candidate set is empty), ``rejected`` the input positions of rejected
-    p-values in ascending order, and ``u_threshold`` the equivalent height
-    threshold once attached (-inf and +inf act as sentinels for the
-    all-pass and no-pass cases).
+    p-values in ascending order as a read-only ``intp`` index array, and
+    ``u_threshold`` the equivalent height threshold once attached (-inf
+    and +inf act as sentinels for the all-pass and no-pass cases).
     """
 
     k: int
     p_threshold: float
-    rejected: tuple
+    rejected: np.ndarray
     u_threshold: float = None
 
 
@@ -45,17 +45,13 @@ def bh_select(pvalues, alpha: float) -> BHOutcome:
         raise InvalidParameterError("alpha must lie in (0, 1)")
     p = np.asarray(pvalues, dtype=float)
     m = len(p)
-    if m == 0:
-        return BHOutcome(k=0, p_threshold=1.0, rejected=())
     if not np.all((p > 0.0) & (p <= 1.0)):
         raise InvalidParameterError("p-values must lie in (0, 1]")
-    ranked = np.sort(p)
-    below = np.flatnonzero(ranked < np.arange(1, m + 1) * (alpha / m))
-    if len(below) == 0:
-        return BHOutcome(k=0, p_threshold=0.0, rejected=())
-    k = int(below[-1]) + 1
-    p_threshold = k * alpha / m
-    rejected = tuple(np.flatnonzero(p < p_threshold).tolist())
+    below = np.flatnonzero(np.sort(p) < np.arange(1, m + 1) * (alpha / max(m, 1)))
+    k = int(below[-1]) + 1 if len(below) else 0
+    p_threshold = k * alpha / m if m else 1.0
+    rejected = np.flatnonzero(p < p_threshold)
+    rejected.flags.writeable = False
     return BHOutcome(k=k, p_threshold=p_threshold, rejected=rejected)
 
 

@@ -73,7 +73,7 @@ def detect_change_points(
         moments = closed_form_moments(noise_model, gamma)
     else:
         try:
-            moments = estimate_moments_empirical(series, gamma)
+            moments = estimate_moments_empirical(series, gamma, dy)
         except MomentEstimationError:
             if extrema:
                 raise

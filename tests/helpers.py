@@ -8,10 +8,11 @@ loops, np.convolve and brute-force scans, so agreement is meaningful.
 import csv
 import math
 import warnings
+from collections import namedtuple
 
 import numpy as np
 
-from stemcpd import EvalResult, Extrema
+from stemcpd import Extrema, InvalidParameterError
 from stemcpd.cli import InputDataError
 
 
@@ -57,6 +58,18 @@ def classify_bruteforce(detections, locations, sizes, tolerance):
     return r, v, v / max(r, 1), hits, power
 
 
+#: The score of one realization at one tolerance, as the scoring kept it
+#: before one record held every tolerance: ``per_jump_hit`` a tuple of
+#: bools and ``power_fraction`` None when the truth has no jumps.
+ToleranceScore = namedtuple(
+    "ToleranceScore",
+    "n_detected n_false fdp per_jump_hit power_fraction n_wrong_sign overlap_warning",
+)
+
+#: The aggregate of one tolerance's replicates, as plain floats.
+ToleranceAggregate = namedtuple("ToleranceAggregate", "fdr fdr_se power power_se n_replications")
+
+
 def classify_per_tolerance(detections, truth, b):
     """Scoring at one tolerance ``b``, one (detections x jumps) window
     matrix per call: the scoring before all tolerances shared one pass."""
@@ -73,7 +86,7 @@ def classify_per_tolerance(detections, truth, b):
     if r == 0:
         hits = tuple(False for _ in range(truth.n_jumps))
         power = float(np.mean(hits)) if truth.n_jumps else None
-        return EvalResult(0, 0, 0.0, hits, power, 0, overlap)
+        return ToleranceScore(0, 0, 0.0, hits, power, 0, overlap)
     pos = detections.index.astype(float)
     sgn = detections.sign
     if truth.n_jumps:
@@ -89,7 +102,40 @@ def classify_per_tolerance(detections, truth, b):
         n_wrong = 0
         power = None
     v = int(np.sum(~in_any))
-    return EvalResult(r, v, v / max(r, 1), hits, power, n_wrong, overlap)
+    return ToleranceScore(r, v, v / max(r, 1), hits, power, n_wrong, overlap)
+
+
+def aggregate_per_tolerance(results) -> ToleranceAggregate:
+    """Average realized FDP and power over replications, in input order:
+    the aggregation of one tolerance's ``ToleranceScore`` records at a
+    time, as it was before one call reduced every tolerance of a cell."""
+    results = list(results)
+    if not results:
+        raise InvalidParameterError("aggregate requires at least one result")
+    fdp = np.array([res.fdp for res in results])
+    powers = np.array([res.power_fraction for res in results if res.power_fraction is not None])
+    fdr = float(np.mean(fdp))
+    fdr_se = float(np.std(fdp, ddof=1) / math.sqrt(len(fdp))) if len(fdp) > 1 else 0.0
+    if len(powers):
+        power = float(np.mean(powers))
+        power_se = (
+            float(np.std(powers, ddof=1) / math.sqrt(len(powers))) if len(powers) > 1 else 0.0
+        )
+    else:
+        power = math.nan
+        power_se = math.nan
+    return ToleranceAggregate(fdr, fdr_se, power, power_se, len(results))
+
+
+def score_at(result, t):
+    """Row ``t`` of an array score (``EvalResult``) as a ``ToleranceScore``
+    of plain Python values, NaN power read back as None."""
+    power = float(result.power_fraction[t])
+    return ToleranceScore(
+        result.n_detected, int(result.n_false[t]), float(result.fdp[t]),
+        tuple(result.per_jump_hit[t].tolist()), None if math.isnan(power) else power,
+        int(result.n_wrong_sign[t]), bool(result.overlap_warning[t]),
+    )
 
 
 def staircase_scan(jump, separation, length):

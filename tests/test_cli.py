@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,6 +19,7 @@ DATA = Path(__file__).parent / "data"
 CGH = DATA / "cgh_like.csv"
 GOLDEN = DATA / "cgh_like_golden.csv"
 SIMULATE_GOLDEN = DATA / "simulate_golden.csv"
+SIMULATE_NULL_GOLDEN = DATA / "simulate_null_golden.csv"
 THEORY_GOLDEN = DATA / "theory_golden.csv"
 NULL_SEQ = DATA / "null_sequence.csv"
 
@@ -163,6 +165,20 @@ class TestDetectCommand:
             assert code == 3, extra
             assert "sigma=" in capsys.readouterr().err, extra
 
+    def test_empirical_moments_out_of_range_exit_3(self, tmp_path, capsys):
+        """An input near 1e100 overflows the empirical variance products:
+        refused by name, with the input's magnitude and no numpy warning."""
+        src = tmp_path / "huge.csv"
+        values = 1e100 * np.random.default_rng(3).standard_normal(500)
+        src.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("detect", "--input", src, "--output", tmp_path / "o.csv", "--gamma", 3)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "out of floating-point range" in err and "e+100" in err
+
 
 class TestSimulateCommand:
     ARGS = ("simulate", "--length", 3000, "--separation", 100, "--jump", "3",
@@ -172,6 +188,17 @@ class TestSimulateCommand:
         out = tmp_path / "sim.csv"
         assert run(*self.ARGS, "--output", out) == 0
         assert out.read_bytes() == SIMULATE_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_null_golden_byte_exact(self, tmp_path, monkeypatch, threads):
+        """A null jump (nan power) and a single replicate (zero standard
+        errors) give the committed output, serially and in a pool."""
+        monkeypatch.setenv("STEMCPD_THREADS", threads)
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--length", 3000, "--separation", 100, "--jump", "0,1",
+                   "--grid-gamma", "6", "--grid-b", "5,8", "--reps", 1, "--seed", 5,
+                   "--output", out) == 0
+        assert out.read_bytes() == SIMULATE_NULL_GOLDEN.read_bytes()
 
     def test_csv_structure(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -18,7 +18,12 @@ from stemcpd import (
     make_staircase,
 )
 
-from helpers import classify_bruteforce, classify_per_tolerance
+from helpers import (
+    aggregate_per_tolerance,
+    classify_bruteforce,
+    classify_per_tolerance,
+    score_at,
+)
 
 
 def dets(index, sign=1):
@@ -64,93 +69,88 @@ TRUTH = PiecewiseSignal(((100.0, 1.0), (200.0, -2.0), (300.0, 1.5)), 400)
 
 class TestClassify:
     def test_exact_hit(self):
-        (res,) = classify(dets([100]), TRUTH, (5.0,))
-        assert (res.n_detected, res.n_false) == (1, 0)
-        assert res.fdp == 0.0
-        assert res.per_jump_hit == (True, False, False)
-        assert res.power_fraction == pytest.approx(1 / 3)
+        res = classify(dets([100]), TRUTH, (5.0,))
+        assert (res.n_detected, res.n_false.tolist()) == (1, [0])
+        assert res.fdp.tolist() == [0.0]
+        assert res.per_jump_hit.tolist() == [[True, False, False]]
+        assert res.power_fraction == pytest.approx([1 / 3])
 
     def test_open_window_boundary(self):
         # distance exactly b falls outside the open interval
-        (res,) = classify(dets([105]), TRUTH, (5.0,))
-        assert res.n_false == 1
-        assert res.per_jump_hit == (False, False, False)
-        (res,) = classify(dets([104]), TRUTH, (5.0,))
-        assert res.n_false == 0
-        assert res.per_jump_hit == (True, False, False)
+        res = classify(dets([105]), TRUTH, (5.0,))
+        assert res.n_false.tolist() == [1]
+        assert res.per_jump_hit.tolist() == [[False, False, False]]
+        res = classify(dets([104]), TRUTH, (5.0,))
+        assert res.n_false.tolist() == [0]
+        assert res.per_jump_hit.tolist() == [[True, False, False]]
 
     def test_wrong_sign_is_neither_false_nor_hit(self):
-        (res,) = classify(dets([100], sign=-1), TRUTH, (5.0,))
-        assert res.n_false == 0
-        assert res.per_jump_hit == (False, False, False)
-        assert res.n_wrong_sign == 1
-        assert res.fdp == 0.0
+        res = classify(dets([100], sign=-1), TRUTH, (5.0,))
+        assert res.n_false.tolist() == [0]
+        assert res.per_jump_hit.tolist() == [[False, False, False]]
+        assert res.n_wrong_sign.tolist() == [1]
+        assert res.fdp.tolist() == [0.0]
 
     def test_decreasing_jump_needs_minimum(self):
-        (res,) = classify(dets([200], sign=-1), TRUTH, (5.0,))
-        assert res.per_jump_hit == (False, True, False)
-        assert res.n_false == 0
+        res = classify(dets([200], sign=-1), TRUTH, (5.0,))
+        assert res.per_jump_hit.tolist() == [[False, True, False]]
+        assert res.n_false.tolist() == [0]
 
     def test_multiple_hits_count_once(self):
-        (res,) = classify(dets([98, 99, 101]), TRUTH, (5.0,))
-        assert res.per_jump_hit == (True, False, False)
-        assert res.power_fraction == pytest.approx(1 / 3)
+        res = classify(dets([98, 99, 101]), TRUTH, (5.0,))
+        assert res.per_jump_hit.tolist() == [[True, False, False]]
+        assert res.power_fraction == pytest.approx([1 / 3])
         assert res.n_detected == 3
 
     def test_no_detections(self):
-        (res,) = classify(dets([]), TRUTH, (5.0,))
-        assert (res.n_detected, res.n_false, res.fdp) == (0, 0, 0.0)
-        assert res.power_fraction == 0.0
+        res = classify(dets([]), TRUTH, (5.0,))
+        assert (res.n_detected, res.n_false.tolist(), res.fdp.tolist()) == (0, [0], [0.0])
+        assert res.power_fraction.tolist() == [0.0]
 
     def test_null_truth_power_absent(self):
-        (res,) = classify(dets([50]), PiecewiseSignal((), 400), (5.0,))
-        assert res.n_false == 1
-        assert res.power_fraction is None
-        assert res.per_jump_hit == ()
+        res = classify(dets([50]), PiecewiseSignal((), 400), (5.0, 8.0))
+        assert res.n_false.tolist() == [1, 1]
+        assert np.isnan(res.power_fraction).all() and res.power_fraction.shape == (2,)
+        assert res.per_jump_hit.shape == (2, 0)
 
     def test_counts_partition(self):
         rng = np.random.default_rng(31)
         truth = make_staircase(1.0, 50, 1000)
         for _ in range(50):
             found = random_dets(rng, rng.integers(0, 30), 999)
-            (res,) = classify(found, truth, (4.0,))
+            res = classify(found, truth, (4.0,))
             in_window = sum(
                 any(abs(d.index - v) < 4.0 for v in truth.locations) for d in found
             )
-            assert res.n_false + in_window == res.n_detected
+            assert res.n_false[0] + in_window == res.n_detected
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(37)
         for _ in range(100):
             found = random_dets(rng, rng.integers(0, 12), 399)
             b = float(rng.uniform(1.0, 20.0))
-            (res,) = classify(found, TRUTH, (b,))
+            res = classify(found, TRUTH, (b,))
             r, v, fdp, hits, power = classify_bruteforce(
                 found, TRUTH.locations, TRUTH.sizes, b
             )
-            assert (res.n_detected, res.n_false) == (r, v)
-            assert res.fdp == pytest.approx(fdp)
-            assert list(res.per_jump_hit) == hits
-            assert res.power_fraction == pytest.approx(power)
+            assert (res.n_detected, res.n_false[0]) == (r, v)
+            assert res.fdp[0] == pytest.approx(fdp)
+            assert res.per_jump_hit[0].tolist() == hits
+            assert res.power_fraction[0] == pytest.approx(power)
 
     def test_false_count_monotone_in_tolerance(self):
         rng = np.random.default_rng(41)
         found = dets(rng.integers(2, 399, size=25))
-        previous_v, previous_power = None, None
-        for b in (2.0, 5.0, 10.0, 20.0):
-            (res,) = classify(found, TRUTH, (b,))
-            if previous_v is not None:
-                assert res.n_false <= previous_v
-                assert res.power_fraction >= previous_power
-            previous_v, previous_power = res.n_false, res.power_fraction
+        res = classify(found, TRUTH, (2.0, 5.0, 10.0, 20.0))
+        assert np.all(np.diff(res.n_false) <= 0)
+        assert np.all(np.diff(res.power_fraction) >= 0)
 
     def test_overlap_warning(self):
         truth = make_staircase(1.0, 10, 100)
         with pytest.warns(UserWarning) as record:
-            res4, res8, res9 = classify(dets([10]), truth, (4.0, 8.0, 9.0))
+            res = classify(dets([10]), truth, (4.0, 8.0, 9.0))
         assert len(record) == 1  # once per call, however many tolerances overlap
-        assert (res4.overlap_warning, res8.overlap_warning, res9.overlap_warning) == (
-            False, True, True)
+        assert res.overlap_warning.tolist() == [False, True, True]
 
     def test_invalid_tolerance(self):
         for bad in ((0.0,), (5.0, -1.0), (math.nan,)):
@@ -159,57 +159,104 @@ class TestClassify:
 
     def test_one_result_per_tolerance_in_order(self):
         found = dets([98, 104, 150, 200], sign=[1, 1, 1, -1])
-        results = classify(found, TRUTH, (8.0, 3.0, 8.0, 5.0))
-        assert [res.n_false for res in results] == [1, 2, 1, 1]
-        assert results[0] == results[2]
-        assert classify(found, TRUTH, ()) == ()
+        res = classify(found, TRUTH, (8.0, 3.0, 8.0, 5.0))
+        assert res.n_false.tolist() == [1, 2, 1, 1]
+        assert score_at(res, 0) == score_at(res, 2)
+        empty = classify(found, TRUTH, ())
+        assert (empty.fdp.shape, empty.per_jump_hit.shape) == ((0,), (0, 3))
 
     @settings(max_examples=300, deadline=None)
     @given(case=scoring_cases())
     def test_matches_per_tolerance_oracle(self, case):
-        """Scoring every tolerance in one call equals the one-tolerance
-        scoring, tolerance by tolerance, including overlapping windows."""
+        """Row t of the one-call score equals the one-tolerance scoring at
+        the t-th tolerance, including overlapping windows."""
         found, truth, tolerances = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            results = classify(found, truth, tolerances)
-            expected = tuple(classify_per_tolerance(found, truth, b) for b in tolerances)
-        assert results == expected
+            res = classify(found, truth, tolerances)
+            expected = [classify_per_tolerance(found, truth, b) for b in tolerances]
+        assert [score_at(res, t) for t in range(len(tolerances))] == expected
+        assert res.per_jump_hit.shape == (len(tolerances), truth.n_jumps)
+
+
+def scored(fdp, power):
+    """One replicate's score over len(fdp) tolerances, one jump each."""
+    fdp = np.array(fdp, dtype=float)
+    zeros = np.zeros(len(fdp), dtype=np.int64)
+    return EvalResult(1, zeros, fdp, np.ones((len(fdp), 1), dtype=bool),
+                      np.array(power, dtype=float), zeros, zeros.astype(bool))
+
+
+def bits(x):
+    """Bit patterns of a float array, every NaN read as the one NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+@st.composite
+def replicate_scores(draw):
+    """R replicates (1 to 600) scored at T tolerances (1 to 12), against a
+    null truth (NaN power) or one with J jumps: FDPs as V/max(R, 1) or
+    arbitrary floats, powers as hits/J."""
+    n_reps, n_tol = draw(st.integers(1, 600)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        fdp = rng.integers(0, 40, (n_reps, n_tol)) / np.maximum(rng.integers(0, 40, (n_reps, 1)), 1)
+    else:
+        fdp = rng.uniform(size=(n_reps, n_tol))
+    n_jumps = draw(st.sampled_from([0, 1, 3, 119]))
+    if n_jumps:
+        power = rng.integers(0, n_jumps + 1, (n_reps, n_tol)) / n_jumps
+    else:
+        power = np.full((n_reps, n_tol), np.nan)
+    return [scored(f, p) for f, p in zip(fdp, power)]
 
 
 class TestAggregate:
-    def _result(self, fdp, power):
-        return EvalResult(1, 0, fdp, (True,), power, 0, False)
-
     def test_all_zero(self):
-        agg = aggregate([self._result(0.0, 1.0) for _ in range(5)])
-        assert agg.fdr == 0.0
-        assert agg.fdr_se == 0.0
-        assert agg.power == 1.0
+        agg = aggregate([scored([0.0], [1.0]) for _ in range(5)])
+        assert agg.fdr.tolist() == [0.0]
+        assert agg.fdr_se.tolist() == [0.0]
+        assert agg.power.tolist() == [1.0]
 
     def test_mean_of_two(self):
-        agg = aggregate([self._result(0.0, 1.0), self._result(0.5, 0.5)])
-        assert agg.fdr == pytest.approx(0.25)
-        assert agg.power == pytest.approx(0.75)
+        agg = aggregate([scored([0.0], [1.0]), scored([0.5], [0.5])])
+        assert agg.fdr == pytest.approx([0.25])
+        assert agg.power == pytest.approx([0.75])
         assert agg.n_replications == 2
 
     def test_standard_errors(self):
         vals = [0.0, 0.1, 0.2, 0.3]
-        agg = aggregate([self._result(v, v) for v in vals])
+        agg = aggregate([scored([v], [v]) for v in vals])
         expected_se = np.std(vals, ddof=1) / math.sqrt(len(vals))
-        assert agg.fdr_se == pytest.approx(expected_se)
-        assert agg.power_se == pytest.approx(expected_se)
+        assert agg.fdr_se == pytest.approx([expected_se])
+        assert agg.power_se == pytest.approx([expected_se])
 
     def test_power_absent_for_null_runs(self):
-        null = EvalResult(0, 0, 0.0, (), None, 0, False)
-        agg = aggregate([null, null])
-        assert math.isnan(agg.power)
+        null = scored([0.0, 0.0], [math.nan, math.nan])
+        for reps in (1, 2):
+            agg = aggregate([null] * reps)
+            assert np.isnan(agg.power).all() and np.isnan(agg.power_se).all()
+            assert agg.fdr_se.tolist() == [0.0, 0.0]
 
     def test_single_replicate(self):
-        agg = aggregate([self._result(0.5, 1.0)])
-        assert agg.fdr_se == 0.0
+        agg = aggregate([scored([0.5], [1.0])])
+        assert agg.fdr_se.tolist() == [0.0]
+        assert agg.power_se.tolist() == [0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
             aggregate([])
 
+    @settings(max_examples=200, deadline=None)
+    @given(results=replicate_scores())
+    def test_matches_per_tolerance_oracle(self, results):
+        """Every tolerance's average and standard error equal, bit for
+        bit, the one-tolerance aggregation of the same replicates."""
+        agg = aggregate(results)
+        expected = [aggregate_per_tolerance(score_at(res, t) for res in results)
+                    for t in range(len(results[0].fdp))]
+        for name in ("fdr", "fdr_se", "power", "power_se"):
+            assert np.array_equal(bits(getattr(agg, name)),
+                                  bits([getattr(e, name) for e in expected])), name
+        assert agg.n_replications == len(results)

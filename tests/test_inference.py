@@ -1,6 +1,7 @@
 """Tests for spectral moments and extremum-height p-values."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ from stemcpd.inference import trim_correction
 from helpers import extrema_of, reference_tail
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
+
+
+def empirical(series, gamma):
+    """Empirical moments given the order-1 smooth, as the detector calls it."""
+    dy = smooth(series, KernelSpec(gamma=gamma, order=1))
+    return estimate_moments_empirical(series, gamma, dy)
 
 
 def null_maxima_heights(length, seed, gamma=6.0, model=MODEL):
@@ -269,7 +276,7 @@ class TestEstimateMomentsEmpirical:
         ref = closed_form_moments(MODEL, 6.0)
         # the estimate tightens around the closed form as the sequence grows
         for length, seed, rel in [(100_000, 41, 0.10), (400_000, 43, 0.05)]:
-            est = estimate_moments_empirical(sample_noise(MODEL, length, seed=seed), 6.0)
+            est = empirical(sample_noise(MODEL, length, seed=seed), 6.0)
             assert est.var_d1 == pytest.approx(ref.var_d1, rel=rel)
             assert est.var_d2 == pytest.approx(ref.var_d2, rel=rel)
             assert est.var_d3 == pytest.approx(ref.var_d3, rel=rel)
@@ -290,7 +297,7 @@ class TestEstimateMomentsEmpirical:
         length = 100_000
         sig = make_staircase(3.0, 2000, length)
         y = compose(sig, sample_noise(MODEL, length, seed=47))
-        trimmed = estimate_moments_empirical(y, 6.0)
+        trimmed = empirical(y, 6.0)
         ref = closed_form_moments(MODEL, 6.0)
         for order, attr in enumerate(("var_d1", "var_d2", "var_d3"), 1):
             d = smooth(y, KernelSpec(gamma=6.0, order=order))
@@ -307,7 +314,7 @@ class TestEstimateMomentsEmpirical:
             errs = []
             for seed in range(6):
                 z = sample_noise(MODEL, length, seed=100 + seed)
-                m = estimate_moments_empirical(z, 6.0)
+                m = empirical(z, 6.0)
                 est = np.array([m.var_d1, m.var_d2, m.var_d3])
                 errs.append(np.abs(est / truth - 1.0))
             return float(np.mean(errs))
@@ -316,14 +323,34 @@ class TestEstimateMomentsEmpirical:
 
     def test_degenerate_input(self):
         with pytest.raises(MomentEstimationError):
-            estimate_moments_empirical(TimeSeries(np.full(3000, 2.0)), 6.0)
+            empirical(TimeSeries(np.full(3000, 2.0)), 6.0)
 
     def test_moment_inconsistency(self):
         # a single-frequency input collapses the moment determinant
         t = np.arange(1, 3001, dtype=float)
         with pytest.raises(MomentEstimationError):
-            estimate_moments_empirical(TimeSeries(np.cos(0.2 * t)), 6.0)
+            empirical(TimeSeries(np.cos(0.2 * t)), 6.0)
+
+    def test_order_one_smooth_taken_from_the_caller(self):
+        """The order-1 derivative passed in is the one whose variance is
+        used; orders 2 and 3 come from the sequence."""
+        y = sample_noise(MODEL, 20_000, seed=61)
+        dy = smooth(y, KernelSpec(gamma=6.0, order=1))
+        est = estimate_moments_empirical(y, 6.0, dy)
+        doubled = estimate_moments_empirical(y, 6.0, TimeSeries(2.0 * dy.values, dy.interior))
+        assert doubled.var_d1 == 4.0 * est.var_d1
+        assert (doubled.var_d2, doubled.var_d3) == (est.var_d2, est.var_d3)
+
+    def test_out_of_range_refused_by_name(self):
+        """Variance products past the floating-point range are refused,
+        naming the input's magnitude, without a numpy warning."""
+        z = sample_noise(MODEL, 3000, seed=67)
+        for scale in (1e100, 1e-100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(MomentEstimationError, match="out of floating-point range"):
+                    empirical(TimeSeries(scale * z.values), 6.0)
 
     def test_interior_too_short(self):
         with pytest.raises(InvalidParameterError):
-            estimate_moments_empirical(TimeSeries(np.random.default_rng(1).standard_normal(140)), 6.0)
+            empirical(TimeSeries(np.random.default_rng(1).standard_normal(140)), 6.0)

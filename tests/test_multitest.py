@@ -28,19 +28,19 @@ class TestBHSelect:
         out = bh_select([0.001, 0.5], alpha=0.05)
         assert out.k == 1
         assert out.p_threshold == pytest.approx(0.025)
-        assert out.rejected == (0,)
+        assert out.rejected.tolist() == [0]
 
     def test_nothing_below_alpha(self):
         out = bh_select([0.2, 0.9, 0.4], alpha=0.05)
         assert out.k == 0
         assert out.p_threshold == 0.0
-        assert out.rejected == ()
+        assert out.rejected.tolist() == []
 
     def test_empty_input(self):
         out = bh_select([], alpha=0.05)
         assert out.k == 0
         assert out.p_threshold == 1.0
-        assert out.rejected == ()
+        assert out.rejected.tolist() == []
 
     def test_strict_inequality_on_boundary(self):
         # i*alpha/m = 0.05 for the single p-value; equality is not enough
@@ -48,7 +48,14 @@ class TestBHSelect:
         assert out.k == 0
         out = bh_select([0.049], alpha=0.05)
         assert out.k == 1
-        assert out.rejected == (0,)
+        assert out.rejected.tolist() == [0]
+
+    def test_rejections_are_a_read_only_index_array(self):
+        for p in ([0.001, 0.5, 0.002], [0.2, 0.9], []):
+            rejected = bh_select(p, alpha=0.05).rejected
+            assert rejected.dtype == np.intp and rejected.ndim == 1
+            with pytest.raises(ValueError):
+                rejected[...] = 0
 
     def test_k_equals_rejection_count(self):
         rng = np.random.default_rng(5)
@@ -124,14 +131,14 @@ class TestHeightThreshold:
         from stemcpd.multitest import BHOutcome
 
         p0 = peak_height_tail(0.0, MOMENTS)
-        outcome = BHOutcome(k=1, p_threshold=p0, rejected=(0,))
+        outcome = BHOutcome(k=1, p_threshold=p0, rejected=np.array([0]))
         assert bh_height_threshold(outcome, MOMENTS) == pytest.approx(0.0, abs=1e-10)
 
     def test_monotone_in_pvalue(self):
         from stemcpd.multitest import BHOutcome
 
         thresholds = [
-            bh_height_threshold(BHOutcome(k=1, p_threshold=p, rejected=(0,)), MOMENTS)
+            bh_height_threshold(BHOutcome(k=1, p_threshold=p, rejected=np.array([0])), MOMENTS)
             for p in (0.5, 0.1, 0.01, 0.001)
         ]
         assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
@@ -139,9 +146,9 @@ class TestHeightThreshold:
     def test_sentinels(self):
         from stemcpd.multitest import BHOutcome
 
-        empty = BHOutcome(k=0, p_threshold=1.0, rejected=())
+        empty = BHOutcome(k=0, p_threshold=1.0, rejected=np.empty(0, dtype=np.intp))
         assert bh_height_threshold(empty, MOMENTS) == -math.inf
-        none = BHOutcome(k=0, p_threshold=0.0, rejected=())
+        none = BHOutcome(k=0, p_threshold=0.0, rejected=np.empty(0, dtype=np.intp))
         assert bh_height_threshold(none, MOMENTS) == math.inf
 
     def test_rejection_set_equivalence(self):

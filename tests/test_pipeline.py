@@ -1,5 +1,6 @@
 """End-to-end detector and simulation harness tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +19,12 @@ from stemcpd import (
     run_replicate,
     run_simulation,
     sample_noise,
+    smooth,
 )
 from stemcpd import harness
+from stemcpd.harness import CellResult
+
+from helpers import aggregate_per_tolerance, classify_per_tolerance, score_at
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 
@@ -33,16 +38,19 @@ class TestDetectChangePoints:
     def test_strong_staircase_recovered(self):
         y, sig = observed()
         res = detect_change_points(y, 6.0, 0.05, noise_model=MODEL)
-        (hits,) = classify(res.significant, sig, (8.0,))
-        assert hits.power_fraction == 1.0
-        assert hits.fdp <= 0.1
+        hits = classify(res.significant, sig, (8.0,))
+        assert hits.power_fraction.tolist() == [1.0]
+        assert hits.fdp[0] <= 0.1
 
     def test_deterministic(self):
         y, _ = observed()
         a = detect_change_points(y, 6.0, 0.05, noise_model=MODEL)
         b = detect_change_points(y, 6.0, 0.05, noise_model=MODEL)
         assert list(a.extrema) == list(b.extrema)
-        assert (a.moments, a.outcome, a.interior) == (b.moments, b.outcome, b.interior)
+        assert (a.moments, a.interior) == (b.moments, b.interior)
+        for name in ("k", "p_threshold", "u_threshold"):
+            assert getattr(a.outcome, name) == getattr(b.outcome, name)
+        assert np.array_equal(a.outcome.rejected, b.outcome.rejected)
 
     def test_threshold_equivalence(self):
         y, _ = observed(jump=1.0, seed=53)
@@ -56,8 +64,8 @@ class TestDetectChangePoints:
     def test_empirical_moments_default(self):
         y, sig = observed(seed=57)
         res = detect_change_points(y, 6.0, 0.05)
-        (hits,) = classify(res.significant, sig, (8.0,))
-        assert hits.power_fraction >= 0.95
+        hits = classify(res.significant, sig, (8.0,))
+        assert hits.power_fraction[0] >= 0.95
 
     def test_constant_input_yields_nothing(self):
         res = detect_change_points(
@@ -74,6 +82,23 @@ class TestDetectChangePoints:
         assert res.moments is None
         assert res.outcome.u_threshold == -np.inf
 
+    def test_empirical_path_smooths_each_order_once(self, monkeypatch):
+        """The estimator reuses the detector's order-1 smooth: one smooth
+        per derivative order, three in all."""
+        from stemcpd import detect, inference
+
+        orders = []
+
+        def recording_smooth(series, spec):
+            orders.append(spec.order)
+            return smooth(series, spec)
+
+        monkeypatch.setattr(detect, "smooth", recording_smooth)
+        monkeypatch.setattr(inference, "smooth", recording_smooth)
+        y, _ = observed(seed=59)
+        detect_change_points(y, 6.0, 0.05)
+        assert orders == [1, 2, 3]
+
     def test_unestimable_moments_with_candidates_still_raise(self):
         from stemcpd import MomentEstimationError
 
@@ -88,18 +113,19 @@ class TestRunReplicate:
             length=3000, separation=100, jumps=(3.0,), gammas=(6.0,),
             tolerances=(2.0, 8.0), replications=1, seed=7,
         )
-        r2, r8 = run_replicate(req, req.truth(3.0), 6.0, rep=0)
-        assert r8.power_fraction >= r2.power_fraction
-        assert r8.n_false <= r2.n_false
+        res = run_replicate(req, req.truth(3.0), 6.0, rep=0)
+        (p2, p8), (v2, v8) = res.power_fraction, res.n_false
+        assert p8 >= p2
+        assert v8 <= v2
 
     def test_null_cell(self):
         req = SimulateRequest(
             length=3000, separation=100, jumps=(0.0,), gammas=(6.0,),
             tolerances=(8.0,), replications=1, seed=7,
         )
-        (res,) = run_replicate(req, req.truth(0.0), 6.0, rep=0)
-        assert res.power_fraction is None
-        assert res.n_false == res.n_detected
+        res = run_replicate(req, req.truth(0.0), 6.0, rep=0)
+        assert np.isnan(res.power_fraction).all()
+        assert res.n_false.tolist() == [res.n_detected]
 
 
 class TestRunSimulation:
@@ -171,8 +197,9 @@ class TestRunSimulation:
         assert len(pools) == 1
 
     def test_replicates_taken_one_cell_at_a_time(self, monkeypatch):
-        """Each cell is aggregated before the next cell's first replicate
-        runs, and each replicate is scored by one classify call."""
+        """Each cell is aggregated, in one aggregate call over all its
+        tolerances, before the next cell's first replicate runs, and each
+        replicate is scored by one classify call."""
         calls = {"run_replicate": 0, "classify": 0}
         seen_at_aggregate = []
 
@@ -192,7 +219,7 @@ class TestRunSimulation:
         cells = run_simulation(self.REQ, threads=1)
         reps, n_tol = self.REQ.replications, len(self.REQ.tolerances)
         n_pairs = len(cells) // n_tol
-        assert seen_at_aggregate == [reps * (c + 1) for c in range(n_pairs) for _ in range(n_tol)]
+        assert seen_at_aggregate == [reps * (c + 1) for c in range(n_pairs)]
         assert calls == {"run_replicate": reps * n_pairs, "classify": reps * n_pairs}
 
     def test_grid_monotonicities_in_tolerance(self):
@@ -227,10 +254,31 @@ class TestRunSimulation:
         req = SimulateRequest(length=3000, separation=100, jumps=(1.0,),
                               gammas=(6.0,), tolerances=(5.0,), replications=1, seed=21)
         (cell,) = run_simulation(req)
-        (rep,) = run_replicate(req, req.truth(1.0), 6.0, rep=0)
+        rep = score_at(run_replicate(req, req.truth(1.0), 6.0, rep=0), 0)
         truth = make_staircase(1.0, 100, 3000)
         # with one replicate the cell averages are single-outcome fractions
         assert cell.power == rep.power_fraction
         assert cell.fdr == rep.fdp
         assert cell.power * truth.n_jumps == pytest.approx(round(cell.power * truth.n_jumps))
         assert rep.fdp * max(rep.n_detected, 1) == pytest.approx(rep.n_false)
+
+    @pytest.mark.parametrize("reps", [1, 2, 9])
+    def test_cells_match_per_tolerance_oracles(self, reps):
+        """Every cell, null cells and single-replicate errors included,
+        equals by repr the cell composed from one-tolerance scoring and
+        one-tolerance aggregation of the same replicates."""
+        req = SimulateRequest(length=2000, separation=100, jumps=(0.0, 1.0, 3.0),
+                              gammas=(4.0, 8.0), tolerances=(2.0, 5.0, 10.0, 49.0),
+                              replications=reps, seed=17)
+        model = req.noise_model()
+        expected = []
+        for jump, gamma in itertools.product(req.jumps, req.gammas):
+            truth = req.truth(jump)
+            ys = [compose(truth, sample_noise(model, req.length, req.seed ^ r)) for r in range(reps)]
+            found = [detect_change_points(y, gamma, req.alpha, noise_model=model).significant
+                     for y in ys]
+            for b in req.tolerances:
+                agg = aggregate_per_tolerance(classify_per_tolerance(f, truth, b) for f in found)
+                expected.append(CellResult(jump, gamma, b, agg.fdr, agg.fdr_se, agg.power,
+                                           agg.power_se, reps, req.seed))
+        assert repr(run_simulation(req, threads=1)) == repr(expected)

@@ -52,6 +52,14 @@ SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
+def test_settings_inherit_the_loaded_profile():
+    """The module's SETTINGS keep the profile loaded for the run (see
+    conftest.py) and change only the example budget and the deadline."""
+    assert SETTINGS.derandomize == settings.default.derandomize
+    assert SETTINGS.database == settings.default.database
+    assert SETTINGS.max_examples == 60
+
+
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
@@ -254,7 +262,7 @@ class TestPowerOfTwoScaling:
         assert np.array_equal(b.sign, a.sign)
         assert np.array_equal(bits(b.height), bits(a.height * scale))
         assert np.array_equal(bits(b.p_value), bits(a.p_value))
-        assert scaled.outcome.rejected == base.outcome.rejected
+        assert np.array_equal(scaled.outcome.rejected, base.outcome.rejected)
         assert scaled.outcome.u_threshold == base.outcome.u_threshold * scale
 
 
