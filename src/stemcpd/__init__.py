@@ -31,7 +31,7 @@ from .inference import (
     peak_height_tail,
 )
 from .kernels import GAUSSIAN_CUTOFF, KernelSpec, kernel_value, kernel_weights
-from .multitest import BHOutcome, bh_height_threshold, bh_select, with_height_threshold
+from .multitest import BHOutcome, bh_height_threshold, bh_select
 from .pipeline import DetectionResult, detect_change_points
 from .signals import (
     NoiseModel,
@@ -105,5 +105,4 @@ __all__ = [
     "smooth",
     "snr",
     "theoretical_power_curve",
-    "with_height_threshold",
 ]

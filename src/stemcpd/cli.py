@@ -184,26 +184,23 @@ def _write_table(path, header, rows, footer) -> None:
 
 def write_detection_csv(path, result, positions=None, moment_source="") -> None:
     extrema = result.extrema
-    rows = ()
-    if len(extrema):  # without candidates there may be no p-values either
-        index = extrema.index.tolist()
-        columns = [
-            index,
-            map(repr, extrema.height.tolist()),
-            np.where(extrema.sign > 0, "max", "min").tolist(),
-            map(repr, extrema.p_value.tolist()),
-            # rejected indices are distinct: each counts once, the rest zero
-            np.bincount(result.outcome.rejected, minlength=len(index)).tolist(),
-        ]
-        if positions is not None:
-            columns.insert(1, [positions[i - 1] for i in index])
-        rows = zip(*columns)
+    index = extrema.index.tolist()
+    columns = [
+        index,
+        map(repr, extrema.height.tolist()),
+        np.where(extrema.sign > 0, "max", "min").tolist(),
+        map(repr, extrema.p_value.tolist()),
+        # rejected indices are distinct: each counts once, the rest zero
+        np.bincount(result.outcome.rejected, minlength=len(index)).tolist(),
+    ]
+    if positions is not None:
+        columns.insert(1, [positions[i - 1] for i in index])
     header = ["index", "height", "sign", "p_value", "significant"]
     if positions is not None:
         header.insert(1, "position")
     m = result.moments
     moment_of = lambda attr: _fmt(getattr(m, attr)) if m is not None else "nan"
-    _write_table(path, header, rows, [
+    _write_table(path, header, zip(*columns), [
         ("m_tilde", str(result.n_candidates)),
         ("k", str(result.outcome.k)),
         ("p_threshold", _fmt(result.outcome.p_threshold)),

@@ -31,13 +31,13 @@ class Extremum:
 
     ``index`` is the integer grid location t of the sample (unit grid),
     ``height`` the derivative value there, ``sign`` +1 for a maximum and
-    -1 for a minimum.  ``p_value`` is filled by the inference step.
+    -1 for a minimum.  ``p_value`` is NaN until the inference step fills it.
     """
 
     index: int
     height: float
     sign: int
-    p_value: float = None
+    p_value: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +46,7 @@ class Extrema:
 
     ``index`` (int64 grid locations), ``height`` (float64), ``sign``
     (int64, +1 for a maximum and -1 for a minimum) and ``p_value``
-    (float64, or None before inference) have one entry per candidate.
+    (float64, NaN before inference) have one entry per candidate.
 
     It reads as a sequence of ``Extremum`` records: an integer index
     gives a record holding plain Python numbers, iteration yields records
@@ -57,26 +57,24 @@ class Extrema:
     index: np.ndarray
     height: np.ndarray
     sign: np.ndarray
-    p_value: np.ndarray = None
+    p_value: np.ndarray
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            p = None if self.p_value is None else self.p_value[key].item()
             return Extremum(self.index[key].item(), self.height[key].item(),
-                            self.sign[key].item(), p)
+                            self.sign[key].item(), self.p_value[key].item())
         if not isinstance(key, slice):
             key = np.asarray(key)
             if key.size == 0:
                 key = key.astype(np.intp)
-        p = None if self.p_value is None else self.p_value[key]
-        return Extrema(self.index[key], self.height[key], self.sign[key], p)
+        return Extrema(self.index[key], self.height[key], self.sign[key], self.p_value[key])
 
     def __iter__(self):
-        p = [None] * len(self) if self.p_value is None else self.p_value.tolist()
-        return map(Extremum, self.index.tolist(), self.height.tolist(), self.sign.tolist(), p)
+        return map(Extremum, self.index.tolist(), self.height.tolist(), self.sign.tolist(),
+                   self.p_value.tolist())
 
 
 def convolve_weights(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -133,7 +131,9 @@ def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
     k = spec.half_width()
     if n < 2 * k + 1:
         raise BandwidthTooLargeError(
-            f"series of length {n} is shorter than the kernel ({2 * k + 1} samples)"
+            # 2*k+1 may exceed the float range where k itself does not
+            f"series of length {n} is shorter than the kernel at gamma={spec.gamma:g} "
+            f"(2*{k:g}+1 samples)"
         )
     out = convolve_weights(series.values, kernel_weights(spec))
     return TimeSeries(out, interior=(k, n - k))
@@ -146,12 +146,14 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
     is reported once, at its leftmost point, as a maximum (minimum).
     Exact-zero segments never produce extrema, so a constant input yields
     none.  Both flanking values must lie inside the interior, hence no
-    extremum is reported within the boundary margin.
+    extremum is reported within the boundary margin.  P-values are NaN
+    until ``assign_pvalues`` fills them in.
     """
     sl = dy.interior_slice()
     seg = dy.values[sl]
     if len(seg) < 3:
-        return Extrema(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
+        return Extrema(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64),
+                       np.empty(0))
     # run-length encode so plateaus collapse to a single candidate
     starts = np.concatenate(([0], np.flatnonzero(seg[1:] != seg[:-1]) + 1))
     run_values = seg[starts]
@@ -164,4 +166,5 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
         index=starts[hits + 1] + (1 + sl.start),
         height=run_values[hits + 1],
         sign=np.where(is_max[hits], 1, -1),
+        p_value=np.full(len(hits), np.nan),
     )

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, StemcpdError
 from .evaluation import EvalResult, aggregate, classify
+from .multitest import check_alpha
 from .pipeline import DetectionResult, detect_change_points
 from .signals import NoiseModel, PiecewiseSignal, compose, make_staircase, sample_noise
 
@@ -36,7 +37,8 @@ class SimulateRequest:
     ``replications`` replicates are run per (jump, bandwidth) pair, indexed
     ``rep_start .. rep_start + replications - 1``; the detector runs once
     per replicate and is scored at every tolerance.  A jump size of zero
-    requests a pure-noise (complete null) cell.
+    requests a pure-noise (complete null) cell.  The grids, the FDR level
+    and the noise model are checked here, before any replicate runs.
     """
 
     length: int = 12000
@@ -65,6 +67,8 @@ class SimulateRequest:
             raise InvalidParameterError("tolerances must be positive")
         if any(g <= 0 for g in self.gammas):
             raise InvalidParameterError("bandwidths must be positive")
+        check_alpha(self.alpha)
+        self.noise_model()
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel(sigma=self.sigma, nu=self.nu)
@@ -128,8 +132,10 @@ def run_simulation(req: SimulateRequest, threads: int = None) -> list:
     """Run the whole grid; one CellResult per (jump, gamma, tolerance).
 
     Cells appear in grid order (jumps outermost, tolerances innermost).
-    The grid is one task list of (jump, gamma, replicate); with ``threads``
-    above 1 it runs in one process pool.  Results arrive in task order, so
+    The grid is one task list of (jump, gamma, replicate).  It runs in one
+    process pool of ``min(threads, tasks, usable CPUs)`` workers, or
+    serially when that is 1; usable CPUs are the process's affinity set
+    where the platform reports one.  Results arrive in task order, so
     output is independent of parallelism.
     """
     if threads is None:
@@ -138,9 +144,11 @@ def run_simulation(req: SimulateRequest, threads: int = None) -> list:
     truths = [req.truth(jump) for jump in req.jumps]
     tasks = [(req, truth, gamma, r) for truth, gamma in itertools.product(truths, req.gammas)
              for r in reps]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, req.replications // (4 * threads))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(tasks), cpus or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, req.replications // (4 * workers))
             return _cells(req, pool.map(run_replicate, *zip(*tasks), chunksize=chunk))
     return _cells(req, map(run_replicate, *zip(*tasks)))
 
@@ -151,10 +159,7 @@ def _cells(req: SimulateRequest, results) -> list:
     cells = []
     for jump, gamma in itertools.product(req.jumps, req.gammas):
         agg = aggregate(list(itertools.islice(results, req.replications)))
-        # a null cell's NaN power is math.nan itself: CellResult equality
-        # holds for a NaN field only through object identity
-        columns = ([math.nan if math.isnan(v) else v for v in a.tolist()]
-                   for a in (agg.fdr, agg.fdr_se, agg.power, agg.power_se))
+        columns = (a.tolist() for a in (agg.fdr, agg.fdr_se, agg.power, agg.power_se))
         cells += [CellResult(jump, gamma, b, *values, req.replications, req.seed)
                   for b, *values in zip(req.tolerances, *columns)]
     return cells

@@ -8,7 +8,7 @@ negation.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,12 @@ class BHOutcome:
     u_threshold: float = None
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse an FDR level outside the open interval (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParameterError("alpha must lie in (0, 1)")
+
+
 def bh_select(pvalues, alpha: float) -> BHOutcome:
     """Step-up selection: reject the k smallest p-values, where k is the
     largest index whose i-th smallest p-value is strictly below i*alpha/m.
@@ -41,8 +47,7 @@ def bh_select(pvalues, alpha: float) -> BHOutcome:
     The inequality is strict, so p-values exactly on the boundary are not
     rejected.  An empty input yields no rejections with threshold 1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     p = np.asarray(pvalues, dtype=float)
     m = len(p)
     if not np.all((p > 0.0) & (p <= 1.0)):
@@ -59,8 +64,9 @@ def bh_height_threshold(outcome: BHOutcome, moments: SpectralMoments) -> float:
     """Height threshold equivalent to the p-value threshold.
 
     Solves ``peak_height_tail(u) == p_threshold``.  A threshold of 1
-    (empty candidate set) maps to -inf; a threshold of 0 (no rejections)
-    maps to +inf, so the height rule rejects nothing either way.
+    (empty candidate set) maps to -inf without reading ``moments``; a
+    threshold of 0 (no rejections) maps to +inf, so the height rule rejects
+    nothing either way.
     """
     p = outcome.p_threshold
     if p >= 1.0:
@@ -68,8 +74,3 @@ def bh_height_threshold(outcome: BHOutcome, moments: SpectralMoments) -> float:
     if p <= 0.0:
         return math.inf
     return invert_peak_height_tail(p, moments)
-
-
-def with_height_threshold(outcome: BHOutcome, moments: SpectralMoments) -> BHOutcome:
-    """Copy of ``outcome`` with the equivalent height threshold attached."""
-    return replace(outcome, u_threshold=bh_height_threshold(outcome, moments))

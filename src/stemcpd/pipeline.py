@@ -8,7 +8,6 @@ Candidates stay in one ``Extrema`` (parallel arrays) from extraction to the
 result, so no step loops over them in Python.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 from . import detect
@@ -21,7 +20,7 @@ from .inference import (
     estimate_moments_empirical,
 )
 from .kernels import KernelSpec
-from .multitest import BHOutcome, bh_select, with_height_threshold
+from .multitest import BHOutcome, bh_height_threshold, bh_select, check_alpha
 from .signals import NoiseModel, TimeSeries
 
 
@@ -65,8 +64,10 @@ def detect_change_points(
     otherwise a trimmed empirical estimate from the sequence itself.  A
     sequence with no candidate extrema (for example a constant) is handled
     cleanly even when its moments cannot be estimated: the result carries
-    no moments and an empty significant set.
+    no moments and an empty significant set.  An ``alpha`` outside (0, 1)
+    is refused before any work.
     """
+    check_alpha(alpha)
     dy = detect.smooth(series, KernelSpec(gamma=gamma, order=1))
     extrema = find_local_extrema(dy)
     if noise_model is not None:
@@ -80,10 +81,10 @@ def detect_change_points(
             moments = None
     if moments is not None:
         extrema = assign_pvalues(extrema, moments)
-        outcome = with_height_threshold(bh_select(extrema.p_value, alpha), moments)
-    else:
-        # reached only without candidates: nothing to test or select
-        outcome = replace(bh_select((), alpha), u_threshold=-math.inf)
+    # without moments there are no candidates: the empty selection's height
+    # threshold is -inf and does not read the moments
+    outcome = bh_select(extrema.p_value, alpha)
+    outcome = replace(outcome, u_threshold=bh_height_threshold(outcome, moments))
     return DetectionResult(
         extrema=extrema,
         moments=moments,

@@ -9,7 +9,7 @@ theory to apply.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -63,54 +63,46 @@ class NoiseModel:
             raise InvalidParameterError(f"nu must be non-negative and finite, got {self.nu}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseSignal:
     """Ground truth: jump locations and sizes of a piecewise-constant mean.
 
-    ``jumps`` is an ordered tuple of ``(location, size)`` pairs with
-    strictly increasing locations and nonzero sizes.  The sampled domain is
-    t = 1..length; a jump at location v means the mean changes between the
-    samples at v-1 and v (the sample at v is on the new level).  An empty
-    jump tuple describes a flat signal for null experiments.
+    ``jumps`` is a sequence of ``(location, size)`` pairs with finite,
+    strictly increasing locations and finite nonzero sizes; the signal
+    holds them as the read-only float64 arrays ``locations`` and ``sizes``.
+    The sampled domain is t = 1..length; a jump at location v means the
+    mean changes between the samples at v-1 and v (the sample at v is on
+    the new level).  No jumps describe a flat signal for null experiments.
     """
 
-    jumps: tuple
+    jumps: InitVar[tuple]
     length: int
+    locations: np.ndarray = field(init=False)
+    sizes: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        jumps = tuple((float(v), float(a)) for v, a in self.jumps)
-        object.__setattr__(self, "jumps", jumps)
+    def __post_init__(self, jumps) -> None:
+        try:
+            pairs = np.array(jumps, dtype=float).reshape(len(jumps), 2)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError("jumps must be a sequence of (location, size) pairs") from exc
+        if not np.all(np.isfinite(pairs)):
+            raise InvalidParameterError("jump locations and sizes must be finite")
         if self.length <= 0:
             raise InvalidParameterError("length must be positive")
-        locs = [v for v, _ in jumps]
-        if any(b <= a for a, b in zip(locs, locs[1:])):
+        locations, sizes = _read_only(pairs.T)
+        if np.any(np.diff(locations) <= 0.0):
             raise InvalidParameterError("jump locations must be strictly increasing")
-        if any(a == 0.0 for _, a in jumps):
+        if np.any(sizes == 0.0):
             raise InvalidParameterError("jump sizes must be nonzero")
-
-    @cached_property
-    def locations(self) -> np.ndarray:
-        """Jump locations, built once per signal and read-only."""
-        return _read_only([v for v, _ in self.jumps])
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """Jump sizes, built once per signal and read-only."""
-        return _read_only([a for _, a in self.jumps])
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def n_jumps(self) -> int:
-        return len(self.jumps)
+        return len(self.locations)
 
     def min_separation(self) -> float:
-        return self._min_separation
-
-    @cached_property
-    def _min_separation(self) -> float:
-        locs = self.locations
-        if len(locs) < 2:
-            return math.inf
-        return float(np.min(np.diff(locs)))
+        return float(np.min(np.diff(self.locations), initial=math.inf))
 
     @cached_property
     def mean(self) -> np.ndarray:
@@ -123,13 +115,9 @@ class PiecewiseSignal:
         levels = np.concatenate(([0.0], np.cumsum(self.sizes)))
         return _read_only(levels[np.searchsorted(self.locations, t, side="right")])
 
-    def sample(self) -> TimeSeries:
-        """Evaluate the step signal on the unit grid t = 1..length."""
-        return TimeSeries(self.mean)
-
 
 def _read_only(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
+    array = np.array(values, dtype=float, order="C")
     array.flags.writeable = False
     return array
 
@@ -149,7 +137,7 @@ def make_staircase(jump: float, separation: int, length: int) -> PiecewiseSignal
     if length <= separation:
         raise InvalidParameterError("length must exceed separation")
     locations = np.arange(separation, length, separation)
-    return PiecewiseSignal(tuple((float(v), float(jump)) for v in locations), length)
+    return PiecewiseSignal(np.column_stack((locations, np.full(len(locations), jump))), length)
 
 
 def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:

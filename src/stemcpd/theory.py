@@ -17,6 +17,7 @@ from scipy.special import ndtr
 from .errors import DegenerateConfigError, InvalidParameterError
 from .inference import SpectralMoments, closed_form_moments, invert_peak_height_tail, peak_height_tail
 from .kernels import GAUSSIAN_CUTOFF, KernelSpec, kernel_value
+from .multitest import check_alpha
 from .signals import NoiseModel
 
 
@@ -37,8 +38,7 @@ class TheoryConfig:
     def __post_init__(self) -> None:
         if not self.density > 0:
             raise InvalidParameterError("density must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidParameterError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
         if not self.gamma > 0:
             raise InvalidParameterError("gamma must be positive")
         if self.null_fraction <= 0.0:

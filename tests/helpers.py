@@ -17,10 +17,11 @@ from stemcpd.cli import InputDataError
 
 
 def extrema_of(index, height, sign, p_value=None):
-    """An ``Extrema`` from plain lists, in the dtypes the detector uses."""
+    """An ``Extrema`` from plain lists, in the dtypes the detector uses;
+    without ``p_value`` every p-value is NaN, as before inference."""
+    p = np.full(len(index), np.nan) if p_value is None else np.array(p_value, dtype=float)
     return Extrema(np.array(index, dtype=np.int64), np.array(height, dtype=float),
-                   np.array(sign, dtype=np.int64),
-                   None if p_value is None else np.array(p_value, dtype=float))
+                   np.array(sign, dtype=np.int64), p)
 
 
 def bh_bruteforce(pvalues, alpha):

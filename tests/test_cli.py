@@ -148,14 +148,40 @@ class TestDetectCommand:
                    "--gamma", 6)
         assert code == 2
 
-    def test_bandwidth_too_large_exit_3(self, tmp_path):
+    def test_bandwidth_too_large_exit_3(self, tmp_path, capsys):
         src = tmp_path / "short.csv"
         src.write_text("value\n" + "\n".join(repr(float(i % 3)) for i in range(30)) + "\n")
-        # an infinite or huge kernel is refused before any weight is sampled
-        for extra in ([], ["--gamma", "inf"], ["--gamma", "1e308"], ["--gamma", "1e12"]):
+        # an infinite or huge kernel is refused before any weight is sampled,
+        # in one short line that names gamma
+        for extra in ([], ["--gamma", "inf"], ["--gamma", "1e308"], ["--gamma", "1e12"],
+                      ["--gamma", "1e300"], ["--gamma", "4e307"]):
+            capsys.readouterr()
             code = run("detect", "--input", src, "--output", tmp_path / "o.csv",
                        "--gamma", 6, "--moments", "closed", *extra)
+            err = capsys.readouterr().err
             assert code == 3, extra
+            assert "gamma" in err and len(err) < 160 and err.count("\n") == 1, (extra, err)
+
+    def test_constant_input_exact_bytes(self, tmp_path):
+        """No candidates at the default empirical moments: a header, no rows,
+        and a footer whose moments read nan."""
+        src, out = tmp_path / "flat.csv", tmp_path / "out.csv"
+        src.write_text("value\n" + "7.5\n" * 300)
+        assert run("detect", "--input", src, "--output", out, "--gamma", 6) == 0
+        assert out.read_text() == (
+            "index,height,sign,p_value,significant\n"
+            "# m_tilde,0\n# k,0\n# p_threshold,1.0\n# u_threshold,-inf\n"
+            "# var_d1,nan\n# var_d2,nan\n# var_d3,nan\n# delta,nan\n"
+            "# gamma,6.0\n# alpha,0.05\n# moment_source,empirical(trim=0.1)\n"
+        )
+
+    def test_bad_alpha_exit_3(self, tmp_path, capsys):
+        for moments in ("closed", "empirical"):
+            capsys.readouterr()
+            code = run("detect", "--input", NULL_SEQ, "--output", tmp_path / "o.csv",
+                       "--gamma", 6, "--alpha", 1.5, "--moments", moments)
+            assert code == 3, moments
+            assert "alpha must lie in (0, 1)" in capsys.readouterr().err, moments
 
     def test_closed_moments_out_of_range_exit_3(self, tmp_path, capsys):
         for extra in (["--nu", "1e200"], ["--sigma", "1e200"], ["--sigma", "1e-200"]):
@@ -253,7 +279,8 @@ class TestSimulateCommand:
     def test_invalid_grid_exit_2(self, tmp_path, capsys):
         # a non-finite noise scale is refused by name, not by a traceback
         for bad in (["--grid-gamma", "0"], ["--grid-gamma", "inf"],
-                    ["--nu", "inf"], ["--nu", "nan"], ["--nu", "1e200"], ["--sigma", "1e200"]):
+                    ["--nu", "inf"], ["--nu", "nan"], ["--nu", "1e200"], ["--sigma", "1e200"],
+                    ["--alpha", "1.5"], ["--sigma", "-1"]):
             code = run("simulate", *bad, "--reps", 2, "--output", tmp_path / "o.csv")
             assert code == 2, bad
         # a non-finite grid value is refused before any replicate runs

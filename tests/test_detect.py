@@ -117,14 +117,14 @@ class TestFindLocalExtrema:
         assert len(out) == 0
 
     def test_short_interior_has_no_pvalues(self):
-        # every empty candidate set leaves its p-values to inference, as None
+        # every empty candidate set holds its p-values as an empty array
         for dy in (series([0.0, 1.0]), TimeSeries(np.arange(9.0), interior=(4, 6)),
                    series(np.full(5, 2.0))):
             out = find_local_extrema(dy)
             assert len(out) == 0
-            assert out.p_value is None
-            assert (out.index.dtype, out.height.dtype, out.sign.dtype) == (
-                np.int64, np.float64, np.int64)
+            assert out.p_value.shape == (0,)
+            assert (out.index.dtype, out.height.dtype, out.sign.dtype, out.p_value.dtype) == (
+                np.int64, np.float64, np.int64, np.float64)
 
     def test_interior_restriction(self):
         vals = np.zeros(20)

@@ -1,6 +1,7 @@
 """Tests for step-up selection and the height-threshold conversion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from stemcpd import (
     closed_form_moments,
     invert_peak_height_tail,
     peak_height_tail,
-    with_height_threshold,
 )
 
 from helpers import bh_bruteforce
@@ -161,9 +161,11 @@ class TestHeightThreshold:
             heights = rng.normal(scale=1.5 * sd, size=n)
             signs = np.where(rng.uniform(size=n) < 0.5, 1, -1)
             extrema = assign_pvalues(
-                Extrema(np.arange(n) + 30, signs * np.abs(heights), signs), MOMENTS
+                Extrema(np.arange(n) + 30, signs * np.abs(heights), signs, np.full(n, np.nan)),
+                MOMENTS,
             )
-            out = with_height_threshold(bh_select(extrema.p_value, 0.2), MOMENTS)
+            out = bh_select(extrema.p_value, 0.2)
+            out = replace(out, u_threshold=bh_height_threshold(out, MOMENTS))
             by_p = set(out.rejected)
             by_height = {
                 i for i, e in enumerate(extrema) if e.sign * e.height > out.u_threshold

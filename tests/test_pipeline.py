@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -82,6 +83,32 @@ class TestDetectChangePoints:
         assert res.moments is None
         assert res.outcome.u_threshold == -np.inf
 
+    @pytest.mark.parametrize("values,noise_model", [
+        (np.full(300, 7.5), MODEL),
+        (np.full(300, 7.5), None),  # moments cannot be estimated
+        (np.random.default_rng(5).standard_normal(50), MODEL),  # interior of 2 samples
+    ], ids=["constant-closed", "constant-empirical", "short-interior"])
+    def test_no_candidates_take_the_one_selection_path(self, values, noise_model):
+        res = detect_change_points(TimeSeries(values), 6.0, 0.05, noise_model=noise_model)
+        assert res.n_candidates == 0
+        assert res.extrema.p_value.dtype == np.float64 and res.extrema.p_value.shape == (0,)
+        assert (res.outcome.k, res.outcome.p_threshold) == (0, 1.0)
+        assert res.outcome.rejected.shape == (0,)
+        assert res.outcome.u_threshold == -math.inf
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, math.nan])
+    def test_bad_alpha_refused_before_smoothing(self, monkeypatch, alpha):
+        from stemcpd import detect
+
+        def no_smooth(series, spec):
+            raise AssertionError("smoothed before alpha was checked")
+
+        monkeypatch.setattr(detect, "smooth", no_smooth)
+        y, _ = observed(length=500)
+        for model in (MODEL, None):
+            with pytest.raises(InvalidParameterError, match=r"alpha must lie in \(0, 1\)"):
+                detect_change_points(y, 6.0, alpha, noise_model=model)
+
     def test_empirical_path_smooths_each_order_once(self, monkeypatch):
         """The estimator reuses the detector's order-1 smooth: one smooth
         per derivative order, three in all."""
@@ -142,15 +169,17 @@ class TestRunSimulation:
                                                  self.REQ.gammas.index(t[1]),
                                                  self.REQ.tolerances.index(t[2])))
 
+    # cells are compared by repr: a null cell's NaN power is unequal to itself
+
     def test_reproducible(self):
         a = run_simulation(self.REQ)
         b = run_simulation(self.REQ)
-        assert a == b
+        assert repr(a) == repr(b)
 
     def test_parallel_matches_serial(self):
         serial = run_simulation(self.REQ, threads=1)
         parallel = run_simulation(self.REQ, threads=2)
-        assert serial == parallel
+        assert repr(serial) == repr(parallel)
 
     def test_split_runs_merge_to_whole(self):
         """Replicates 0..3 and 4..7 run separately combine to the same
@@ -183,6 +212,13 @@ class TestRunSimulation:
                            ("tolerances", (math.nan,)), ("tolerances", (5.0, math.inf))):
             with pytest.raises(InvalidParameterError, match=f"{field} grid must be finite"):
                 SimulateRequest(**{field: bad})
+        # the level and the noise model are refused at construction, not in a replicate
+        for bad, message in (({"alpha": 1.5, "sigma": -1.0}, r"alpha must lie in \(0, 1\)"),
+                             ({"alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
+                             ({"sigma": -1.0}, "sigma must be positive"),
+                             ({"nu": math.inf}, "nu must be non-negative and finite")):
+            with pytest.raises(InvalidParameterError, match=message):
+                SimulateRequest(**bad)
 
     def test_one_pool_per_grid(self, monkeypatch):
         pools = []
@@ -193,8 +229,48 @@ class TestRunSimulation:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        assert run_simulation(self.REQ, threads=2) == run_simulation(self.REQ, threads=1)
+        # two usable CPUs, so the pool starts on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert repr(run_simulation(self.REQ, threads=2)) == repr(run_simulation(self.REQ, threads=1))
         assert len(pools) == 1
+
+    @pytest.mark.parametrize("affinity,cpu_count,reps,workers", [
+        (4, 16, 3, 3), (4, 16, 8, 4), (1, 16, 8, None),  # the affinity set counts
+        (None, 3, 8, 3), (None, None, 8, None),  # without one, the CPU count does
+    ])
+    def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch, affinity, cpu_count, reps,
+                                            workers):
+        """A huge STEMCPD_THREADS asks for min(tasks, usable CPUs) workers,
+        and one usable CPU runs serially.  The pool is a fake that records
+        its size and runs in-process, so no worker process starts."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setenv("STEMCPD_THREADS", "100000")
+        req = SimulateRequest(length=400, separation=100, jumps=(1.0,), gammas=(2.0,),
+                              tolerances=(5.0,), replications=reps, seed=1)
+        cells = run_simulation(req)
+        assert sizes == ([] if workers is None else [workers])
+        assert repr(cells) == repr(run_simulation(req, threads=1))
 
     def test_replicates_taken_one_cell_at_a_time(self, monkeypatch):
         """Each cell is aggregated, in one aggregate call over all its

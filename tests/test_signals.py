@@ -34,10 +34,18 @@ class TestPiecewiseSignal:
         with pytest.raises(InvalidParameterError):
             PiecewiseSignal(((10.0, 0.0),), 100)
 
+    @pytest.mark.parametrize("jumps", [
+        (1, 2), ((1.0, 2.0, 3.0),), ((1.0, 2.0), (3.0,)), (("a", 1.0),), 5.0,
+        ((math.nan, 1.0), (50.0, math.inf)), ((10.0, math.inf),), ((-math.inf, 1.0),),
+    ])
+    def test_refuses_malformed_and_non_finite_pairs(self, jumps):
+        with pytest.raises(InvalidParameterError):
+            PiecewiseSignal(jumps, 100)
+
     def test_empty_signal_allowed(self):
         sig = PiecewiseSignal((), 50)
         assert sig.n_jumps == 0
-        assert np.array_equal(sig.sample().values, np.zeros(50))
+        assert np.array_equal(sig.mean, np.zeros(50))
         assert sig.min_separation() == math.inf
 
     def test_truth_arrays_built_once_and_read_only(self):
@@ -56,7 +64,7 @@ class TestPiecewiseSignal:
 
     def test_sample_steps_at_locations(self):
         sig = PiecewiseSignal(((3.0, 2.0), (6.0, -1.0)), 8)
-        assert np.array_equal(sig.sample().values, [0, 0, 2, 2, 2, 1, 1, 1])
+        assert np.array_equal(sig.mean, [0, 0, 2, 2, 2, 1, 1, 1])
 
 
 class TestMakeStaircase:
@@ -84,7 +92,7 @@ class TestMakeStaircase:
         a, d, length = 2.5, 13, 157
         sig = make_staircase(a, d, length)
         t = np.arange(1, length + 1)
-        assert np.array_equal(sig.sample().values, a * (t // d))
+        assert np.array_equal(sig.mean, a * (t // d))
 
     def test_zero_jump_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -194,7 +202,7 @@ class TestCompose:
     def test_staircase_plus_zero_noise(self):
         sig = make_staircase(1.0, 100, 1000)
         out = compose(sig, TimeSeries(np.zeros(1000)))
-        assert np.array_equal(out.values, sig.sample().values)
+        assert np.array_equal(out.values, sig.mean)
 
     def test_elementwise_sum_oracle(self):
         sig = make_staircase(1.0, 100, 12000)
