@@ -1,10 +1,11 @@
 """Replicated simulation grids measuring realized FDR and power.
 
-Each replicate draws noise, overlays a staircase signal, runs the full
-detector and scores it against the known change points at every requested
-tolerance.  Replicate r uses the derived seed ``seed ^ r``, so any cell or
-replicate range can be reproduced independently; aggregation runs in
-replicate order so results are deterministic regardless of parallelism.
+Each replicate draws noise once, overlays a staircase signal, runs the
+full detector at every requested bandwidth and scores each detection
+against the known change points at every requested tolerance.  Replicate
+r uses the derived seed ``seed ^ r`` for every jump and bandwidth, so any
+cell or replicate range can be reproduced independently; aggregation runs
+in replicate order so results are deterministic regardless of parallelism.
 """
 
 import itertools
@@ -107,16 +108,18 @@ def _check_threshold_equivalence(result: DetectionResult) -> None:
         )
 
 
-def run_replicate(req: SimulateRequest, truth: PiecewiseSignal, gamma: float,
-                  rep: int) -> EvalResult:
-    """One replicate on the ground truth ``truth`` at bandwidth ``gamma``,
-    scored at every tolerance of ``req`` in one ``EvalResult``."""
+def run_replicate(req: SimulateRequest, truth: PiecewiseSignal, rep: int) -> list[EvalResult]:
+    """One replicate on the ground truth ``truth``: one noise draw, detected
+    at every bandwidth of ``req`` and scored at every tolerance.  Returns
+    one ``EvalResult`` per bandwidth, in ``req.gammas`` order."""
     model = req.noise_model()
-    noise = sample_noise(model, req.length, req.seed ^ rep)
-    observed = compose(truth, noise)
-    result = detect_change_points(observed, gamma, req.alpha, noise_model=model)
-    _check_threshold_equivalence(result)
-    return classify(result.significant, truth, req.tolerances)
+    observed = compose(truth, sample_noise(model, req.length, req.seed ^ rep))
+    scores = []
+    for gamma in req.gammas:
+        result = detect_change_points(observed, gamma, req.alpha, noise_model=model)
+        _check_threshold_equivalence(result)
+        scores.append(classify(result.significant, truth, req.tolerances))
+    return scores
 
 
 def env_threads() -> int:
@@ -132,18 +135,17 @@ def run_simulation(req: SimulateRequest, threads: int = None) -> list:
     """Run the whole grid; one CellResult per (jump, gamma, tolerance).
 
     Cells appear in grid order (jumps outermost, tolerances innermost).
-    The grid is one task list of (jump, gamma, replicate).  It runs in one
-    process pool of ``min(threads, tasks, usable CPUs)`` workers, or
-    serially when that is 1; usable CPUs are the process's affinity set
-    where the platform reports one.  Results arrive in task order, so
-    output is independent of parallelism.
+    The grid is one task list of (jump, replicate); each task draws its
+    noise once and detects at every bandwidth.  It runs in one process
+    pool of ``min(threads, tasks, usable CPUs)`` workers, or serially when
+    that is 1; usable CPUs are the process's affinity set where the
+    platform reports one.  Results arrive in task order, so output is
+    independent of parallelism.
     """
     if threads is None:
         threads = env_threads()
     reps = range(req.rep_start, req.rep_start + req.replications)
-    truths = [req.truth(jump) for jump in req.jumps]
-    tasks = [(req, truth, gamma, r) for truth, gamma in itertools.product(truths, req.gammas)
-             for r in reps]
+    tasks = [(req, truth, r) for truth in map(req.truth, req.jumps) for r in reps]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, len(tasks), cpus or 1)
     if workers > 1:
@@ -155,11 +157,14 @@ def run_simulation(req: SimulateRequest, threads: int = None) -> list:
 
 def _cells(req: SimulateRequest, results) -> list:
     """Aggregate the grid's replicate results, given in task order, in one
-    ``aggregate`` call per (jump, gamma): one cell's replicates at a time."""
+    ``aggregate`` call per (jump, gamma): one jump row's replicates at a
+    time, each holding one ``EvalResult`` per bandwidth."""
     cells = []
-    for jump, gamma in itertools.product(req.jumps, req.gammas):
-        agg = aggregate(list(itertools.islice(results, req.replications)))
-        columns = (a.tolist() for a in (agg.fdr, agg.fdr_se, agg.power, agg.power_se))
-        cells += [CellResult(jump, gamma, b, *values, req.replications, req.seed)
-                  for b, *values in zip(req.tolerances, *columns)]
+    for jump in req.jumps:
+        row = list(itertools.islice(results, req.replications))
+        for gamma, scores in zip(req.gammas, zip(*row)):
+            agg = aggregate(scores)
+            columns = (a.tolist() for a in (agg.fdr, agg.fdr_se, agg.power, agg.power_se))
+            cells += [CellResult(jump, gamma, b, *values, req.replications, req.seed)
+                      for b, *values in zip(req.tolerances, *columns)]
     return cells

@@ -6,7 +6,10 @@ distribution driven entirely by three variances: those of the first,
 second and third derivatives of the smoothed noise.  The moments come
 either in closed form (Gaussian autocorrelation model) or from trimmed
 empirical variances of the observed smoothed derivatives.  P-values for a
-whole candidate set come from one array evaluation of the height tail.
+whole candidate set come from one array evaluation of the height tail; the
+height threshold inverts the tail by a safeguarded Newton iteration on its
+logarithm, with the analytic height density as derivative, and ends on the
+adjacent floats that bracket the target.
 """
 
 import math
@@ -137,6 +140,12 @@ def estimate_moments_empirical(series: TimeSeries, gamma: float, dy: TimeSeries)
     return SpectralMoments(var_d1=v1, var_d2=v2, var_d3=v3)
 
 
+def _bump_coefficient(moments: SpectralMoments) -> float:
+    """``sqrt(2*pi*var_d2^2/(var_d3*var_d1))``, the weight of the height
+    tail's bump term ``phi(u/sd)*Phi(...)``."""
+    return _SQRT_2PI * moments.var_d2 / math.sqrt(moments.var_d3 * moments.var_d1)
+
+
 def peak_height_tail(u, moments: SpectralMoments):
     """Right-tail probability of the height of a null local maximum.
 
@@ -157,7 +166,7 @@ def peak_height_tail(u, moments: SpectralMoments):
     sd = moments.sd_d1
     sqrt_delta = math.sqrt(moments.delta)
     tail = ndtr(-u * math.sqrt(moments.var_d3) / sqrt_delta)
-    coef = _SQRT_2PI * moments.var_d2 / math.sqrt(moments.var_d3 * moments.var_d1)
+    coef = _bump_coefficient(moments)
     bump = coef * _phi(u / sd) * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
     out = np.clip(tail + bump, _TINY, 1.0)
     if out.ndim == 0:
@@ -165,36 +174,100 @@ def peak_height_tail(u, moments: SpectralMoments):
     return out
 
 
-def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
-    """Height ``u`` with ``peak_height_tail(u) == p``, by bracketed bisection.
+def peak_height_density(u, moments: SpectralMoments):
+    """Density of the height of a null local maximum, ``-d/du`` of
+    ``peak_height_tail``:
 
-    ``p == 1`` maps to ``-inf``.  The bracket starts at ten derivative
-    standard deviations and grows geometrically until it straddles the
-    target; bisection then converges well below 1e-12 in probability.
+        phi(u*sqrt(var_d3/delta)) * sqrt(delta/var_d3) / var_d1
+        + sqrt(2*pi*var_d2^2/(var_d3*var_d1)) * (u/var_d1) * phi(u/sd)
+          * Phi(u*var_d2/(sd*sqrt(delta)))
+
+    The derivatives of the two Gaussian factors cancel against part of
+    the first term, leaving this form.  Accepts scalars or arrays.
+    """
+    u = np.asarray(u, dtype=float)
+    sd = moments.sd_d1
+    sqrt_delta = math.sqrt(moments.delta)
+    scale = math.sqrt(moments.var_d3) / sqrt_delta
+    coef = _bump_coefficient(moments)
+    bump = coef * u * _phi(u / sd) * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
+    out = (_phi(u * scale) / scale + bump) / moments.var_d1
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
+    """Height ``u`` with ``peak_height_tail(u) == p``, to the last bit.
+
+    The answer is ``0.5*(lo+hi)`` for the adjacent floats ``lo < hi`` with
+    ``tail(lo) > p >= tail(hi)``, found by a safeguarded Newton iteration
+    on ``log tail`` with the analytic density as derivative.  It starts at
+    the bump-term asymptote ``sd*sqrt(2*ln(coef/(p*sqrt(2*pi))))`` (at 0
+    when that is undefined) and keeps the evaluated heights as a bracket
+    ``[lo, hi]``; a Newton step that leaves the bracket is replaced by a
+    bisection step, or by a step of ``max(sd, |u|)`` while one side is
+    still open.  Once Newton no longer moves, a walk from the last iterate
+    closes the bracket to adjacent floats: its first stride is one
+    ``math.nextafter`` step (or the width of a float-level plateau of the
+    tail, if wider), strides double while the crossing lies ahead, and
+    bisection takes over once it is passed.  Where the rounded tail
+    decreases monotonically through the crossing the pair is unique, and
+    from the asymptote a few tail evaluations find it.
+
+    ``p == 1`` maps to ``-inf``.  A ``p`` below the smallest normal float
+    maps to ``+inf``: no clipped tail is that small, so no height reaches it.
     """
     if not 0.0 < p <= 1.0:
         raise InvalidParameterError("target probability must lie in (0, 1]")
     if p == 1.0:
         return -math.inf
+    if p < _TINY:
+        return math.inf
     sd = moments.sd_d1
-    lo, hi = -10.0 * sd, 10.0 * sd
-    for _ in range(200):
-        if peak_height_tail(lo, moments) >= p:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        if peak_height_tail(hi, moments) <= p:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if peak_height_tail(mid, moments) > p:
-            lo = mid
+    log_p = math.log(p)
+    ratio = _bump_coefficient(moments) / (p * _SQRT_2PI)
+    u = sd * math.sqrt(2.0 * math.log(ratio)) if ratio > 1.0 else 0.0
+    lo, hi = -math.inf, math.inf
+    while True:
+        tail = peak_height_tail(u, moments)
+        if tail > p:
+            lo = u
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = u
+        density = peak_height_density(u, moments)
+        nxt = u + (math.log(tail) - log_p) * tail / density if density > 0.0 else math.nan
+        if nxt == u:
+            break
+        if not lo < nxt < hi:  # also catches a NaN step
+            if lo == -math.inf:
+                nxt = hi - max(sd, abs(hi))
+            elif hi == math.inf:
+                nxt = lo + max(sd, abs(lo))
+            else:
+                nxt = 0.5 * (lo + hi)
+                if nxt == lo or nxt == hi:
+                    return nxt
+        u = nxt
+    # u is the last iterate and one end of the bracket; any open side lies ahead of it
+    ahead = 1.0 if u == lo else -1.0
+    # one float step, or the width of a float-level plateau of the tail if wider
+    stride = max(abs(math.nextafter(u, ahead * math.inf) - u), math.ulp(tail) / density)
+    while True:
+        trial = u + ahead * stride
+        if lo > -math.inf and hi < math.inf:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return mid
+            if not abs(trial - u) < abs(mid - u):
+                trial = mid
+        short = peak_height_tail(trial, moments) > p
+        if short:
+            lo = trial
+        else:
+            hi = trial
+        if short == (ahead > 0):  # the crossing is still ahead
+            u, stride = trial, 2.0 * stride
 
 
 def assign_pvalues(extrema: Extrema, moments: SpectralMoments) -> Extrema:

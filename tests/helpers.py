@@ -3,6 +3,9 @@ and a builder of ``Extrema`` test inputs.
 
 The oracles deliberately avoid the package's own code paths: plain
 loops, np.convolve and brute-force scans, so agreement is meaningful.
+The tail-inversion oracle is the exception: it bisects the package's own
+``peak_height_tail``, since bit-for-bit agreement is only defined on the
+same tail.
 """
 
 import csv
@@ -12,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from stemcpd import Extrema, InvalidParameterError
+from stemcpd import Extrema, InvalidParameterError, peak_height_tail
 from stemcpd.cli import InputDataError
 
 
@@ -185,6 +188,37 @@ def reference_tail(u, var_d1, var_d2, var_d3):
         * norm.pdf(u / sd)
         * norm.cdf(u * var_d2 / (sd * math.sqrt(delta)))
     )
+
+
+def invert_tail_bisection(p, moments):
+    """Height ``u`` with ``peak_height_tail(u) == p`` by the bracketed
+    bisection the package used before its Newton inversion, kept verbatim:
+    the bracket starts at ten derivative standard deviations and doubles
+    until it straddles ``p``, then bisection runs until the midpoint
+    rounds onto an end or 200 halvings are spent."""
+    if not 0.0 < p <= 1.0:
+        raise InvalidParameterError("target probability must lie in (0, 1]")
+    if p == 1.0:
+        return -math.inf
+    sd = moments.sd_d1
+    lo, hi = -10.0 * sd, 10.0 * sd
+    for _ in range(200):
+        if peak_height_tail(lo, moments) >= p:
+            break
+        lo *= 2.0
+    for _ in range(200):
+        if peak_height_tail(hi, moments) <= p:
+            break
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if peak_height_tail(mid, moments) > p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def convolve_weights_pairwise(values, weights, spacing=1.0):

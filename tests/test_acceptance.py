@@ -164,7 +164,7 @@ def test_criterion_08_complete_null_fdr():
     truth = req.truth(0.0)
     with_rejections = 0
     for rep in range(req.replications):
-        res = run_replicate(req, truth, 6.0, rep)
+        (res,) = run_replicate(req, truth, rep)
         with_rejections += res.n_detected > 0
     fraction = with_rejections / req.replications
     report(

@@ -20,6 +20,7 @@ CGH = DATA / "cgh_like.csv"
 GOLDEN = DATA / "cgh_like_golden.csv"
 SIMULATE_GOLDEN = DATA / "simulate_golden.csv"
 SIMULATE_NULL_GOLDEN = DATA / "simulate_null_golden.csv"
+SIMULATE_GRID_GOLDEN = DATA / "simulate_grid_golden.csv"
 THEORY_GOLDEN = DATA / "theory_golden.csv"
 NULL_SEQ = DATA / "null_sequence.csv"
 
@@ -225,6 +226,17 @@ class TestSimulateCommand:
                    "--grid-gamma", "6", "--grid-b", "5,8", "--reps", 1, "--seed", 5,
                    "--output", out) == 0
         assert out.read_bytes() == SIMULATE_NULL_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_multi_gamma_golden_byte_exact(self, tmp_path, monkeypatch, threads):
+        """Two jumps by two bandwidths by two tolerances: each replicate's
+        one noise draw serves both bandwidths, serially and in a pool."""
+        monkeypatch.setenv("STEMCPD_THREADS", threads)
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--length", 3000, "--separation", 100, "--jump", "1,3",
+                   "--grid-gamma", "2,6", "--grid-b", "2,5", "--reps", 3, "--seed", 5,
+                   "--output", out) == 0
+        assert out.read_bytes() == SIMULATE_GRID_GOLDEN.read_bytes()
 
     def test_csv_structure(self, tmp_path):
         out = tmp_path / "sim.csv"

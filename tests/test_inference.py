@@ -26,7 +26,8 @@ from stemcpd import (
     sample_noise,
     smooth,
 )
-from stemcpd.inference import trim_correction
+from stemcpd import inference
+from stemcpd.inference import peak_height_density, trim_correction
 
 from helpers import extrema_of, reference_tail
 
@@ -191,6 +192,25 @@ class TestPeakHeightTail:
         assert np.mean(heights > u) == pytest.approx(peak_height_tail(u, m), rel=0.05)
 
 
+class TestPeakHeightDensity:
+    @pytest.mark.parametrize("gamma", [1.0, 6.0, 30.0])
+    def test_integrates_to_the_tail(self, gamma):
+        """The density integrated from u to infinity is the tail at u."""
+        m = closed_form_moments(MODEL, gamma)
+        sd = m.sd_d1
+        for u in (-3.0 * sd, 0.0, 0.5 * sd, 2.0 * sd, 5.0 * sd):
+            mass, _ = quad(lambda x: peak_height_density(x, m), u, 12.0 * sd,
+                           epsabs=0.0, epsrel=1e-12)
+            assert mass == pytest.approx(peak_height_tail(u, m), rel=1e-9)
+
+    def test_arrays_and_positivity(self):
+        m = closed_form_moments(MODEL, 6.0)
+        u = np.linspace(-6.0, 6.0, 101) * m.sd_d1
+        dens = peak_height_density(u, m)
+        assert dens.shape == u.shape and np.all(dens > 0.0)
+        assert dens[50] == peak_height_density(0.0, m)
+
+
 class TestInvertPeakHeightTail:
     def test_roundtrip(self):
         m = closed_form_moments(MODEL, 6.0)
@@ -207,6 +227,37 @@ class TestInvertPeakHeightTail:
     def test_sentinel(self):
         m = closed_form_moments(MODEL, 6.0)
         assert invert_peak_height_tail(1.0, m) == -math.inf
+
+    def test_below_smallest_tail_is_no_pass(self):
+        """No clipped tail goes below the smallest normal float, so a smaller
+        target has no height: +inf, without an overflow warning.  The
+        smallest normal itself is still reached at a finite height."""
+        m = closed_form_moments(MODEL, 6.0)
+        tiny = np.finfo(float).tiny
+        for p in (1e-310, 5e-324, tiny * (1.0 - 2.0 ** -52)):
+            assert invert_peak_height_tail(p, m) == math.inf
+        u = invert_peak_height_tail(tiny, m)
+        assert math.isfinite(u) and peak_height_tail(u, m) == tiny
+
+    def test_tail_calls_per_inversion(self, monkeypatch):
+        """Newton from the bump-term asymptote and the closing walk spend a
+        few tail evaluations per inversion where bisection spent 57: on this
+        grid a mean of about 3 and at most 6."""
+        calls = []
+
+        def counting(u, moments):
+            calls[-1] += 1
+            return peak_height_tail(u, moments)
+
+        monkeypatch.setattr(inference, "peak_height_tail", counting)
+        for gamma in (1.0, 2.0, 4.0, 6.0, 10.0, 20.0, 50.0):
+            m = closed_form_moments(MODEL, gamma)
+            for p in np.logspace(-12, math.log10(0.3), 25):
+                calls.append(0)
+                invert_peak_height_tail(float(p), m)
+        assert len(calls) == 175
+        assert np.mean(calls) <= 4.0
+        assert max(calls) <= 8
 
     def test_invalid_target(self):
         m = closed_form_moments(MODEL, 6.0)

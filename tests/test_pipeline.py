@@ -140,7 +140,7 @@ class TestRunReplicate:
             length=3000, separation=100, jumps=(3.0,), gammas=(6.0,),
             tolerances=(2.0, 8.0), replications=1, seed=7,
         )
-        res = run_replicate(req, req.truth(3.0), 6.0, rep=0)
+        (res,) = run_replicate(req, req.truth(3.0), rep=0)
         (p2, p8), (v2, v8) = res.power_fraction, res.n_false
         assert p8 >= p2
         assert v8 <= v2
@@ -150,7 +150,7 @@ class TestRunReplicate:
             length=3000, separation=100, jumps=(0.0,), gammas=(6.0,),
             tolerances=(8.0,), replications=1, seed=7,
         )
-        res = run_replicate(req, req.truth(0.0), 6.0, rep=0)
+        (res,) = run_replicate(req, req.truth(0.0), rep=0)
         assert np.isnan(res.power_fraction).all()
         assert res.n_false.tolist() == [res.n_detected]
 
@@ -272,11 +272,12 @@ class TestRunSimulation:
         assert sizes == ([] if workers is None else [workers])
         assert repr(cells) == repr(run_simulation(req, threads=1))
 
-    def test_replicates_taken_one_cell_at_a_time(self, monkeypatch):
-        """Each cell is aggregated, in one aggregate call over all its
-        tolerances, before the next cell's first replicate runs, and each
-        replicate is scored by one classify call."""
-        calls = {"run_replicate": 0, "classify": 0}
+    def test_replicates_taken_one_jump_row_at_a_time(self, monkeypatch):
+        """Each jump row is aggregated, in one aggregate call per bandwidth
+        over all its tolerances, before the next jump's first replicate
+        runs.  Each replicate draws its noise once for all bandwidths and
+        scores each bandwidth's detection by one classify call."""
+        calls = {"run_replicate": 0, "sample_noise": 0, "classify": 0}
         seen_at_aggregate = []
 
         def counting(name, fn):
@@ -290,13 +291,14 @@ class TestRunSimulation:
             return aggregate(results)
 
         monkeypatch.setattr(harness, "run_replicate", counting("run_replicate", run_replicate))
+        monkeypatch.setattr(harness, "sample_noise", counting("sample_noise", sample_noise))
         monkeypatch.setattr(harness, "classify", counting("classify", classify))
         monkeypatch.setattr(harness, "aggregate", recording_aggregate)
-        cells = run_simulation(self.REQ, threads=1)
-        reps, n_tol = self.REQ.replications, len(self.REQ.tolerances)
-        n_pairs = len(cells) // n_tol
-        assert seen_at_aggregate == [reps * (c + 1) for c in range(n_pairs)]
-        assert calls == {"run_replicate": reps * n_pairs, "classify": reps * n_pairs}
+        run_simulation(self.REQ, threads=1)
+        reps, n_jumps, n_gammas = self.REQ.replications, len(self.REQ.jumps), len(self.REQ.gammas)
+        assert seen_at_aggregate == [reps * (j + 1) for j in range(n_jumps) for _ in range(n_gammas)]
+        assert calls == {"run_replicate": reps * n_jumps, "sample_noise": reps * n_jumps,
+                         "classify": reps * n_jumps * n_gammas}
 
     def test_grid_monotonicities_in_tolerance(self):
         """Widening the tolerance window can only lower realized FDR and
@@ -330,7 +332,7 @@ class TestRunSimulation:
         req = SimulateRequest(length=3000, separation=100, jumps=(1.0,),
                               gammas=(6.0,), tolerances=(5.0,), replications=1, seed=21)
         (cell,) = run_simulation(req)
-        rep = score_at(run_replicate(req, req.truth(1.0), 6.0, rep=0), 0)
+        rep = score_at(run_replicate(req, req.truth(1.0), rep=0)[0], 0)
         truth = make_staircase(1.0, 100, 3000)
         # with one replicate the cell averages are single-outcome fractions
         assert cell.power == rep.power_fraction

@@ -6,7 +6,9 @@ run-by-run scan, and ``Extrema`` must behave as the sequence of
 ``Extremum`` records it stands for.  The whole detector must map a sequence
 reversed and negated to its own result mirrored, and a sequence scaled by
 a power of two to its own result with only the heights scaled.
-Benjamini-Hochberg rejections can only grow with the level.  The command line's CSV
+The Newton tail inversion must land on the bracketed bisection's
+adjacent-float crossing.  Benjamini-Hochberg rejections can only grow with
+the level.  The command line's CSV
 reader and writer must read and write exactly what the row-by-row code
 they replaced did.
 """
@@ -29,11 +31,14 @@ from stemcpd import (
     PiecewiseSignal,
     TimeSeries,
     bh_select,
+    closed_form_moments,
     compose,
     detect_change_points,
     find_local_extrema,
+    invert_peak_height_tail,
     kernel_weights,
     make_staircase,
+    peak_height_tail,
     sample_noise,
     smooth,
 )
@@ -44,6 +49,7 @@ from helpers import (
     convolve_weights_pairwise,
     extrema_of,
     extrema_scan,
+    invert_tail_bisection,
     read_sequence_csv_rows,
     step_signal_loop,
     write_detection_csv_records,
@@ -268,6 +274,54 @@ class TestPowerOfTwoScaling:
         assert np.array_equal(bits(b.p_value), bits(a.p_value))
         assert np.array_equal(scaled.outcome.rejected, base.outcome.rejected)
         assert scaled.outcome.u_threshold == base.outcome.u_threshold * scale
+
+
+def tail_moments(sigma, k, nu, gamma):
+    return closed_form_moments(NoiseModel(sigma * 2.0 ** k, nu), gamma)
+
+
+def is_tail_crossing(u, p, moments):
+    """Whether ``u`` is one end of adjacent floats ``lo < hi`` with
+    ``tail(lo) > p >= tail(hi)``."""
+    if peak_height_tail(u, moments) > p:
+        return peak_height_tail(math.nextafter(u, math.inf), moments) <= p
+    return peak_height_tail(math.nextafter(u, -math.inf), moments) > p
+
+
+TAIL_MOMENTS = dict(sigma=st.floats(0.1, 10.0), k=st.integers(-30, 30),
+                    nu=st.floats(0.0, 8.0), gamma=st.floats(0.5, 60.0))
+
+
+class TestTailInversion:
+    @SETTINGS
+    @given(p=st.floats(-12.0, math.log10(0.3)).map(lambda x: 10.0 ** x), **TAIL_MOMENTS)
+    @example(p=1e-3, sigma=1.0, k=-7, nu=2.0, gamma=6.0)
+    @example(p=0.3, sigma=1.0, k=12, nu=0.0, gamma=1.0)
+    # the rounded tail goes above p again one float past bisection's crossing
+    @example(p=0.27525503488577163, sigma=0.7163896279723009, k=0, nu=1.2037890725967193,
+             gamma=9.328161329281249)
+    def test_newton_equals_bisection(self, p, sigma, k, nu, gamma):
+        """Up to p = 0.3 Newton lands on bisection's answer bit for bit
+        wherever the rounded tail decreases monotonically through the
+        crossing, so that the adjacent-float crossing is unique.  Where it
+        does not (4 of 100,000 random draws, all at p above 0.23), both
+        answers are crossings a few floats apart: two different ones imply
+        that the rounded tail rises again between them."""
+        m = tail_moments(sigma, k, nu, gamma)
+        newton, bisection = invert_peak_height_tail(p, m), invert_tail_bisection(p, m)
+        assert is_tail_crossing(newton, p, m)
+        if bits(newton) != bits(bisection):
+            assert is_tail_crossing(bisection, p, m)
+            assert abs(newton - bisection) <= 8 * math.ulp(bisection)
+
+    @SETTINGS
+    @given(p=st.floats(0.3, 1.0, exclude_min=True, exclude_max=True), **TAIL_MOMENTS)
+    def test_adjacent_float_crossing(self, p, sigma, k, nu, gamma):
+        """Above p = 0.3, towards u = 0, the rounded tail stays flat or
+        wobbles over more floats and bisection more often ends on another
+        crossing; the answer is still an adjacent-float crossing."""
+        m = tail_moments(sigma, k, nu, gamma)
+        assert is_tail_crossing(invert_peak_height_tail(p, m), p, m)
 
 
 class TestBHMonotoneInAlpha:
