@@ -21,7 +21,7 @@ from .errors import (
     StemcpdError,
 )
 from .evaluation import AggregateResult, EvalResult, aggregate, classify
-from .harness import CellResult, SimulateRequest, run_replicate, run_simulation
+from .harness import CellResult, SimulateRequest, run_simulation
 from .inference import (
     SpectralMoments,
     assign_pvalues,
@@ -99,7 +99,6 @@ __all__ = [
     "null_max_rate",
     "null_max_rate_above",
     "peak_height_tail",
-    "run_replicate",
     "run_simulation",
     "sample_noise",
     "smooth",

@@ -42,11 +42,18 @@ class EvalResult:
     n_wrong_sign: np.ndarray
     overlap_warning: np.ndarray
 
+    @property
+    def rates(self) -> np.ndarray:
+        """The (2, T) rows ``fdp`` and ``power_fraction``: what ``aggregate``
+        averages over replicates."""
+        return np.array((self.fdp, self.power_fraction))
+
 
 @dataclass(frozen=True, eq=False)
 class AggregateResult:
-    """Monte Carlo averages over one cell's replicates, one entry per tolerance:
-    realized FDR and power (NaN without jumps) with their standard errors."""
+    """Monte Carlo averages over replicates, one entry per cell and
+    tolerance: realized FDR and power (NaN without jumps) with their
+    standard errors."""
 
     fdr: np.ndarray
     fdr_se: np.ndarray
@@ -87,19 +94,25 @@ def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> EvalRes
     return EvalResult(r, n_false, n_false / max(r, 1), hits, power, n_wrong_sign, overlap)
 
 
-def aggregate(results) -> AggregateResult:
-    """Average realized FDP and power over the replicates of one cell, all
-    scored at the same tolerances, in input order.
+def aggregate(scores) -> AggregateResult:
+    """Average realized FDP and power over replicates, in input order.
 
-    Reducing the last axis of a C-contiguous (2, T, R) stack, numpy uses the
-    pairwise summation of a 1-D array: each tolerance's mean and sd are bit
-    for bit those of its own replicates.  A single replicate's error is 0,
-    or NaN with NaN power."""
-    results = list(results)
-    if not results:
+    ``scores`` stacks one ``EvalResult.rates`` per replicate along a leading
+    replicate axis: shape (R, ..., 2, T), where any axes between index
+    cells scored at the same T tolerances (the harness passes a whole grid
+    as (R, jumps, bandwidths, 2, T)).  Each field of the result has shape
+    (..., T).
+
+    Reducing the last axis of a C-contiguous (..., 2, T, R) copy, numpy uses
+    the pairwise summation of a 1-D array: each cell and tolerance's mean
+    and sd are bit for bit those of its own replicates.  A single
+    replicate's error is 0, or NaN with NaN power."""
+    x = np.asarray(scores, dtype=float)
+    if not len(x):
         raise InvalidParameterError("aggregate requires at least one result")
-    x = np.array([(res.fdp, res.power_fraction) for res in results]).transpose(1, 2, 0).copy()
+    x = np.moveaxis(x, 0, -1).copy()
+    n = x.shape[-1]
     mean = x.mean(axis=-1)
-    se = (np.std(x, axis=-1, ddof=1) / math.sqrt(len(results)) if len(results) > 1
+    se = (np.std(x, axis=-1, ddof=1) / math.sqrt(n) if n > 1
           else np.where(np.isnan(mean), np.nan, 0.0))
-    return AggregateResult(mean[0], se[0], mean[1], se[1], len(results))
+    return AggregateResult(mean[..., 0, :], se[..., 0, :], mean[..., 1, :], se[..., 1, :], n)

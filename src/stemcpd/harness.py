@@ -1,11 +1,16 @@
 """Replicated simulation grids measuring realized FDR and power.
 
-Each replicate draws noise once, overlays a staircase signal, runs the
-full detector at every requested bandwidth and scores each detection
-against the known change points at every requested tolerance.  Replicate
-r uses the derived seed ``seed ^ r`` for every jump and bandwidth, so any
-cell or replicate range can be reproduced independently; aggregation runs
-in replicate order so results are deterministic regardless of parallelism.
+The detector smooths linearly: the smooth of ``a * unit + noise``, where
+``unit`` is the staircase with unit jumps, is ``a * D(unit) + D(noise)``.
+So the harness smooths the unit staircase once per bandwidth and task,
+draws each replicate's noise once, smooths it once per bandwidth, and runs
+every jump of the grid from those two smooths through the detector's own
+selection stages (``pipeline.select_change_points``), scoring each
+detection at every tolerance.  Replicate r uses the derived seed
+``seed ^ r`` for every jump and bandwidth, so any cell or replicate range
+can be reproduced independently.  A task is a block of consecutive
+replicates, and aggregation runs in replicate order, so results are
+deterministic regardless of parallelism.
 """
 
 import itertools
@@ -16,11 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import detect
 from .errors import InvalidParameterError, StemcpdError
-from .evaluation import EvalResult, aggregate, classify
+from .evaluation import aggregate, classify
+from .inference import closed_form_moments
+from .kernels import KernelSpec
 from .multitest import check_alpha
-from .pipeline import DetectionResult, detect_change_points
-from .signals import NoiseModel, PiecewiseSignal, compose, make_staircase, sample_noise
+from .pipeline import DetectionResult, select_change_points
+from .signals import NoiseModel, PiecewiseSignal, TimeSeries, make_staircase, sample_noise
 
 THREADS_ENV_VAR = "STEMCPD_THREADS"
 
@@ -35,11 +43,12 @@ def check_finite_grid(name: str, values: tuple) -> None:
 class SimulateRequest:
     """One simulation grid: jump sizes x bandwidths x tolerances.
 
-    ``replications`` replicates are run per (jump, bandwidth) pair, indexed
-    ``rep_start .. rep_start + replications - 1``; the detector runs once
-    per replicate and is scored at every tolerance.  A jump size of zero
-    requests a pure-noise (complete null) cell.  The grids, the FDR level
-    and the noise model are checked here, before any replicate runs.
+    ``replications`` replicates are run, indexed ``rep_start ..
+    rep_start + replications - 1``; each replicate's noise is shared by
+    every (jump, bandwidth) pair, whose detection is scored at every
+    tolerance.  A jump size of zero requests a pure-noise (complete null)
+    cell.  The grids, the FDR level and the noise model are checked here,
+    before any replicate runs.
     """
 
     length: int = 12000
@@ -108,18 +117,44 @@ def _check_threshold_equivalence(result: DetectionResult) -> None:
         )
 
 
-def run_replicate(req: SimulateRequest, truth: PiecewiseSignal, rep: int) -> list[EvalResult]:
-    """One replicate on the ground truth ``truth``: one noise draw, detected
-    at every bandwidth of ``req`` and scored at every tolerance.  Returns
-    one ``EvalResult`` per bandwidth, in ``req.gammas`` order."""
+def _bandwidths(req: SimulateRequest) -> list:
+    """Per bandwidth of ``req``: the bandwidth, its closed-form moments and
+    the smooth of the unit staircase, or None when every jump is zero (the
+    staircase is built only when some jump needs it)."""
     model = req.noise_model()
-    observed = compose(truth, sample_noise(model, req.length, req.seed ^ rep))
-    scores = []
-    for gamma in req.gammas:
-        result = detect_change_points(observed, gamma, req.alpha, noise_model=model)
-        _check_threshold_equivalence(result)
-        scores.append(classify(result.significant, truth, req.tolerances))
+    unit = TimeSeries(req.truth(1.0).mean) if any(req.jumps) else None
+    return [(gamma, closed_form_moments(model, gamma),
+             None if unit is None else detect.smooth(unit, KernelSpec(gamma=gamma, order=1)))
+            for gamma in req.gammas]
+
+
+def run_replicate(req: SimulateRequest, truths: list, bandwidths: list, rep: int) -> np.ndarray:
+    """One replicate: one noise draw, smoothed once per bandwidth and
+    detected at every jump of ``req`` as ``jump * D(unit) + D(noise)``.
+
+    ``truths`` holds the ground truth per jump and ``bandwidths`` the
+    per-bandwidth triples of ``_bandwidths``.  Returns the (jumps,
+    bandwidths, 2, tolerances) array of each detection's ``EvalResult.rates``.
+    """
+    noise = sample_noise(req.noise_model(), req.length, req.seed ^ rep)
+    scores = np.empty((len(req.jumps), len(req.gammas), 2, len(req.tolerances)))
+    for g, (gamma, moments, unit) in enumerate(bandwidths):
+        dz = detect.smooth(noise, KernelSpec(gamma=gamma, order=1))
+        for j, (jump, truth) in enumerate(zip(req.jumps, truths)):
+            dy = dz if jump == 0.0 else TimeSeries(jump * unit.values + dz.values, dz.interior)
+            result = select_change_points(dy, moments, gamma, req.alpha)
+            _check_threshold_equivalence(result)
+            scores[j, g] = classify(result.significant, truth, req.tolerances).rates
     return scores
+
+
+def run_replicates(req: SimulateRequest, reps: range) -> np.ndarray:
+    """One task: the consecutive replicates ``reps``, sharing one smooth of
+    the unit staircase per bandwidth.  Returns the (replicates, jumps,
+    bandwidths, 2, tolerances) stack of ``run_replicate`` results."""
+    truths = [req.truth(jump) for jump in req.jumps]
+    bandwidths = _bandwidths(req)
+    return np.array([run_replicate(req, truths, bandwidths, rep) for rep in reps])
 
 
 def env_threads() -> int:
@@ -135,36 +170,31 @@ def run_simulation(req: SimulateRequest, threads: int = None) -> list:
     """Run the whole grid; one CellResult per (jump, gamma, tolerance).
 
     Cells appear in grid order (jumps outermost, tolerances innermost).
-    The grid is one task list of (jump, replicate); each task draws its
-    noise once and detects at every bandwidth.  It runs in one process
-    pool of ``min(threads, tasks, usable CPUs)`` workers, or serially when
-    that is 1; usable CPUs are the process's affinity set where the
-    platform reports one.  Results arrive in task order, so output is
-    independent of parallelism.
+    The replicates run in one process pool of ``min(threads, replicates,
+    usable CPUs)`` workers, as about four tasks of consecutive replicates
+    per worker, or serially as one task when that is 1; usable CPUs are the
+    process's affinity set where the platform reports one.  Results arrive
+    in replicate order, so output is independent of parallelism.
     """
     if threads is None:
         threads = env_threads()
     reps = range(req.rep_start, req.rep_start + req.replications)
-    tasks = [(req, truth, r) for truth in map(req.truth, req.jumps) for r in reps]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(tasks), cpus or 1)
+    workers = min(threads, len(reps), cpus or 1)
     if workers > 1:
+        size = -(-len(reps) // (4 * workers))
+        blocks = [reps[i : i + size] for i in range(0, len(reps), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, req.replications // (4 * workers))
-            return _cells(req, pool.map(run_replicate, *zip(*tasks), chunksize=chunk))
-    return _cells(req, map(run_replicate, *zip(*tasks)))
+            scores = np.concatenate(list(pool.map(run_replicates, [req] * len(blocks), blocks)))
+        return _cells(req, scores)
+    return _cells(req, run_replicates(req, reps))
 
 
-def _cells(req: SimulateRequest, results) -> list:
-    """Aggregate the grid's replicate results, given in task order, in one
-    ``aggregate`` call per (jump, gamma): one jump row's replicates at a
-    time, each holding one ``EvalResult`` per bandwidth."""
-    cells = []
-    for jump in req.jumps:
-        row = list(itertools.islice(results, req.replications))
-        for gamma, scores in zip(req.gammas, zip(*row)):
-            agg = aggregate(scores)
-            columns = (a.tolist() for a in (agg.fdr, agg.fdr_se, agg.power, agg.power_se))
-            cells += [CellResult(jump, gamma, b, *values, req.replications, req.seed)
-                      for b, *values in zip(req.tolerances, *columns)]
-    return cells
+def _cells(req: SimulateRequest, scores: np.ndarray) -> list:
+    """The grid's cells from its (replicates, jumps, bandwidths, 2,
+    tolerances) scores, in replicate order, by one ``aggregate`` call."""
+    agg = aggregate(scores)
+    columns = (a.ravel().tolist() for a in (agg.fdr, agg.fdr_se, agg.power, agg.power_se))
+    grid = itertools.product(req.jumps, req.gammas, req.tolerances)
+    return [CellResult(*key, *values, req.replications, req.seed)
+            for key, *values in zip(grid, *columns)]

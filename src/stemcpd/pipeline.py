@@ -4,8 +4,12 @@ The four steps are: differential kernel smoothing of the observed
 sequence, extraction of strict local maxima and minima of the result,
 p-values for their heights from the null extremum-height distribution, and
 step-up selection of the significant subset at the requested FDR level.
-Candidates stay in one ``Extrema`` (parallel arrays) from extraction to the
-result, so no step loops over them in Python.
+``detect_change_points`` smooths and finds the null moments, then hands
+the smoothed sequence to ``select_change_points``, which runs the other
+three steps; the simulation harness, which builds its smoothed sequences
+by linearity, calls that same function.  Candidates stay in one
+``Extrema`` (parallel arrays) from extraction to the result, so no step
+loops over them in Python.
 """
 
 from dataclasses import dataclass, replace
@@ -58,7 +62,8 @@ def detect_change_points(
     alpha: float,
     noise_model: NoiseModel = None,
 ) -> DetectionResult:
-    """Run the full detector on one sequence.
+    """Run the full detector on one sequence: smooth it at ``gamma``, find
+    the null moments and select with ``select_change_points``.
 
     The null moments are the closed form for a known ``noise_model``, and
     otherwise a trimmed empirical estimate from the sequence itself.  A
@@ -69,16 +74,31 @@ def detect_change_points(
     """
     check_alpha(alpha)
     dy = detect.smooth(series, KernelSpec(gamma=gamma, order=1))
-    extrema = find_local_extrema(dy)
     if noise_model is not None:
         moments = closed_form_moments(noise_model, gamma)
     else:
         try:
             moments = estimate_moments_empirical(series, gamma, dy)
         except MomentEstimationError:
-            if extrema:
+            if find_local_extrema(dy):
                 raise
             moments = None
+    return select_change_points(dy, moments, gamma, alpha)
+
+
+def select_change_points(
+    dy: TimeSeries,
+    moments: SpectralMoments,
+    gamma: float,
+    alpha: float,
+) -> DetectionResult:
+    """Extract, test and select the candidate extrema of a smoothed sequence.
+
+    ``dy`` is the order-1 smooth at bandwidth ``gamma``, carrying its
+    interior range, and ``moments`` its null moments, or None when they
+    could not be estimated and ``dy`` has no candidate extrema.
+    """
+    extrema = find_local_extrema(dy)
     if moments is not None:
         extrema = assign_pvalues(extrema, moments)
     # without moments there are no candidates: the empty selection's height

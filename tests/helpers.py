@@ -3,9 +3,11 @@ and a builder of ``Extrema`` test inputs.
 
 The oracles deliberately avoid the package's own code paths: plain
 loops, np.convolve and brute-force scans, so agreement is meaningful.
-The tail-inversion oracle is the exception: it bisects the package's own
+Two oracles are exceptions.  The tail inversion bisects the package's own
 ``peak_height_tail``, since bit-for-bit agreement is only defined on the
-same tail.
+same tail.  The simulation replicate composes each observed sequence and
+runs the package's ``detect_change_points`` on it, since the harness must
+agree with the detector itself.
 """
 
 import csv
@@ -15,7 +17,15 @@ from collections import namedtuple
 
 import numpy as np
 
-from stemcpd import Extrema, InvalidParameterError, peak_height_tail
+from stemcpd import (
+    Extrema,
+    InvalidParameterError,
+    classify,
+    compose,
+    detect_change_points,
+    peak_height_tail,
+    sample_noise,
+)
 from stemcpd.cli import InputDataError
 
 
@@ -140,6 +150,19 @@ def score_at(result, t):
         tuple(result.per_jump_hit[t].tolist()), None if math.isnan(power) else power,
         int(result.n_wrong_sign[t]), bool(result.overlap_warning[t]),
     )
+
+
+def run_replicate(req, truth, rep):
+    """One replicate as the harness ran it before it smoothed by linearity:
+    the noise of replicate ``rep`` composed with ``truth``, detected by
+    ``detect_change_points`` at every bandwidth of ``req`` and scored at
+    every tolerance.  Returns one ``EvalResult`` per bandwidth, in
+    ``req.gammas`` order."""
+    model = req.noise_model()
+    observed = compose(truth, sample_noise(model, req.length, req.seed ^ rep))
+    return [classify(detect_change_points(observed, gamma, req.alpha, noise_model=model).significant,
+                     truth, req.tolerances)
+            for gamma in req.gammas]
 
 
 def staircase_scan(jump, separation, length):

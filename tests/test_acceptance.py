@@ -24,7 +24,6 @@ from stemcpd import (
     find_local_extrema,
     make_staircase,
     null_max_rate,
-    run_replicate,
     run_simulation,
     sample_noise,
     smooth,
@@ -32,7 +31,7 @@ from stemcpd import (
 )
 from stemcpd.cli import main
 
-from helpers import bh_bruteforce
+from helpers import bh_bruteforce, run_replicate
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 

@@ -187,6 +187,11 @@ def scored(fdp, power):
                       np.array(power, dtype=float), zeros, zeros.astype(bool))
 
 
+def stacked(results):
+    """The replicates' ``EvalResult.rates``, as ``aggregate`` takes them."""
+    return [res.rates for res in results]
+
+
 def bits(x):
     """Bit patterns of a float array, every NaN read as the one NaN."""
     x = np.asarray(x, dtype=float)
@@ -214,20 +219,20 @@ def replicate_scores(draw):
 
 class TestAggregate:
     def test_all_zero(self):
-        agg = aggregate([scored([0.0], [1.0]) for _ in range(5)])
+        agg = aggregate(stacked(scored([0.0], [1.0]) for _ in range(5)))
         assert agg.fdr.tolist() == [0.0]
         assert agg.fdr_se.tolist() == [0.0]
         assert agg.power.tolist() == [1.0]
 
     def test_mean_of_two(self):
-        agg = aggregate([scored([0.0], [1.0]), scored([0.5], [0.5])])
+        agg = aggregate(stacked([scored([0.0], [1.0]), scored([0.5], [0.5])]))
         assert agg.fdr == pytest.approx([0.25])
         assert agg.power == pytest.approx([0.75])
         assert agg.n_replications == 2
 
     def test_standard_errors(self):
         vals = [0.0, 0.1, 0.2, 0.3]
-        agg = aggregate([scored([v], [v]) for v in vals])
+        agg = aggregate(stacked(scored([v], [v]) for v in vals))
         expected_se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert agg.fdr_se == pytest.approx([expected_se])
         assert agg.power_se == pytest.approx([expected_se])
@@ -235,12 +240,12 @@ class TestAggregate:
     def test_power_absent_for_null_runs(self):
         null = scored([0.0, 0.0], [math.nan, math.nan])
         for reps in (1, 2):
-            agg = aggregate([null] * reps)
+            agg = aggregate(stacked([null] * reps))
             assert np.isnan(agg.power).all() and np.isnan(agg.power_se).all()
             assert agg.fdr_se.tolist() == [0.0, 0.0]
 
     def test_single_replicate(self):
-        agg = aggregate([scored([0.5], [1.0])])
+        agg = aggregate(stacked([scored([0.5], [1.0])]))
         assert agg.fdr_se.tolist() == [0.0]
         assert agg.power_se.tolist() == [0.0]
 
@@ -253,10 +258,25 @@ class TestAggregate:
     def test_matches_per_tolerance_oracle(self, results):
         """Every tolerance's average and standard error equal, bit for
         bit, the one-tolerance aggregation of the same replicates."""
-        agg = aggregate(results)
+        agg = aggregate(stacked(results))
         expected = [aggregate_per_tolerance(score_at(res, t) for res in results)
                     for t in range(len(results[0].fdp))]
         for name in ("fdr", "fdr_se", "power", "power_se"):
             assert np.array_equal(bits(getattr(agg, name)),
                                   bits([getattr(e, name) for e in expected])), name
         assert agg.n_replications == len(results)
+
+    @pytest.mark.parametrize("reps", [1, 2, 7, 600])
+    def test_grid_stack_matches_each_cell(self, reps):
+        """One call on a (R, jumps, bandwidths, 2, T) stack gives, bit for
+        bit, each (jump, bandwidth) cell's own aggregate."""
+        rng = np.random.default_rng(reps)
+        x = rng.uniform(size=(reps, 3, 4, 2, 5))
+        x[:, 0, :, 1] = np.nan  # a null row: no power
+        agg = aggregate(x)
+        assert agg.fdr.shape == (3, 4, 5) and agg.n_replications == reps
+        for j, g in np.ndindex(3, 4):
+            cell = aggregate(x[:, j, g])
+            for name in ("fdr", "fdr_se", "power", "power_se"):
+                assert np.array_equal(bits(getattr(agg, name)[j, g]),
+                                      bits(getattr(cell, name))), (name, j, g)
