@@ -4,7 +4,10 @@ A change point of the piecewise-constant mean turns into a signed bump of
 the smoothed derivative, so candidate change points are the strict local
 maxima and minima of the derivative-smoothed sequence.  Candidates are
 restricted to the interior where the full kernel support fits inside the
-data, which avoids partial-kernel bias at the boundaries.
+data, which avoids partial-kernel bias at the boundaries.  Extraction
+compares neighbours once and drops the ties: a candidate is a turn in the
+directions of the remaining moves, mapped back to its sample by counting
+the ties before it, so a plateau is one candidate.
 
 The candidates of one sequence travel through inference and selection as
 one ``Extrema``: parallel arrays of grid index, height, sign and p-value.
@@ -15,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthTooLargeError, InvalidParameterError
-from .kernels import KernelSpec, kernel_weights
+from .errors import BandwidthTooLargeError
+from .kernels import KernelSpec, convolve_weights, kernel_weights
 from .signals import TimeSeries
-
-#: Output samples per block in ``convolve_weights``: the block, its scratch
-#: term and the two input windows (256 KiB each) stay in a per-core L2
-#: cache across all lags; much smaller blocks pay more in ufunc calls.
-_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -77,49 +75,6 @@ class Extrema:
                    self.p_value.tolist())
 
 
-def convolve_weights(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Centered discrete convolution with a symmetric or antisymmetric kernel.
-
-    Equivalent to ``convolve(values, weights, mode='same')`` but
-    accumulated in symmetric pairs, so exactly antisymmetric weights yield
-    exactly zero output wherever the input is locally constant.  Entries
-    within half a kernel of either end use zero padding and are only
-    meaningful inside the interior range.
-
-    Every output sample is summed in one fixed order: the center term,
-    then ``w[k+j] * (y[t-j] -/+ y[t+j])`` for lags j = 1, 2, ... in turn.
-    Results are therefore bit-for-bit independent of the block size used
-    to keep the working set in cache.
-    """
-    n = len(values)
-    k = (len(weights) - 1) // 2
-    if len(weights) != 2 * k + 1:
-        raise InvalidParameterError("weights must have odd length")
-    center = weights[k]
-    combine = np.subtract if np.array_equal(weights[::-1], -weights) else np.add
-    lags = max(min(k, n - 1), 0)
-    padded = np.zeros(n + 2 * lags)
-    padded[lags : lags + n] = values
-    # `out` starts at +0.0 and only ever has terms added to it, so it never
-    # holds -0.0 and the sign of a zero term cannot show (the padding makes
-    # y + 0.0 where a sum of pairs without it would keep y itself)
-    out = np.zeros(n)
-    term = np.empty(min(n, _BLOCK))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        acc, tmp = out[lo:hi], term[: hi - lo]
-        if center != 0.0:
-            np.multiply(values[lo:hi], center, out=tmp)
-            acc += tmp
-        for j in range(1, lags + 1):
-            # w[j]*y[t-j] + w[-j]*y[t+j] = w[j]*(y[t-j] -/+ y[t+j])
-            combine(padded[lo + lags - j : hi + lags - j], padded[lo + lags + j : hi + lags + j],
-                    out=tmp)
-            tmp *= weights[k + j]
-            acc += tmp
-    return out
-
-
 def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
     """Convolve a series with the sampled kernel derivative weights.
 
@@ -148,23 +103,30 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
     none.  Both flanking values must lie inside the interior, hence no
     extremum is reported within the boundary margin.  P-values are NaN
     until ``assign_pvalues`` fills them in.
+
+    Each pair of neighbours is compared once.  Dropping the ties leaves
+    the directions of the moves; an extremum sits right after each move
+    whose successor turns the other way, and its sample is found by adding
+    back the ties before that move.  The full-length temporaries are
+    boolean; the index arrays are sized by the ties and the candidates.
     """
     sl = dy.interior_slice()
     seg = dy.values[sl]
-    if len(seg) < 3:
-        return Extrema(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64),
-                       np.empty(0))
-    # run-length encode so plateaus collapse to a single candidate
-    starts = np.concatenate(([0], np.flatnonzero(seg[1:] != seg[:-1]) + 1))
-    run_values = seg[starts]
-    mid, left, right = run_values[1:-1], run_values[:-2], run_values[2:]
-    nonzero = mid != 0.0
-    is_max = nonzero & (mid > left) & (mid > right)
-    is_min = nonzero & (mid < left) & (mid < right)
-    hits = np.flatnonzero(is_max | is_min)
+    before, after = seg[:-1], seg[1:]
+    up = after > before
+    moves = after < before
+    moves |= up
+    rising = up[moves]
+    # move j (counting moves only) is followed by one the other way
+    turns = np.flatnonzero(rising[1:] != rising[:-1])
+    # tie i has ties[i] - i moves before it: add the ties before each turn
+    ties = np.flatnonzero(~moves)
+    at = turns + 1 + np.searchsorted(ties - np.arange(len(ties)), turns, side="right")
+    height = seg[at]
+    keep = height != 0.0
     return Extrema(
-        index=starts[hits + 1] + (1 + sl.start),
-        height=run_values[hits + 1],
-        sign=np.where(is_max[hits], 1, -1),
-        p_value=np.full(len(hits), np.nan),
+        index=at[keep] + (1 + sl.start),
+        height=height[keep],
+        sign=np.where(rising[turns[keep]], 1, -1),
+        p_value=np.full(np.count_nonzero(keep), np.nan),
     )

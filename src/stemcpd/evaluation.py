@@ -62,14 +62,27 @@ class AggregateResult:
     n_replications: int
 
 
+def _nearest_distance(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``|point - target|`` to the nearest of the sorted ``targets`` for
+    each point, inf without targets.
+
+    Rounding is monotone, so the nearest in exact arithmetic stays the
+    nearest in floats: only the targets on either side of a point are
+    compared, and the distance is the one a full scan would find."""
+    fenced = np.concatenate(([-np.inf], targets, [np.inf]))
+    right = np.searchsorted(fenced, points)
+    return np.minimum(points - fenced[right - 1], fenced[right] - points)
+
+
 def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> EvalResult:
     """Score significant extrema against the true change points at every
     tolerance in ``tolerances``: one ``EvalResult`` whose row t is the
     score at the t-th tolerance.
 
-    Distances are taken once: each detection's nearest jump, its nearest
-    jump of matching sign, and each jump's nearest detection of matching
-    sign.  The window test at tolerance ``b`` is then ``distance < b``.
+    Distances are taken once, each by a sorted search: each detection's
+    nearest jump, its nearest jump of matching sign, and each jump's
+    nearest detection of matching sign.  The window test at tolerance
+    ``b`` is then ``distance < b``.
     """
     b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
     if not np.all(b > 0):
@@ -81,12 +94,20 @@ def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> EvalRes
             "counts follow the literal definitions and may double-credit",
             stacklevel=2,
         )
-    dist = np.abs(detections.index.astype(float)[:, None] - truth.locations[None, :])  # (r, J)
-    matched = np.where(detections.sign[:, None] * truth.sizes[None, :] > 0, dist, np.inf)
-    n_in_any = np.count_nonzero(dist.min(axis=1, initial=np.inf) < b, axis=1)
+    pos = detections.index.astype(float)
+    raised = detections.sign > 0
+    rises = truth.sizes > 0
+    locations = truth.locations
+    to_rise = _nearest_distance(pos, locations[rises])
+    to_fall = _nearest_distance(pos, locations[~rises])
+    nearest = np.minimum(to_rise, to_fall)  # (r,)
+    matched = np.where(raised, to_rise, to_fall)
+    found = np.where(rises, _nearest_distance(locations, np.sort(pos[raised])),
+                     _nearest_distance(locations, np.sort(pos[~raised])))  # (J,)
+    n_in_any = np.count_nonzero(nearest < b, axis=1)
     # inside a window of matching sign, hence also inside some window
-    n_in_matched = np.count_nonzero(matched.min(axis=1, initial=np.inf) < b, axis=1)
-    hits = matched.min(axis=0, initial=np.inf) < b  # (T, J)
+    n_in_matched = np.count_nonzero(matched < b, axis=1)
+    hits = found < b  # (T, J)
     power = hits.mean(axis=1) if truth.n_jumps else np.full(len(hits), np.nan)
     r = len(detections)
     n_false = r - n_in_any

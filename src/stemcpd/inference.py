@@ -26,6 +26,12 @@ from .signals import NoiseModel, TimeSeries
 _SQRT_PI = math.sqrt(math.pi)
 _TINY = np.finfo(float).tiny
 
+#: Heights beyond this many standard deviations ``sd_d1`` leave the height
+#: tail and density saturated: their Gaussian factors are exp(-800) == 0.0
+#: and their normal integrals exactly 0 or 1 there.  Clamping heights to it
+#: changes no result and keeps phi's square from overflowing.
+_SATURATION = 40.0
+
 #: Fraction of largest-magnitude smoothed-derivative samples that the
 #: empirical moment estimate discards.
 _TRIM = 0.1
@@ -146,6 +152,15 @@ def _bump_coefficient(moments: SpectralMoments) -> float:
     return _SQRT_2PI * moments.var_d2 / math.sqrt(moments.var_d3 * moments.var_d1)
 
 
+def _heights(u, sd: float):
+    """Heights clamped to ``+/-_SATURATION*sd``: a scalar as a Python float,
+    anything else as a float64 array."""
+    limit = _SATURATION * sd
+    if isinstance(u, (float, int)):
+        return min(max(float(u), -limit), limit)
+    return np.minimum(np.maximum(np.asarray(u, dtype=float), -limit), limit)
+
+
 def peak_height_tail(u, moments: SpectralMoments):
     """Right-tail probability of the height of a null local maximum.
 
@@ -162,16 +177,14 @@ def peak_height_tail(u, moments: SpectralMoments):
     Accepts scalars or arrays; results are clipped into (0, 1] so extreme
     heights never round to an exact zero p-value.
     """
-    u = np.asarray(u, dtype=float)
     sd = moments.sd_d1
+    u = _heights(u, sd)
     sqrt_delta = math.sqrt(moments.delta)
     tail = ndtr(-u * math.sqrt(moments.var_d3) / sqrt_delta)
     coef = _bump_coefficient(moments)
     bump = coef * _phi(u / sd) * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
-    out = np.clip(tail + bump, _TINY, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = np.minimum(np.maximum(tail + bump, _TINY), 1.0)
+    return out if out.ndim else float(out)
 
 
 def peak_height_density(u, moments: SpectralMoments):
@@ -185,16 +198,14 @@ def peak_height_density(u, moments: SpectralMoments):
     The derivatives of the two Gaussian factors cancel against part of
     the first term, leaving this form.  Accepts scalars or arrays.
     """
-    u = np.asarray(u, dtype=float)
     sd = moments.sd_d1
+    u = _heights(u, sd)
     sqrt_delta = math.sqrt(moments.delta)
     scale = math.sqrt(moments.var_d3) / sqrt_delta
     coef = _bump_coefficient(moments)
     bump = coef * u * _phi(u / sd) * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
     out = (_phi(u * scale) / scale + bump) / moments.var_d1
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return out if out.ndim else float(out)
 
 
 def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:

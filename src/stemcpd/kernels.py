@@ -5,7 +5,9 @@ Smoothing uses the truncated Gaussian kernel scaled by a bandwidth g,
 Convolving a sequence with unit-grid samples of ``w_g`` estimates the
 underlying smooth trend; convolving with samples of the k-th derivative of
 ``w_g`` estimates the k-th derivative of that trend.  Every convolution in
-this package is driven by the weight sequences produced here.
+this package is driven by the weight sequences produced here and summed by
+``convolve_weights`` in one fixed order, so its bits do not depend on the
+BLAS kernel a CPU selects.
 """
 
 import math
@@ -19,6 +21,11 @@ from .errors import BandwidthTooSmallError, InvalidParameterError
 GAUSSIAN_CUTOFF = 4.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+#: Output samples per block in ``convolve_weights``: the block, its scratch
+#: term and the two input windows (256 KiB each) stay in a per-core L2
+#: cache across all lags; much smaller blocks pay more in ufunc calls.
+_BLOCK = 32768
 
 
 def _phi(x):
@@ -104,3 +111,46 @@ def kernel_weights(spec: KernelSpec) -> np.ndarray:
         w = w / math.fsum(w)
         w[k] += 1.0 - math.fsum(w)
     return w
+
+
+def convolve_weights(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Centered discrete convolution with a symmetric or antisymmetric kernel.
+
+    Equivalent to ``convolve(values, weights, mode='same')`` but
+    accumulated in symmetric pairs, so exactly antisymmetric weights yield
+    exactly zero output wherever the input is locally constant.  Entries
+    within half a kernel of either end use zero padding and are only
+    meaningful inside the interior range.
+
+    Every output sample is summed in one fixed order: the center term,
+    then ``w[k+j] * (y[t-j] -/+ y[t+j])`` for lags j = 1, 2, ... in turn.
+    Results are therefore bit-for-bit independent of the block size used
+    to keep the working set in cache.
+    """
+    n = len(values)
+    k = (len(weights) - 1) // 2
+    if len(weights) != 2 * k + 1:
+        raise InvalidParameterError("weights must have odd length")
+    center = weights[k]
+    combine = np.subtract if np.array_equal(weights[::-1], -weights) else np.add
+    lags = max(min(k, n - 1), 0)
+    padded = np.zeros(n + 2 * lags)
+    padded[lags : lags + n] = values
+    # `out` starts at +0.0 and only ever has terms added to it, so it never
+    # holds -0.0 and the sign of a zero term cannot show (the padding makes
+    # y + 0.0 where a sum of pairs without it would keep y itself)
+    out = np.zeros(n)
+    term = np.empty(min(n, _BLOCK))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        acc, tmp = out[lo:hi], term[: hi - lo]
+        if center != 0.0:
+            np.multiply(values[lo:hi], center, out=tmp)
+            acc += tmp
+        for j in range(1, lags + 1):
+            # w[j]*y[t-j] + w[-j]*y[t+j] = w[j]*(y[t-j] -/+ y[t+j])
+            combine(padded[lo + lags - j : hi + lags - j], padded[lo + lags + j : hi + lags + j],
+                    out=tmp)
+            tmp *= weights[k + j]
+            acc += tmp
+    return out

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, InvalidParameterError
-from .kernels import KernelSpec, kernel_value
+from .kernels import KernelSpec, convolve_weights, kernel_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +149,9 @@ def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:
     ``kernel_value``, not the sum-one ``kernel_weights``, so the process
     variance is about ``sigma^2/(2 sqrt(pi) nu)``.  A filter longer
     than ``length`` is refused.  Output is a deterministic function of
-    (model, length, seed); the generator is numpy's PCG64.
+    (model, length, seed): the generator is numpy's PCG64, and the filter
+    is summed by ``convolve_weights`` in one fixed order, so the BLAS
+    kernel a CPU selects cannot move its bits.
     """
     if length < 1:
         raise InvalidParameterError("length must be at least 1")
@@ -165,7 +167,7 @@ def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:
         )
     g = kernel_value(spec, np.arange(-pad, pad + 1))
     e = rng.standard_normal(length + 2 * pad)
-    z = model.sigma * np.convolve(e, g, mode="valid")
+    z = model.sigma * convolve_weights(e, g)[pad : pad + length]
     return TimeSeries(z)
 
 

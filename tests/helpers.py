@@ -2,7 +2,8 @@
 and a builder of ``Extrema`` test inputs.
 
 The oracles deliberately avoid the package's own code paths: plain
-loops, np.convolve and brute-force scans, so agreement is meaningful.
+loops, np.convolve, brute-force scans and the whole-array code that the
+package's faster forms replaced, so agreement is meaningful.
 Two oracles are exceptions.  The tail inversion bisects the package's own
 ``peak_height_tail``, since bit-for-bit agreement is only defined on the
 same tail.  The simulation replicate composes each observed sequence and
@@ -18,6 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from stemcpd import (
+    EvalResult,
     Extrema,
     InvalidParameterError,
     classify,
@@ -117,6 +119,33 @@ def classify_per_tolerance(detections, truth, b):
         power = None
     v = int(np.sum(~in_any))
     return ToleranceScore(r, v, v / max(r, 1), hits, power, n_wrong, overlap)
+
+
+def classify_matrix(detections, truth, tolerances):
+    """Scoring at every tolerance from one (detections x jumps) distance
+    matrix: the scoring before each nearest distance came from a sorted
+    search."""
+    b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
+    if not np.all(b > 0):
+        raise InvalidParameterError("tolerance must be positive")
+    overlap = 2.0 * b[:, 0] > truth.min_separation()
+    if overlap.any():
+        warnings.warn(
+            "tolerance windows overlap (2b exceeds the minimum jump spacing); "
+            "counts follow the literal definitions and may double-credit",
+            stacklevel=2,
+        )
+    dist = np.abs(detections.index.astype(float)[:, None] - truth.locations[None, :])  # (r, J)
+    matched = np.where(detections.sign[:, None] * truth.sizes[None, :] > 0, dist, np.inf)
+    n_in_any = np.count_nonzero(dist.min(axis=1, initial=np.inf) < b, axis=1)
+    # inside a window of matching sign, hence also inside some window
+    n_in_matched = np.count_nonzero(matched.min(axis=1, initial=np.inf) < b, axis=1)
+    hits = matched.min(axis=0, initial=np.inf) < b  # (T, J)
+    power = hits.mean(axis=1) if truth.n_jumps else np.full(len(hits), np.nan)
+    r = len(detections)
+    n_false = r - n_in_any
+    n_wrong_sign = n_in_any - n_in_matched
+    return EvalResult(r, n_false, n_false / max(r, 1), hits, power, n_wrong_sign, overlap)
 
 
 def aggregate_per_tolerance(results) -> ToleranceAggregate:
@@ -284,6 +313,31 @@ def extrema_scan(values, lo, hi, origin=1):
         elif v != 0.0 and v < left and v < right:
             found.append((origin + start, v, -1))
     return found
+
+
+def extrema_run_length(dy):
+    """Strict local extrema of ``dy`` inside its interior as an ``Extrema``,
+    by run-length encoding the interior into a run start and a run value
+    per sample: the extraction before it compared neighbours only once."""
+    sl = dy.interior_slice()
+    seg = dy.values[sl]
+    if len(seg) < 3:
+        return Extrema(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64),
+                       np.empty(0))
+    # run-length encode so plateaus collapse to a single candidate
+    starts = np.concatenate(([0], np.flatnonzero(seg[1:] != seg[:-1]) + 1))
+    run_values = seg[starts]
+    mid, left, right = run_values[1:-1], run_values[:-2], run_values[2:]
+    nonzero = mid != 0.0
+    is_max = nonzero & (mid > left) & (mid > right)
+    is_min = nonzero & (mid < left) & (mid < right)
+    hits = np.flatnonzero(is_max | is_min)
+    return Extrema(
+        index=starts[hits + 1] + (1 + sl.start),
+        height=run_values[hits + 1],
+        sign=np.where(is_max[hits], 1, -1),
+        p_value=np.full(len(hits), np.nan),
+    )
 
 
 def step_signal_loop(jumps, length):

@@ -1,5 +1,7 @@
 """Tests for differential smoothing and extrema extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from stemcpd import (
     sample_noise,
     smooth,
 )
-from stemcpd.detect import convolve_weights
+from stemcpd.kernels import convolve_weights
 
 
 def series(values, **kw):
@@ -155,6 +157,23 @@ class TestFindLocalExtrema:
         k = spec.half_width()
         for e in find_local_extrema(dy):
             assert k + 1 <= e.index - 1 <= len(noise) - k - 2
+
+    def test_traced_peak_at_most_eight_bytes_per_sample(self):
+        """Extraction keeps its full-length temporaries boolean: on the
+        paper staircase at n = 1e6 and gamma 6 (about 70k candidates) its
+        traced peak stays under 8 bytes per sample (about 7 measured; a
+        run start and a run value per sample took 21.8)."""
+        n = 1_000_000
+        y = compose(make_staircase(3.0, 100, n), sample_noise(NoiseModel(1.0, 2.0), n, seed=5))
+        dy = smooth(y, KernelSpec(gamma=6.0, order=1))
+        tracemalloc.start()
+        try:
+            found = find_local_extrema(dy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) > 50_000
+        assert peak <= 8 * n
 
     def test_null_extrema_count_matches_analytic_rate(self):
         """On pure noise the extrema count per unit matches twice the

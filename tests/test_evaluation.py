@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stemcpd import (
@@ -21,6 +21,7 @@ from stemcpd import (
 from helpers import (
     aggregate_per_tolerance,
     classify_bruteforce,
+    classify_matrix,
     classify_per_tolerance,
     score_at,
 )
@@ -62,6 +63,29 @@ def scoring_cases(draw):
                        st.sampled_from([0.5, 1.5, 2.5]))
     tolerances = draw(st.lists(grid_b, min_size=1, max_size=9))
     return dets(index, sign), truth, tuple(tolerances)
+
+
+@st.composite
+def matrix_cases(draw):
+    """Mixed-sign jumps at non-integer locations (quarter steps, so some
+    detections lie exactly midway between two jumps, or arbitrary floats),
+    detections in any order with repeats, and tolerances that include the
+    distances themselves."""
+    length = 200
+    steps = draw(st.lists(st.integers(4, 4 * length), max_size=12, unique=True))
+    floats = draw(st.lists(st.floats(1.0, float(length)), max_size=4))
+    locations = sorted(set([q / 4.0 for q in steps] + floats))
+    sizes = draw(st.lists(st.sampled_from([-1.5, -1.0, 0.5, 2.0]),
+                          min_size=len(locations), max_size=len(locations)))
+    midway = [int((a + b) / 2) for a, b in zip(locations, locations[1:]) if (a + b) % 2 == 0]
+    index = draw(st.lists(st.integers(1, length), max_size=25)) + midway
+    index = draw(st.permutations(index))
+    sign = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(index), max_size=len(index)))
+    distances = [abs(i - v) for i in index for v in locations if 0 < abs(i - v) < 40]
+    grid_b = st.one_of(st.floats(0.25, 30.0), st.sampled_from([0.25, 0.5, 1.0, 2.5]),
+                       *([st.sampled_from(distances)] if distances else []))
+    tolerances = draw(st.lists(grid_b, min_size=1, max_size=9))
+    return index, sign, tuple(zip(locations, sizes)), tuple(tolerances)
 
 
 TRUTH = PiecewiseSignal(((100.0, 1.0), (200.0, -2.0), (300.0, 1.5)), 400)
@@ -177,6 +201,27 @@ class TestClassify:
             expected = [classify_per_tolerance(found, truth, b) for b in tolerances]
         assert [score_at(res, t) for t in range(len(tolerances))] == expected
         assert res.per_jump_hit.shape == (len(tolerances), truth.n_jumps)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=matrix_cases())
+    @example(case=([15, 15, 25], [1, -1, -1], ((10.0, 1.0), (20.0, -2.0), (30.0, 0.5)),
+                   (5.0, 5.5, 0.5)))
+    def test_matches_distance_matrix_oracle(self, case):
+        """Field by field the score from one (detections x jumps) distance
+        matrix, whose minima the sorted searches replace."""
+        index, sign, jumps, tolerances = case
+        found, truth = dets(index, sign), PiecewiseSignal(jumps, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            res = classify(found, truth, tolerances)
+            expected = classify_matrix(found, truth, tolerances)
+        assert res.n_detected == expected.n_detected
+        for name in ("n_false", "fdp", "per_jump_hit", "power_fraction", "n_wrong_sign",
+                     "overlap_warning"):
+            mine, theirs = getattr(res, name), getattr(expected, name)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, name
+            assert np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f"), name
 
 
 def scored(fdp, power):

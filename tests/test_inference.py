@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import kstest
 
 from stemcpd import (
@@ -13,6 +14,7 @@ from stemcpd import (
     KernelSpec,
     MomentEstimationError,
     NoiseModel,
+    SimulateRequest,
     SpectralMoments,
     TimeSeries,
     assign_pvalues,
@@ -23,6 +25,7 @@ from stemcpd import (
     invert_peak_height_tail,
     make_staircase,
     peak_height_tail,
+    run_simulation,
     sample_noise,
     smooth,
 )
@@ -190,6 +193,42 @@ class TestPeakHeightTail:
         m = closed_form_moments(MODEL, 6.0)
         u = 3.0 * m.sd_d1
         assert np.mean(heights > u) == pytest.approx(peak_height_tail(u, m), rel=0.05)
+
+
+    def test_saturation_clamp_changes_no_value(self):
+        """Clamping heights to 40 sd is invisible: the tail and the density
+        equal the unclamped formulas bit for bit, scalar and array, from
+        -60 to 60 sd, where those formulas do not overflow yet."""
+        for gamma, nu in ((1.0, 0.5), (6.0, 2.0), (50.0, 2.0)):
+            m = closed_form_moments(NoiseModel(1.0, nu), gamma)
+            sd, sqrt_delta = m.sd_d1, math.sqrt(m.delta)
+            u = np.linspace(-60.0, 60.0, 4801) * sd
+            phi = lambda x: np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
+            coef = math.sqrt(2.0 * math.pi) * m.var_d2 / math.sqrt(m.var_d3 * m.var_d1)
+            scale = math.sqrt(m.var_d3) / sqrt_delta
+            normal = ndtr(u * m.var_d2 / (sd * sqrt_delta))
+            tail = np.clip(ndtr(-u * math.sqrt(m.var_d3) / sqrt_delta)
+                           + coef * phi(u / sd) * normal, np.finfo(float).tiny, 1.0)
+            density = (phi(u * scale) / scale + coef * u * phi(u / sd) * normal) / m.var_d1
+            for mine, want in ((peak_height_tail(u, m), tail),
+                               (peak_height_density(u, m), density)):
+                assert np.array_equal(mine.view(np.int64), want.view(np.int64))
+            assert [peak_height_tail(x, m) for x in u[::40].tolist()] == tail[::40].tolist()
+
+    def test_huge_heights_raise_no_overflow(self):
+        """Heights of 3e300, where the square in phi would overflow, give
+        the saturated tail and density without a RuntimeWarning (an error
+        under this suite's settings), also through a whole simulation."""
+        m = closed_form_moments(MODEL, 2.0)
+        huge = np.array([-3e300, 3e300])
+        tiny = np.finfo(float).tiny
+        assert peak_height_tail(huge, m).tolist() == [1.0, tiny]
+        assert peak_height_density(huge, m).tolist() == [0.0, 0.0]
+        assert [peak_height_tail(x, m) for x in (-3e300, 3e300)] == [1.0, tiny]
+        req = SimulateRequest(length=1200, separation=100, jumps=(3e300,), gammas=(2.0,),
+                              tolerances=(5.0,), replications=1)
+        (cell,) = run_simulation(req)
+        assert cell.power == 1.0
 
 
 class TestPeakHeightDensity:

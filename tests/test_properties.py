@@ -43,11 +43,12 @@ from stemcpd import (
     smooth,
 )
 from stemcpd.cli import InputDataError, read_sequence_csv, write_detection_csv
-from stemcpd.detect import convolve_weights
+from stemcpd.kernels import convolve_weights
 
 from helpers import (
     convolve_weights_pairwise,
     extrema_of,
+    extrema_run_length,
     extrema_scan,
     invert_tail_bisection,
     read_sequence_csv_rows,
@@ -131,6 +132,50 @@ class TestExtremaScan:
         want = extrema_scan(y.tolist(), lo, hi)
         assert [(e.index, e.height, e.sign) for e in found] == want
         assert all(type(e.index) is int and type(e.height) is float for e in found)
+
+    @SETTINGS
+    @given(
+        runs=st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 30)), max_size=12),
+        cut=st.tuples(st.integers(0, 400), st.integers(0, 400)),
+    )
+    @example(runs=[(1, 50)], cut=(0, 400))  # all equal
+    @example(runs=[(0, 40)], cut=(3, 30))  # all zero
+    @example(runs=[(1, 5), (2, 10), (1, 5)], cut=(2, 18))  # ties at both interior edges
+    @example(runs=[(1, 4), (0, 7), (1, 4), (0, 6), (-1, 3), (0, 5)], cut=(0, 400))  # zero plateaus
+    @example(runs=[(0, 3), (2, 9), (-1, 8), (1, 1), (-2, 12), (0, 2)], cut=(0, 400))  # up, ties, down
+    @example(runs=[(1, 1), (1, 30), (1, 30), (2, 1)], cut=(0, 400))  # adjacent equal runs
+    def test_long_ties_equal_plain_scan(self, runs, cut):
+        """Sequences of long constant runs: ties between the moves, at the
+        interior edges, on exact-zero plateaus and between an up move and a
+        down move all map back to the leftmost sample of each plateau."""
+        y = np.repeat([float(v) for v, _ in runs], [n for _, n in runs])
+        lo, hi = sorted(min(c, len(y)) for c in cut)
+        found = find_local_extrema(TimeSeries(y, interior=(lo, hi)))
+        want = extrema_scan(y.tolist(), lo, hi)
+        assert [(e.index, e.height, e.sign) for e in found] == want
+
+    @SETTINGS
+    @given(
+        gamma=st.floats(0.3, 12.0),
+        n=st.integers(0, 30_000),
+        margin=st.integers(0, 50),
+        seed=st.integers(0, 2**32 - 1),
+        kind=KINDS,
+    )
+    @example(gamma=6.0, n=30_000, margin=25, seed=3, kind="steps")
+    def test_equals_run_length_oracle(self, gamma, n, margin, seed, kind):
+        """Bit for bit and dtype for dtype the run-length extraction it
+        replaced, on smoothed noise, noisy staircases and integer plateaus."""
+        y = sequence(seed, n, kind)
+        if kind != "plateaus":
+            y = convolve_weights(y, kernel_weights(KernelSpec(gamma=gamma, order=1)))
+        lo = min(margin, n)
+        dy = TimeSeries(y, interior=(lo, max(lo, n - margin)))
+        found, want = find_local_extrema(dy), extrema_run_length(dy)
+        for name in ("index", "height", "sign", "p_value"):
+            mine, theirs = getattr(found, name), getattr(want, name)
+            assert mine.dtype == theirs.dtype, name
+            assert np.array_equal(mine.view(np.int64), theirs.view(np.int64)), name
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Tests for signal construction and noise generation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from stemcpd import (
     sample_noise,
 )
 
-from helpers import noise_kernel, staircase_scan
+from helpers import convolve_weights_pairwise, noise_kernel, staircase_scan
 
 
 class TestTimeSeries:
@@ -184,13 +185,26 @@ class TestNoise:
 
     @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
     def test_filter_matches_noise_kernel_oracle(self, nu):
+        """The filter is the pairwise fixed-order sum of the loop oracle, bit
+        for bit, and within 8 ulps of the absolute-term sum of np.convolve
+        (whose BLAS dot kernel sums in a CPU-specific order; 4 measured)."""
         g = noise_kernel(nu)
         pad = (len(g) - 1) // 2
         for length, seed in ((len(g), 0), (1000, 7), (12000, 21)):
             e = np.random.default_rng(seed).standard_normal(length + 2 * pad)
-            expected = 1.5 * np.convolve(e, g, mode="valid")
+            expected = 1.5 * convolve_weights_pairwise(e, g)[pad : pad + length]
             got = sample_noise(NoiseModel(1.5, nu), length, seed).values
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (length, seed)
+            scale = 1.5 * np.convolve(np.abs(e), g, mode="valid")
+            blas = 1.5 * np.convolve(e, g, mode="valid")
+            assert np.all(np.abs(got - blas) <= 8 * np.spacing(scale)), (length, seed)
+
+    def test_golden_noise_bytes(self):
+        """The noise of one paper-design replicate, pinned by the SHA-256 of
+        its little-endian bytes, the same under every OpenBLAS CPU kernel."""
+        values = sample_noise(NoiseModel(1.0, 2.0), 12000, 7).values
+        digest = hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+        assert digest == "346ae316fcc91962cdcbeed4729e708258712e45967664689fc48574989b47f2"
 
 
 class TestCompose:
