@@ -12,6 +12,7 @@ import csv
 import sys
 from collections.abc import Sequence
 from dataclasses import fields
+from itertools import compress
 
 import numpy as np
 
@@ -53,20 +54,31 @@ def _float_list(text: str) -> tuple:
 #: whitespace where Python's float() refuses them, so no input may hold one.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
+#: Characters per piece of the input text that the reader parses at once;
+#: a piece runs on to the end of the line it reaches this length in.
+_CHUNK = 1 << 18
+
+
+def _line_at(text: str, start: int) -> str:
+    """The line of ``text`` that starts at offset ``start``."""
+    end = text.find("\n", start)
+    return text[start:] if end < 0 else text[start:end]
+
 
 class PositionLabels(Sequence):
-    """The position column of a two-column input, read from a data line
-    only when its label is asked for: the detection output needs labels
-    at its candidate rows alone."""
+    """The position column of a two-column input: the decoded text and each
+    data row's line offset in it.  A label is cut out of its line only when
+    asked for: the detection output needs labels at its candidate rows alone."""
 
-    def __init__(self, lines):
-        self._lines = lines
+    def __init__(self, text: str, starts: np.ndarray):
+        self._text = text
+        self._starts = starts
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self._starts)
 
     def __getitem__(self, i) -> str:
-        line = self._lines[i]
+        line = _line_at(self._text, int(self._starts[i]))
         # without a quote the first field ends at the first comma
         return _fields(line)[0] if '"' in line else line.partition(",")[0]
 
@@ -82,33 +94,92 @@ def _fields(line: str) -> list:
 
 
 def _is_comment(line: str) -> bool:
-    """Whether the first field starts with '#' after leading whitespace."""
-    return "#" in line and _fields(line)[0].lstrip().startswith("#")
+    """Whether the first field starts with '#' after leading whitespace.  A
+    line that does not split into fields is no comment: it is read as a
+    data row, which refuses a quoted field left open."""
+    if "#" not in line:
+        return False
+    try:
+        return _fields(line)[0].lstrip().startswith("#")
+    except (ValueError, csv.Error):
+        return False
 
 
-def _load(lines: list, dtype):
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+def _data_rows(text: str, start: int, end: int):
+    """The data rows among the whole lines ``text[start:end]`` and their
+    offsets in ``text``: blank and comment lines hold none."""
+    piece = text[start:end]
+    lines = piece.split("\n")
+    steps = np.fromiter(map(len, lines), np.int64, len(lines)) + 1  # a line and its newline
+    starts = start + np.cumsum(steps) - steps
+    keep = steps > 1
+    if "#" in piece:
+        keep &= [not _is_comment(line) for line in lines]
+        return list(compress(lines, keep.tolist())), starts[keep]
+    return list(filter(None, lines)), starts[keep]
 
 
-def _first_refused(lines: list, dtype) -> int:
-    """Index of the first of ``lines`` that loadtxt refuses, by bisection;
-    loadtxt must refuse ``lines`` as a whole."""
-    good, bad = 0, len(lines)  # lines[:good] are read, lines[good:bad] hold a refused one
+def _load(rows: list, width: int):
+    """The values of ``rows``, or None when one of them is not ``width``
+    columns of numbers."""
+    # a structured dtype makes loadtxt check that every row has `width`
+    # fields; the position field is zero-width, PositionLabels reads labels
+    dtype = [("position", "U0"), ("value", float)][2 - width:]
+    # loadtxt runs a quoted field left open at a line end on over the next
+    # line, but closes one still open at the end of its input: after a row
+    # of zeros every open quote shows as one row too few, wherever it is
+    zeros = ",0"[2 - width:]
+    try:
+        values = np.loadtxt([*rows, zeros], dtype=dtype, delimiter=",", quotechar='"',
+                            comments=None, ndmin=1)["value"]
+    except ValueError:
+        return None
+    return values[:-1] if len(values) == len(rows) + 1 else None
+
+
+def _first_refused(rows: list, width: int) -> int:
+    """Index of the first of ``rows`` that ``_load`` refuses, by bisection;
+    ``_load`` must refuse ``rows`` as a whole."""
+    good, bad = 0, len(rows)  # rows[:good] are read, rows[good:bad] hold a refused one
     while bad - good > 1:
         mid = (good + bad) // 2
-        try:
-            _load(lines[good:mid], dtype)
-            good = mid
-        except ValueError:
+        if _load(rows[good:mid], width) is None:
             bad = mid
+        else:
+            good = mid
     return good
 
 
-def _line_number(text: str, row: int) -> int:
-    """1-based line of ``text`` holding its row ``row`` (from 0), where
-    blank and comment lines count as lines but hold no row."""
-    numbers = [n for n, line in enumerate(text.split("\n"), 1) if line and not _is_comment(line)]
-    return numbers[row]
+def _refusal(row: str, width: int) -> str:
+    """What is wrong with a data row that ``_load`` refuses, as the end of
+    a message that names its line."""
+    try:
+        _fields(row)
+    except (ValueError, csv.Error) as exc:
+        return f": {exc}"
+    return f" is not {width} column(s) of numbers: {row!r}"
+
+
+def _layout(path: str, text: str, row: str, start: int):
+    """The column count of the file and whether its first data row ``row``,
+    at offset ``start`` of ``text``, is a header (its last field is not a
+    number)."""
+    try:
+        first = _fields(row)
+    except (ValueError, csv.Error) as exc:
+        raise InputDataError(f"{path} line {_line_number(text, start)}: {exc}") from None
+    if len(first) not in (1, 2):
+        raise InputDataError(f"{path} must have one or two columns throughout")
+    try:
+        float(first[-1])
+    except ValueError:
+        return len(first), True
+    return len(first), False
+
+
+def _line_number(text: str, start: int) -> int:
+    """1-based number of the line of ``text`` that starts at offset ``start``."""
+    return text.count("\n", 0, start) + 1
 
 
 def read_sequence_csv(path: str):
@@ -120,6 +191,13 @@ def read_sequence_csv(path: str):
     '#' are skipped; the first row is a header when its last field is not
     a number.  Fields may be quoted, but a quoted field cannot span lines.
     The file is UTF-8, with or without a byte order mark.
+
+    The decoded text is parsed in pieces of about ``_CHUNK`` characters
+    that end at line ends, so no per-row Python object outlives its piece.
+    The result holds a float64 value per row and, with two columns, the
+    text and each row's int64 line offset, which ``PositionLabels`` cuts a
+    label from.  Values, labels and error messages do not depend on the
+    piece size.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -128,48 +206,37 @@ def read_sequence_csv(path: str):
         raise InputDataError(f"cannot read {path}: {exc}") from exc
     if any(c in text for c in _SEPARATORS):
         raise InputDataError(f"{path} contains an ASCII separator control character")
-    rows = list(filter(None, text.split("\n")))  # blank lines hold no row
-    try:
-        if "#" in text:
-            rows = [r for r in rows if not _is_comment(r)]
-        if not rows:
-            raise InputDataError(f"{path} contains no data rows")
-        first = _fields(rows[0])
-        _fields(rows[-1])  # loadtxt would close a quote left open at the end
-    except (ValueError, csv.Error) as exc:
-        raise InputDataError(f"{path}: {exc}") from exc
-    width = len(first)
-    if width not in (1, 2):
-        raise InputDataError(f"{path} must have one or two columns throughout")
+    width, values, starts = None, [], []
     start = 0
-    try:
-        float(first[-1])
-    except ValueError:
-        start = 1  # header row
-    data = rows[start:]
-    if not data:
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1)
+        end = len(text) if end < 0 else end
+        rows, offsets = _data_rows(text, start, end)
+        start = end + 1
+        if width is None and rows:
+            width, header = _layout(path, text, rows[0], offsets[0])
+            if header:
+                rows, offsets = rows[1:], offsets[1:]
+        if not rows:
+            continue
+        read = _load(rows, width)
+        if read is None:
+            bad = _first_refused(rows, width)
+            raise InputDataError(f"{path} line {_line_number(text, offsets[bad])}"
+                                 f"{_refusal(rows[bad], width)}")
+        values.append(read)
+        starts.append(offsets)
+    if width is None:
+        raise InputDataError(f"{path} contains no data rows")
+    if not values:
         raise InputDataError(f"{path} contains a header but no data")
-    # a structured dtype makes loadtxt check that every row has `width`
-    # fields; the position field is zero-width, PositionLabels reads labels
-    dtype = [("position", "U0"), ("value", float)][2 - width:]
-    try:
-        values = _load(data, dtype)["value"]
-    except ValueError:
-        bad = _first_refused(data, dtype)
-        raise InputDataError(
-            f"{path} line {_line_number(text, start + bad)} is not {width} column(s) "
-            f"of numbers: {data[bad]!r}"
-        ) from None
-    if len(values) != len(data):
-        # loadtxt carries a quoted field left open at a line end on to the next line
-        raise InputDataError(f"{path} has a quoted field that runs past the end of a line")
+    values, starts = np.concatenate(values), np.concatenate(starts)
     finite = np.isfinite(values)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        raise InputDataError(
-            f"{path} line {_line_number(text, start + bad)} is not a finite number: {data[bad]!r}"
-        )
-    return values, None if width == 1 else PositionLabels(data)
+        bad = starts[np.argmin(finite)]
+        raise InputDataError(f"{path} line {_line_number(text, bad)} is not a finite "
+                             f"number: {_line_at(text, bad)!r}")
+    return values, None if width == 1 else PositionLabels(text, starts)
 
 
 def _write_table(path, header, rows, footer) -> None:

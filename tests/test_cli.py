@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from stemcpd.cli import build_parser, main, parse_detection_csv, read_sequence_csv
+from stemcpd import cli
+from stemcpd.cli import (InputDataError, build_parser, main, parse_detection_csv,
+                         read_sequence_csv)
 from stemcpd.harness import SimulateRequest
 
 from helpers import bh_bruteforce, gauss_kernel_samples, reference_tail
@@ -453,3 +456,95 @@ class TestReadSequenceCsv:
 
         with pytest.raises(InputDataError):
             read_sequence_csv(str(src))
+
+
+def read_outcome(path):
+    """Values as bits and labels, or the error message."""
+    try:
+        values, positions = read_sequence_csv(str(path))
+    except InputDataError as exc:
+        return str(exc)
+    return values.view(np.int64).tolist(), positions and list(positions)
+
+
+class TestReadInPieces:
+    """Rows of every kind straddle the piece boundaries: values, labels and
+    error messages, line numbers included, are those of one piece."""
+
+    LABELLED = 'position,"ratio"\r\n' + (
+        '"chr1:1,000",0.5\r\n'
+        '"a ""quoted"" label", 1.5 \r\n'
+        '# a comment, "quoted"\r\n'
+        '\r\n'
+        '  # an indented comment\r\n'
+        '"# a quoted comment",9\r\n'
+        'plain,"2.5"\r\n'
+    ) * 4 + 'last,-3e2'
+
+    @pytest.mark.parametrize("content, expected", [
+        (LABELLED, ([0.5, 1.5, 2.5] * 4 + [-300.0],
+                    ['chr1:1,000', 'a "quoted" label', 'plain'] * 4 + ['last'])),
+        ("value\n" + "1.0\n" * 30 + "abc\n" + "2.0\n" * 5, " line 32 is not 1 column(s)"),
+        ("# values\n\n" + "1.0\n" * 40 + "-inf\n2.0\n", " line 43 is not a finite number"),
+        ("p,v\n" + "a,1\n" * 20 + "n,nan\n", " line 22 is not a finite number"),
+        ("p,v\n" + "a,1\n" * 20 + 'b,"2.5\n' + "c,3\n" * 5, " line 22: a quoted field runs past"),
+        ("p,v\n" + "a,1\n" * 20 + '"b,2\n' + "c,3\n" * 5, " line 22: a quoted field runs past"),
+        ("p,v\n" + "a,1\n" * 20 + 'b,"2.5', " line 22: a quoted field runs past"),
+        ("p,v\n" + "a,1\n" * 20 + "b,2,3\nc,3\n", " line 22 is not 2 column(s)"),
+    ], ids=["labels_crlf_comments", "bad_row", "inf_after_comments", "nan_last",
+            "quote_open_in_value", "quote_open_in_label", "quote_open_at_end", "extra_column"])
+    def test_piece_size_changes_nothing(self, tmp_path, monkeypatch, content, expected):
+        src = tmp_path / "x.csv"
+        src.write_bytes(content.encode())
+        whole = read_outcome(src)
+        if isinstance(expected, str):
+            assert expected in whole
+        else:
+            values, labels = expected
+            assert whole == (np.array(values).view(np.int64).tolist(), labels)
+        for chunk in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            assert read_outcome(src) == whole, chunk
+
+
+def test_reader_memory_is_the_text_and_16_bytes_a_row(tmp_path):
+    """No per-row Python object outlives its piece: on ASCII input, where
+    the decoded text takes one byte a character, memory while reading stays
+    within the file size and 60 bytes a row, and the values and labels hold
+    the text and 16 bytes a row, a value and a line offset (bounded at 24).
+    A list of the lines alone takes about 60 a row."""
+    n = 200_000
+    rng = np.random.default_rng(11)
+    positions = 1_000_000 + np.cumsum(rng.integers(500, 5000, n))
+    values = 0.2 * rng.standard_normal(n)
+    src = tmp_path / "long.csv"
+    with open(src, "w") as fh:
+        fh.write("position,ratio\n")
+        fh.writelines(f"{p},{v!r}\n" for p, v in zip(positions.tolist(), values.tolist()))
+    size = src.stat().st_size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        read, labels = read_sequence_csv(str(src))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(read, values) and labels[n - 1] == str(positions[-1])
+    assert peak - base <= size + 60 * n
+    assert held - base <= size + 24 * n
+
+
+@pytest.fixture
+def one_line_pieces(monkeypatch):
+    """The reader parses its input one line per piece."""
+    monkeypatch.setattr(cli, "_CHUNK", 1)
+
+
+@pytest.mark.usefixtures("one_line_pieces")
+class TestDetectCommandInOneLinePieces(TestDetectCommand):
+    """Every detect test again, with the input parsed one line per piece."""
+
+
+@pytest.mark.usefixtures("one_line_pieces")
+class TestReadSequenceCsvInOneLinePieces(TestReadSequenceCsv):
+    """Every reader test again, with the input parsed one line per piece."""

@@ -298,6 +298,20 @@ class TestInvertPeakHeightTail:
         assert np.mean(calls) <= 4.0
         assert max(calls) <= 8
 
+    def test_left_of_zero_with_tiny_var_d2(self):
+        """Valid moments whose powers of var_d2 underflow: p above tail(0)
+        still inverts to the height bracketing it between adjacent floats,
+        here the normal quantile, since the bump term vanishes."""
+        m = SpectralMoments(1.0, 1e-170, 1.0)
+        p = 0.9
+        assert p > peak_height_tail(0.0, m)
+        u = invert_peak_height_tail(p, m)
+        lo = u if peak_height_tail(u, m) > p else math.nextafter(u, -math.inf)
+        hi = math.nextafter(lo, math.inf)
+        assert 0.5 * (lo + hi) == u
+        assert peak_height_tail(lo, m) > p >= peak_height_tail(hi, m)
+        assert u == pytest.approx(-1.2815515655446004, rel=1e-12)
+
     def test_invalid_target(self):
         m = closed_form_moments(MODEL, 6.0)
         with pytest.raises(InvalidParameterError):

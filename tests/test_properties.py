@@ -10,12 +10,14 @@ The Newton tail inversion must land on the bracketed bisection's
 adjacent-float crossing.  Benjamini-Hochberg rejections can only grow with
 the level.  The command line's CSV
 reader and writer must read and write exactly what the row-by-row code
-they replaced did.
+they replaced did, and the reader must read, and refuse, the same at any
+piece size.
 """
 
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from stemcpd import (
     sample_noise,
     smooth,
 )
+from stemcpd import cli
 from stemcpd.cli import InputDataError, read_sequence_csv, write_detection_csv
 from stemcpd.kernels import convolve_weights
 
@@ -496,3 +499,23 @@ class TestCsvAgainstRowCode:
         for reader in (read_sequence_csv_rows, read_sequence_csv):
             with pytest.raises(InputDataError):
                 reader(str(path))
+
+    @SETTINGS
+    @given(file=sequence_csv(), chunk=st.integers(1, 120),
+           defect=st.sampled_from([None, "width", "non_numeric", "nan", "inf"]))
+    def test_piece_size_changes_nothing(self, file, chunk, defect, tmp_path_factory):
+        """Values, labels and the error message, line number included, are
+        those of the file read as one piece."""
+        path = tmp_path_factory.mktemp("csv") / "in.csv"
+        path.write_bytes((file[2] if defect is None else malformed(*file, defect)).encode())
+
+        def outcome():
+            result = read_with(read_sequence_csv, str(path))
+            if isinstance(result, InputDataError):
+                return str(result)
+            values, positions = result
+            return bits(values).tolist(), positions and list(positions)
+
+        whole = outcome()
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            assert outcome() == whole
