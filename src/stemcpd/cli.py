@@ -68,9 +68,12 @@ def _line_at(text: str, start: int) -> str:
 class PositionLabels(Sequence):
     """The position column of a two-column input: the decoded text and each
     data row's line offset in it.  A label is cut out of its line only when
-    asked for: the detection output needs labels at its candidate rows alone."""
+    asked for: the detection output needs labels at its candidate rows alone.
+    A quoted label longer than the ``csv`` module's field limit is refused
+    then, by its line in ``path``."""
 
-    def __init__(self, text: str, starts: np.ndarray):
+    def __init__(self, path: str, text: str, starts: np.ndarray):
+        self._path = path
         self._text = text
         self._starts = starts
 
@@ -78,9 +81,15 @@ class PositionLabels(Sequence):
         return len(self._starts)
 
     def __getitem__(self, i) -> str:
-        line = _line_at(self._text, int(self._starts[i]))
-        # without a quote the first field ends at the first comma
-        return _fields(line)[0] if '"' in line else line.partition(",")[0]
+        start = int(self._starts[i])
+        line = _line_at(self._text, start)
+        if '"' not in line:  # without a quote the first field ends at the first comma
+            return line.partition(",")[0]
+        try:
+            return _fields(line)[0]
+        except csv.Error as exc:
+            raise InputDataError(
+                f"{self._path} line {_line_number(self._text, start)}: {exc}") from None
 
 
 def _fields(line: str) -> list:
@@ -236,7 +245,7 @@ def read_sequence_csv(path: str):
         bad = starts[np.argmin(finite)]
         raise InputDataError(f"{path} line {_line_number(text, bad)} is not a finite "
                              f"number: {_line_at(text, bad)!r}")
-    return values, None if width == 1 else PositionLabels(text, starts)
+    return values, None if width == 1 else PositionLabels(path, text, starts)
 
 
 def _write_table(path, header, rows, footer) -> None:

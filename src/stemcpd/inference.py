@@ -7,9 +7,9 @@ second and third derivatives of the smoothed noise.  The moments come
 either in closed form (Gaussian autocorrelation model) or from trimmed
 empirical variances of the observed smoothed derivatives.  P-values for a
 whole candidate set come from one array evaluation of the height tail; the
-height threshold inverts the tail by a safeguarded Newton iteration on its
-logarithm, with the analytic height density as derivative, and ends on the
-adjacent floats that bracket the target.
+height threshold inverts that same tail by secant-slope Newton steps on its
+logarithm, and ends on the adjacent floats that bracket the target.  The
+tail is the one place the null height law is written.
 """
 
 import math
@@ -27,8 +27,8 @@ _SQRT_PI = math.sqrt(math.pi)
 _TINY = np.finfo(float).tiny
 
 #: Heights beyond this many standard deviations ``sd_d1`` leave the height
-#: tail and density saturated: their Gaussian factors are exp(-800) == 0.0
-#: and their normal integrals exactly 0 or 1 there.  Clamping heights to it
+#: tail saturated: its Gaussian factors are exp(-800) == 0.0
+#: and its normal integrals exactly 0 or 1 there.  Clamping heights to it
 #: changes no result and keeps phi's square from overflowing.
 _SATURATION = 40.0
 
@@ -187,41 +187,23 @@ def peak_height_tail(u, moments: SpectralMoments):
     return out if out.ndim else float(out)
 
 
-def peak_height_density(u, moments: SpectralMoments):
-    """Density of the height of a null local maximum, ``-d/du`` of
-    ``peak_height_tail``:
-
-        phi(u*sqrt(var_d3/delta)) * sqrt(delta/var_d3) / var_d1
-        + sqrt(2*pi*var_d2^2/(var_d3*var_d1)) * (u/var_d1) * phi(u/sd)
-          * Phi(u*var_d2/(sd*sqrt(delta)))
-
-    The derivatives of the two Gaussian factors cancel against part of
-    the first term, leaving this form.  Accepts scalars or arrays.
-    """
-    sd = moments.sd_d1
-    u = _heights(u, sd)
-    sqrt_delta = math.sqrt(moments.delta)
-    scale = math.sqrt(moments.var_d3) / sqrt_delta
-    coef = _bump_coefficient(moments)
-    bump = coef * u * _phi(u / sd) * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
-    out = (_phi(u * scale) / scale + bump) / moments.var_d1
-    return out if out.ndim else float(out)
-
-
 def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     """Height ``u`` with ``peak_height_tail(u) == p``, to the last bit.
 
     The answer is ``0.5*(lo+hi)`` for the adjacent floats ``lo < hi`` with
-    ``tail(lo) > p >= tail(hi)``, found by a safeguarded Newton iteration
-    on ``log tail`` with the analytic density as derivative.  It starts at
-    the bump-term asymptote ``sd*sqrt(2*ln(coef/(p*sqrt(2*pi))))`` (at 0
-    when that is undefined) and keeps the evaluated heights as a bracket
-    ``[lo, hi]``; a Newton step that leaves the bracket is replaced by a
-    bisection step, or by a step of ``max(sd, |u|)`` while one side is
-    still open.  Once Newton no longer moves, a walk from the last iterate
-    closes the bracket to adjacent floats: its first stride is one
-    ``math.nextafter`` step (or the width of a float-level plateau of the
-    tail, if wider), strides double while the crossing lies ahead, and
+    ``tail(lo) > p >= tail(hi)``, found by Newton steps on ``log tail``
+    whose slope is the secant through the last two iterates, so the tail is
+    the only formula evaluated.  The first iterate is the bump-term
+    asymptote ``sd*sqrt(2*ln(coef/(p*sqrt(2*pi))))`` (0 when that is
+    undefined), and the first slope the bump term's Gaussian slope
+    ``-max(|u|, sd)/var_d1`` there.  The evaluated heights are kept as a
+    bracket ``[lo, hi]``; a step that leaves the bracket, or that no falling
+    slope defines, is replaced by a bisection step, or by a step of
+    ``max(sd, |u|)`` while one side is still open.  Once the steps no
+    longer move, a walk from the last iterate closes the bracket to
+    adjacent floats: its first stride is one ``math.nextafter`` step (or,
+    if wider, the width over which the last slope moves the tail by one
+    rounding step), strides double while the crossing lies ahead, and
     bisection takes over once it is passed.  Where the rounded tail
     decreases monotonically through the crossing the pair is unique, and
     from the asymptote a few tail evaluations find it.
@@ -239,15 +221,19 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     log_p = math.log(p)
     ratio = _bump_coefficient(moments) / (p * _SQRT_2PI)
     u = sd * math.sqrt(2.0 * math.log(ratio)) if ratio > 1.0 else 0.0
+    slope = -max(abs(u), sd) / moments.var_d1  # the bump term's slope of log tail
     lo, hi = -math.inf, math.inf
+    previous = None
     while True:
         tail = peak_height_tail(u, moments)
         if tail > p:
             lo = u
         else:
             hi = u
-        density = peak_height_density(u, moments)
-        nxt = u + (math.log(tail) - log_p) * tail / density if density > 0.0 else math.nan
+        log_tail = math.log(tail)
+        if previous is not None:  # the secant through the last two iterates
+            slope = (log_tail - previous[1]) / (u - previous[0])
+        nxt = u - (log_tail - log_p) / slope if slope < 0.0 else math.nan
         if nxt == u:
             break
         if not lo < nxt < hi:  # also catches a NaN step
@@ -259,11 +245,13 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
                 nxt = 0.5 * (lo + hi)
                 if nxt == lo or nxt == hi:
                     return nxt
+        previous = u, log_tail
         u = nxt
     # u is the last iterate and one end of the bracket; any open side lies ahead of it
     ahead = 1.0 if u == lo else -1.0
-    # one float step, or the width of a float-level plateau of the tail if wider
-    stride = max(abs(math.nextafter(u, ahead * math.inf) - u), math.ulp(tail) / density)
+    # one float step, or the width of a float-level plateau of the tail if wider:
+    # from u = 0 on a plateau, float steps alone would double about 1,000 times
+    stride = max(abs(math.nextafter(u, ahead * math.inf) - u), math.ulp(tail) / tail / -slope)
     while True:
         trial = u + ahead * stride
         if lo > -math.inf and hi < math.inf:

@@ -93,8 +93,6 @@ def kernel_weights(spec: KernelSpec) -> np.ndarray:
     Returns an odd-length, centered array covering grid offsets ``-K .. K``
     with ``K = ceil(4*gamma)``.  Even orders are symmetrized exactly;
     odd orders are antisymmetrized exactly, so their true sum is zero.
-    Order-0 weights are rescaled so that ``sum(weights) == 1`` (discrete
-    unit action).
     """
     if GAUSSIAN_CUTOFF * spec.gamma < 1.0:
         raise BandwidthTooSmallError(
@@ -107,9 +105,6 @@ def kernel_weights(spec: KernelSpec) -> np.ndarray:
         w = (w - w[::-1]) / 2.0
     else:
         w = (w + w[::-1]) / 2.0
-    if spec.order == 0:
-        w = w / math.fsum(w)
-        w[k] += 1.0 - math.fsum(w)
     return w
 
 

@@ -146,12 +146,12 @@ def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:
     White noise is drawn on a grid padded by the filter's half-width (four
     correlation scales) on each side before convolution so the returned
     window is stationary throughout.  The filter is the density samples of
-    ``kernel_value``, not the sum-one ``kernel_weights``, so the process
-    variance is about ``sigma^2/(2 sqrt(pi) nu)``.  A filter longer
-    than ``length`` is refused.  Output is a deterministic function of
-    (model, length, seed): the generator is numpy's PCG64, and the filter
-    is summed by ``convolve_weights`` in one fixed order, so the BLAS
-    kernel a CPU selects cannot move its bits.
+    ``kernel_value``, so the process variance is about
+    ``sigma^2/(2 sqrt(pi) nu)``.  A filter longer than ``length`` is
+    refused.  Output is a deterministic function of (model, length, seed):
+    the generator is numpy's PCG64, and the filter is summed by
+    ``convolve_weights`` in one fixed order, so the BLAS kernel a CPU
+    selects cannot move its bits.
     """
     if length < 1:
         raise InvalidParameterError("length must be at least 1")

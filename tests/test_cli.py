@@ -152,6 +152,23 @@ class TestDetectCommand:
                    "--gamma", 6)
         assert code == 2
 
+    def test_over_long_quoted_label_exit_2(self, tmp_path, capsys):
+        """A csv-quoted label longer than the csv module's field limit
+        (131072 characters) passes the reader, whose loadtxt has no such
+        limit, and is refused by its line once the output asks for it: exit
+        2 and no output file, since the labels are cut before it opens."""
+        src = tmp_path / "long.csv"
+        label = '"' + "x" * 140_000 + '"'
+        rows = [f"{label if 110 <= i < 130 else i},{float(i >= 120)!r}" for i in range(300)]
+        src.write_text("position,value\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        code = run("detect", "--input", src, "--output", out, "--gamma", 2, "--moments", "closed")
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert f"{src} line 12" in err and "field larger than field limit" in err, err
+        assert "Traceback" not in err and err.count("\n") == 1, err
+
     def test_bandwidth_too_large_exit_3(self, tmp_path, capsys):
         src = tmp_path / "short.csv"
         src.write_text("value\n" + "\n".join(repr(float(i % 3)) for i in range(30)) + "\n")

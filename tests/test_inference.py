@@ -30,9 +30,10 @@ from stemcpd import (
     smooth,
 )
 from stemcpd import inference
-from stemcpd.inference import peak_height_density, trim_correction
+from stemcpd.inference import trim_correction
 
-from helpers import extrema_of, reference_tail
+import helpers
+from helpers import extrema_of, invert_tail_bisection, reference_tail
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 
@@ -196,58 +197,34 @@ class TestPeakHeightTail:
 
 
     def test_saturation_clamp_changes_no_value(self):
-        """Clamping heights to 40 sd is invisible: the tail and the density
-        equal the unclamped formulas bit for bit, scalar and array, from
-        -60 to 60 sd, where those formulas do not overflow yet."""
+        """Clamping heights to 40 sd is invisible: the tail equals the
+        unclamped formula bit for bit, scalar and array, from -60 to 60 sd,
+        where that formula does not overflow yet."""
         for gamma, nu in ((1.0, 0.5), (6.0, 2.0), (50.0, 2.0)):
             m = closed_form_moments(NoiseModel(1.0, nu), gamma)
             sd, sqrt_delta = m.sd_d1, math.sqrt(m.delta)
             u = np.linspace(-60.0, 60.0, 4801) * sd
             phi = lambda x: np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
             coef = math.sqrt(2.0 * math.pi) * m.var_d2 / math.sqrt(m.var_d3 * m.var_d1)
-            scale = math.sqrt(m.var_d3) / sqrt_delta
             normal = ndtr(u * m.var_d2 / (sd * sqrt_delta))
             tail = np.clip(ndtr(-u * math.sqrt(m.var_d3) / sqrt_delta)
                            + coef * phi(u / sd) * normal, np.finfo(float).tiny, 1.0)
-            density = (phi(u * scale) / scale + coef * u * phi(u / sd) * normal) / m.var_d1
-            for mine, want in ((peak_height_tail(u, m), tail),
-                               (peak_height_density(u, m), density)):
-                assert np.array_equal(mine.view(np.int64), want.view(np.int64))
+            assert np.array_equal(peak_height_tail(u, m).view(np.int64), tail.view(np.int64))
             assert [peak_height_tail(x, m) for x in u[::40].tolist()] == tail[::40].tolist()
 
     def test_huge_heights_raise_no_overflow(self):
         """Heights of 3e300, where the square in phi would overflow, give
-        the saturated tail and density without a RuntimeWarning (an error
-        under this suite's settings), also through a whole simulation."""
+        the saturated tail without a RuntimeWarning (an error under this
+        suite's settings), also through a whole simulation."""
         m = closed_form_moments(MODEL, 2.0)
         huge = np.array([-3e300, 3e300])
         tiny = np.finfo(float).tiny
         assert peak_height_tail(huge, m).tolist() == [1.0, tiny]
-        assert peak_height_density(huge, m).tolist() == [0.0, 0.0]
         assert [peak_height_tail(x, m) for x in (-3e300, 3e300)] == [1.0, tiny]
         req = SimulateRequest(length=1200, separation=100, jumps=(3e300,), gammas=(2.0,),
                               tolerances=(5.0,), replications=1)
         (cell,) = run_simulation(req)
         assert cell.power == 1.0
-
-
-class TestPeakHeightDensity:
-    @pytest.mark.parametrize("gamma", [1.0, 6.0, 30.0])
-    def test_integrates_to_the_tail(self, gamma):
-        """The density integrated from u to infinity is the tail at u."""
-        m = closed_form_moments(MODEL, gamma)
-        sd = m.sd_d1
-        for u in (-3.0 * sd, 0.0, 0.5 * sd, 2.0 * sd, 5.0 * sd):
-            mass, _ = quad(lambda x: peak_height_density(x, m), u, 12.0 * sd,
-                           epsabs=0.0, epsrel=1e-12)
-            assert mass == pytest.approx(peak_height_tail(u, m), rel=1e-9)
-
-    def test_arrays_and_positivity(self):
-        m = closed_form_moments(MODEL, 6.0)
-        u = np.linspace(-6.0, 6.0, 101) * m.sd_d1
-        dens = peak_height_density(u, m)
-        assert dens.shape == u.shape and np.all(dens > 0.0)
-        assert dens[50] == peak_height_density(0.0, m)
 
 
 class TestInvertPeakHeightTail:
@@ -279,9 +256,10 @@ class TestInvertPeakHeightTail:
         assert math.isfinite(u) and peak_height_tail(u, m) == tiny
 
     def test_tail_calls_per_inversion(self, monkeypatch):
-        """Newton from the bump-term asymptote and the closing walk spend a
-        few tail evaluations per inversion where bisection spent 57: on this
-        grid a mean of about 3 and at most 6."""
+        """Secant-slope Newton steps from the bump-term asymptote and the
+        closing walk evaluate the tail, the only formula they use, a few
+        times per inversion where bisection spent 57: on this grid a mean
+        of about 3 and at most 7, every evaluation counted."""
         calls = []
 
         def counting(u, moments):
@@ -297,6 +275,27 @@ class TestInvertPeakHeightTail:
         assert len(calls) == 175
         assert np.mean(calls) <= 4.0
         assert max(calls) <= 8
+
+    def test_plateau_at_zero_costs_no_more_than_bisection(self, monkeypatch):
+        """At p = tail(0) the steps stop at u = 0, inside the plateau where
+        the rounded tail equals p; the walk's first stride spans it instead
+        of doubling up from the smallest subnormal about 1,000 times, so
+        bisection's 110-odd evaluations bound the count."""
+        calls = []
+
+        def counting(u, moments):
+            calls[-1] += 1
+            return peak_height_tail(u, moments)
+
+        monkeypatch.setattr(inference, "peak_height_tail", counting)
+        monkeypatch.setattr(helpers, "peak_height_tail", counting)
+        for gamma in (1.0, 6.0, 50.0):
+            m = closed_form_moments(MODEL, gamma)
+            p = peak_height_tail(0.0, m)
+            for invert in (invert_peak_height_tail, invert_tail_bisection):
+                calls.append(0)
+                assert invert(p, m) == pytest.approx(0.0, abs=1e-9 * m.sd_d1)
+            assert calls[-2] <= calls[-1]
 
     def test_left_of_zero_with_tiny_var_d2(self):
         """Valid moments whose powers of var_d2 underflow: p above tail(0)

@@ -52,10 +52,6 @@ class TestKernelWeights:
         assert kernel_value(spec, 0.0) == pytest.approx(PHI0 / 6.0, rel=1e-12)
         assert kernel_value(spec, 0.0) == pytest.approx(0.066490, abs=1e-6)
 
-    def test_unit_action_exact(self):
-        w = kernel_weights(KernelSpec(gamma=6.0))
-        assert math.fsum(w) == 1.0
-
     def test_odd_orders_sum_exactly_zero(self):
         for order in (1, 3):
             w = kernel_weights(KernelSpec(gamma=6.0, order=order))

@@ -6,8 +6,8 @@ run-by-run scan, and ``Extrema`` must behave as the sequence of
 ``Extremum`` records it stands for.  The whole detector must map a sequence
 reversed and negated to its own result mirrored, and a sequence scaled by
 a power of two to its own result with only the heights scaled.
-The Newton tail inversion must land on the bracketed bisection's
-adjacent-float crossing.  Benjamini-Hochberg rejections can only grow with
+The tail inversion must land on the bracketed bisection's adjacent-float
+crossing, with no more tail evaluations.  Benjamini-Hochberg rejections can only grow with
 the level.  The command line's CSV
 reader and writer must read and write exactly what the row-by-row code
 they replaced did, and the reader must read, and refuse, the same at any
@@ -44,10 +44,11 @@ from stemcpd import (
     sample_noise,
     smooth,
 )
-from stemcpd import cli
+from stemcpd import cli, inference
 from stemcpd.cli import InputDataError, read_sequence_csv, write_detection_csv
 from stemcpd.kernels import convolve_weights
 
+import helpers
 from helpers import (
     convolve_weights_pairwise,
     extrema_of,
@@ -341,6 +342,11 @@ TAIL_MOMENTS = dict(sigma=st.floats(0.1, 10.0), k=st.integers(-30, 30),
 
 
 class TestTailInversion:
+    """The height threshold inverts the tail alone, by Newton steps on
+    ``log tail`` with the secant through the last two iterates as slope,
+    and ends on an adjacent-float crossing; the bracketed bisection it
+    replaced is the oracle for its answers and its evaluation count."""
+
     @SETTINGS
     @given(p=st.floats(-12.0, math.log10(0.3)).map(lambda x: 10.0 ** x), **TAIL_MOMENTS)
     @example(p=1e-3, sigma=1.0, k=-7, nu=2.0, gamma=6.0)
@@ -349,18 +355,39 @@ class TestTailInversion:
     @example(p=0.27525503488577163, sigma=0.7163896279723009, k=0, nu=1.2037890725967193,
              gamma=9.328161329281249)
     def test_newton_equals_bisection(self, p, sigma, k, nu, gamma):
-        """Up to p = 0.3 Newton lands on bisection's answer bit for bit
-        wherever the rounded tail decreases monotonically through the
-        crossing, so that the adjacent-float crossing is unique.  Where it
-        does not (4 of 100,000 random draws, all at p above 0.23), both
-        answers are crossings a few floats apart: two different ones imply
-        that the rounded tail rises again between them."""
+        """Up to p = 0.3 the secant-slope Newton steps land on bisection's
+        answer bit for bit wherever the rounded tail decreases monotonically
+        through the crossing, so that the adjacent-float crossing is unique.
+        Where it does not (10 of 100,000 draws with p log-uniform, at p from
+        0.05 up), both answers are crossings a few floats apart: two
+        different ones imply that the rounded tail rises again between
+        them."""
         m = tail_moments(sigma, k, nu, gamma)
         newton, bisection = invert_peak_height_tail(p, m), invert_tail_bisection(p, m)
         assert is_tail_crossing(newton, p, m)
         if bits(newton) != bits(bisection):
             assert is_tail_crossing(bisection, p, m)
             assert abs(newton - bisection) <= 8 * math.ulp(bisection)
+
+    @SETTINGS
+    @given(p=st.floats(-12.0, math.log10(0.3)).map(lambda x: 10.0 ** x), **TAIL_MOMENTS)
+    def test_no_more_tail_calls_than_bisection(self, p, sigma, k, nu, gamma):
+        """Up to p = 0.3, over the whole moment space, the inversion never
+        evaluates the tail more often than bisection does (about 3 times
+        against about 60), so no moment set makes it the slower method."""
+        m = tail_moments(sigma, k, nu, gamma)
+        calls = []
+
+        def counting(u, moments):
+            calls[-1] += 1
+            return peak_height_tail(u, moments)
+
+        with mock.patch.object(inference, "peak_height_tail", counting), \
+                mock.patch.object(helpers, "peak_height_tail", counting):
+            for invert in (invert_peak_height_tail, invert_tail_bisection):
+                calls.append(0)
+                invert(p, m)
+        assert 0 < calls[0] <= calls[1]
 
     @SETTINGS
     @given(p=st.floats(0.3, 1.0, exclude_min=True, exclude_max=True), **TAIL_MOMENTS)
