@@ -79,8 +79,9 @@ def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
     """Convolve a series with the sampled kernel derivative weights.
 
     The output has the same length as the input and carries the half-open
-    interior range where the kernel's full support fit.  Raises if the
-    series is shorter than the kernel.
+    interior range where the kernel's full support fit; every sample
+    outside it is exactly +0.0.  Raises if the series is shorter than the
+    kernel.
     """
     n = len(series)
     k = spec.half_width()

@@ -28,7 +28,8 @@ from .inference import closed_form_moments
 from .kernels import KernelSpec
 from .multitest import check_alpha
 from .pipeline import DetectionResult, select_change_points
-from .signals import NoiseModel, PiecewiseSignal, TimeSeries, make_staircase, sample_noise
+from .signals import (NoiseModel, PiecewiseSignal, TimeSeries, check_sampled_nu, make_staircase,
+                      sample_noise)
 
 THREADS_ENV_VAR = "STEMCPD_THREADS"
 
@@ -47,8 +48,9 @@ class SimulateRequest:
     rep_start + replications - 1``; each replicate's noise is shared by
     every (jump, bandwidth) pair, whose detection is scored at every
     tolerance.  A jump size of zero requests a pure-noise (complete null)
-    cell.  The grids, the FDR level and the noise model are checked here,
-    before any replicate runs.
+    cell.  The grids, the FDR level and the noise model, with the noise
+    scales ``sample_noise`` refuses, are checked here, before any
+    replicate runs.
     """
 
     length: int = 12000
@@ -79,6 +81,7 @@ class SimulateRequest:
             raise InvalidParameterError("bandwidths must be positive")
         check_alpha(self.alpha)
         self.noise_model()
+        check_sampled_nu(self.nu)
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel(sigma=self.sigma, nu=self.nu)

@@ -124,11 +124,13 @@ def estimate_moments_empirical(series: TimeSeries, gamma: float, dy: TimeSeries)
     rescaled by the trimmed-normal variance factor, so the estimator is
     unbiased under a pure-noise sequence.  Trimming suppresses the extreme
     derivative values that change points produce, without assuming their
-    presence or location.
+    presence or location.  An interior shorter than 100 samples raises
+    ``MomentEstimationError``, as do variances that vanish, leave the
+    floating-point range or are inconsistent.
     """
     lo, hi = dy.interior
     if hi - lo < 100:
-        raise InvalidParameterError(f"interior too short for moment estimation ({hi - lo} samples)")
+        raise MomentEstimationError(f"interior too short for moment estimation ({hi - lo} samples)")
     variances = [_trimmed_variance(dy)]
     variances += (_trimmed_variance(smooth(series, KernelSpec(gamma=gamma, order=order)))
                   for order in (2, 3))

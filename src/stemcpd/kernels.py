@@ -109,15 +109,17 @@ def kernel_weights(spec: KernelSpec) -> np.ndarray:
 
 
 def convolve_weights(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Centered discrete convolution with a symmetric or antisymmetric kernel.
+    """Centered discrete convolution with a symmetric or antisymmetric kernel,
+    over the interior where the whole kernel fits.
 
-    Equivalent to ``convolve(values, weights, mode='same')`` but
+    With ``k`` the kernel's half-width, output sample t in ``[k, n-k)``
+    equals ``convolve(values, weights, mode='same')[t]`` but is
     accumulated in symmetric pairs, so exactly antisymmetric weights yield
-    exactly zero output wherever the input is locally constant.  Entries
-    within half a kernel of either end use zero padding and are only
-    meaningful inside the interior range.
+    exactly zero output wherever the input is locally constant.  Every
+    sample outside that interior (all of them when n < 2k+1) is exactly
+    +0.0.
 
-    Every output sample is summed in one fixed order: the center term,
+    Every interior sample is summed in one fixed order: the center term,
     then ``w[k+j] * (y[t-j] -/+ y[t+j])`` for lags j = 1, 2, ... in turn.
     Results are therefore bit-for-bit independent of the block size used
     to keep the working set in cache.
@@ -128,24 +130,19 @@ def convolve_weights(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise InvalidParameterError("weights must have odd length")
     center = weights[k]
     combine = np.subtract if np.array_equal(weights[::-1], -weights) else np.add
-    lags = max(min(k, n - 1), 0)
-    padded = np.zeros(n + 2 * lags)
-    padded[lags : lags + n] = values
     # `out` starts at +0.0 and only ever has terms added to it, so it never
-    # holds -0.0 and the sign of a zero term cannot show (the padding makes
-    # y + 0.0 where a sum of pairs without it would keep y itself)
+    # holds -0.0 and the sign of a zero term cannot show
     out = np.zeros(n)
     term = np.empty(min(n, _BLOCK))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    for lo in range(k, n - k, _BLOCK):
+        hi = min(lo + _BLOCK, n - k)
         acc, tmp = out[lo:hi], term[: hi - lo]
         if center != 0.0:
             np.multiply(values[lo:hi], center, out=tmp)
             acc += tmp
-        for j in range(1, lags + 1):
+        for j in range(1, k + 1):
             # w[j]*y[t-j] + w[-j]*y[t+j] = w[j]*(y[t-j] -/+ y[t+j])
-            combine(padded[lo + lags - j : hi + lags - j], padded[lo + lags + j : hi + lags + j],
-                    out=tmp)
+            combine(values[lo - j : hi - j], values[lo + j : hi + j], out=tmp)
             tmp *= weights[k + j]
             acc += tmp
     return out

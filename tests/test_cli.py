@@ -183,6 +183,21 @@ class TestDetectCommand:
             assert code == 3, extra
             assert "gamma" in err and len(err) < 160 and err.count("\n") == 1, (extra, err)
 
+    def test_short_interior_at_empirical_moments(self, tmp_path, capsys):
+        """60 rows leave 12 interior samples at gamma 6, too few to estimate
+        the moments: a constant input has no candidates and exits 0, an input
+        with candidates is refused by name."""
+        src, out = tmp_path / "short.csv", tmp_path / "out.csv"
+        src.write_text("value\n" + "7.5\n" * 60)
+        assert run("detect", "--input", src, "--output", out, "--gamma", 6) == 0
+        rows, meta = parse_detection_csv(str(out))
+        assert rows == [] and meta["m_tilde"] == "0"
+        values = np.random.default_rng(2).standard_normal(60)
+        src.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        capsys.readouterr()
+        assert run("detect", "--input", src, "--output", out, "--gamma", 6) == 3
+        assert "interior too short for moment estimation (12 samples)" in capsys.readouterr().err
+
     def test_constant_input_exact_bytes(self, tmp_path):
         """No candidates at the default empirical moments: a header, no rows,
         and a footer whose moments read nan."""
@@ -315,6 +330,11 @@ class TestSimulateCommand:
                     ["--alpha", "1.5"], ["--sigma", "-1"]):
             code = run("simulate", *bad, "--reps", 2, "--output", tmp_path / "o.csv")
             assert code == 2, bad
+        # a noise scale too fine for the unit-grid filter is refused by name
+        capsys.readouterr()
+        assert run("simulate", "--nu", "0.1", "--reps", 2, "--output", tmp_path / "o.csv") == 2
+        err = capsys.readouterr().err
+        assert "nu=0.1" in err and err.count("\n") == 1, err
         # a non-finite grid value is refused before any replicate runs
         for bad, field in ((["--jump", "nan"], "jumps"), (["--grid-b", "5,nan"], "tolerances"),
                            (["--grid-gamma", "inf"], "gammas")):

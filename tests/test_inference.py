@@ -455,5 +455,5 @@ class TestEstimateMomentsEmpirical:
                     empirical(TimeSeries(scale * z.values), 6.0)
 
     def test_interior_too_short(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(MomentEstimationError, match="interior too short"):
             empirical(TimeSeries(np.random.default_rng(1).standard_normal(140)), 6.0)

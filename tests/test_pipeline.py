@@ -88,7 +88,8 @@ class TestDetectChangePoints:
         (np.full(300, 7.5), MODEL),
         (np.full(300, 7.5), None),  # moments cannot be estimated
         (np.random.default_rng(5).standard_normal(50), MODEL),  # interior of 2 samples
-    ], ids=["constant-closed", "constant-empirical", "short-interior"])
+        (np.full(60, 7.5), None),  # interior too short to estimate moments
+    ], ids=["constant-closed", "constant-empirical", "short-interior", "short-constant-empirical"])
     def test_no_candidates_take_the_one_selection_path(self, values, noise_model):
         res = detect_change_points(TimeSeries(values), 6.0, 0.05, noise_model=noise_model)
         assert res.n_candidates == 0
@@ -236,7 +237,8 @@ class TestRunSimulation:
         for bad, message in (({"alpha": 1.5, "sigma": -1.0}, r"alpha must lie in \(0, 1\)"),
                              ({"alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
                              ({"sigma": -1.0}, "sigma must be positive"),
-                             ({"nu": math.inf}, "nu must be non-negative and finite")):
+                             ({"nu": math.inf}, "nu must be non-negative and finite"),
+                             ({"nu": 0.1}, "nu=0.1 is too fine")):
             with pytest.raises(InvalidParameterError, match=message):
                 SimulateRequest(**bad)
 

@@ -90,6 +90,15 @@ def sequence(seed, n, kind):
 KINDS = st.sampled_from(["noise", "steps", "plateaus"])
 
 
+def interior_of_pairwise_loop(y, weights):
+    """The pairwise loop's sums on the interior [k, n-k), where the whole
+    kernel fits, and +0.0 outside it."""
+    k = len(weights) // 2
+    out = np.zeros(len(y))
+    out[k : len(y) - k] = convolve_weights_pairwise(y, weights)[k : len(y) - k]
+    return out
+
+
 class TestSmoothBitExact:
     @SETTINGS
     @given(
@@ -106,7 +115,7 @@ class TestSmoothBitExact:
         weights = kernel_weights(spec)
         y = sequence(seed, len(weights) + extra, kind)
         mine = smooth(TimeSeries(y), spec).values
-        assert np.array_equal(bits(mine), bits(convolve_weights_pairwise(y, weights)))
+        assert np.array_equal(bits(mine), bits(interior_of_pairwise_loop(y, weights)))
 
     @SETTINGS
     @given(
@@ -120,7 +129,7 @@ class TestSmoothBitExact:
         weights = kernel_weights(KernelSpec(gamma=gamma, order=order))
         y = sequence(seed, n, kind)
         mine = convolve_weights(y, weights)
-        assert np.array_equal(bits(mine), bits(convolve_weights_pairwise(y, weights, 1.0)))
+        assert np.array_equal(bits(mine), bits(interior_of_pairwise_loop(y, weights)))
 
 
 class TestExtremaScan:

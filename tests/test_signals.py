@@ -183,7 +183,18 @@ class TestNoise:
                 sample_noise(NoiseModel(1.0, nu), length, seed=1)
             assert f"length {length}" in str(info.value)
 
-    @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_nu_too_fine_for_the_grid_refused(self):
+        """Between white noise and nu = 0.5 the unit-grid filter is not a
+        Gaussian filter (the smoothed derivative's variance is about 16
+        times the closed form at nu = 0.1): refused by name, before any
+        draw."""
+        for nu in (1e-300, 0.1, 0.25, 0.4999):
+            with pytest.raises(InvalidParameterError, match=f"nu={nu:g}"):
+                sample_noise(NoiseModel(1.0, nu), 1000, seed=1)
+        for nu in (0.0, 0.5):
+            assert len(sample_noise(NoiseModel(1.0, nu), 1000, seed=1)) == 1000
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 4.0, 8.0])
     def test_filter_matches_noise_kernel_oracle(self, nu):
         """The filter is the pairwise fixed-order sum of the loop oracle, bit
         for bit, and within 8 ulps of the absolute-term sum of np.convolve
