@@ -22,6 +22,10 @@ from .errors import BandwidthTooLargeError
 from .kernels import KernelSpec, convolve_weights, kernel_weights
 from .signals import TimeSeries
 
+#: Candidates converted per ``tolist()`` call while iterating an ``Extrema``,
+#: so iteration holds this many records' Python numbers at most.
+_RECORD_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Extremum:
@@ -48,8 +52,8 @@ class Extrema:
 
     It reads as a sequence of ``Extremum`` records: an integer index
     gives a record holding plain Python numbers, iteration yields records
-    in order, and a slice, integer array or boolean mask gives another
-    ``Extrema``.
+    in order (converting ``_RECORD_CHUNK`` candidates at a time), and a
+    slice, integer array or boolean mask gives another ``Extrema``.
     """
 
     index: np.ndarray
@@ -71,8 +75,10 @@ class Extrema:
         return Extrema(self.index[key], self.height[key], self.sign[key], self.p_value[key])
 
     def __iter__(self):
-        return map(Extremum, self.index.tolist(), self.height.tolist(), self.sign.tolist(),
-                   self.p_value.tolist())
+        for lo in range(0, len(self.index), _RECORD_CHUNK):
+            chunk = slice(lo, lo + _RECORD_CHUNK)
+            yield from map(Extremum, self.index[chunk].tolist(), self.height[chunk].tolist(),
+                           self.sign[chunk].tolist(), self.p_value[chunk].tolist())
 
 
 def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
@@ -109,7 +115,8 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
     the directions of the moves; an extremum sits right after each move
     whose successor turns the other way, and its sample is found by adding
     back the ties before that move.  The full-length temporaries are
-    boolean; the index arrays are sized by the ties and the candidates.
+    boolean, at most three alive at once; the index arrays are sized by
+    the ties and the candidates.
     """
     sl = dy.interior_slice()
     seg = dy.values[sl]
@@ -118,10 +125,12 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
     moves = after < before
     moves |= up
     rising = up[moves]
+    del up
     # move j (counting moves only) is followed by one the other way
     turns = np.flatnonzero(rising[1:] != rising[:-1])
     # tie i has ties[i] - i moves before it: add the ties before each turn
-    ties = np.flatnonzero(~moves)
+    ties = np.flatnonzero(np.logical_not(moves, out=moves))
+    del moves
     at = turns + 1 + np.searchsorted(ties - np.arange(len(ties)), turns, side="right")
     height = seg[at]
     keep = height != 0.0

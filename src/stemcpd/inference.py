@@ -110,8 +110,12 @@ def _trimmed_variance(d: TimeSeries) -> float:
     x = d.values[d.interior_slice()]
     n = len(x)
     drop = int(math.ceil(_TRIM * n))
-    kept = np.sort(np.abs(x))[: n - drop]
-    return float(np.mean(np.square(kept)) / trim_correction(_TRIM))
+    # one copy of the input, sorted and squared in place
+    kept = np.abs(x)
+    kept.sort()
+    kept = kept[: n - drop]
+    np.square(kept, out=kept)
+    return float(np.mean(kept) / trim_correction(_TRIM))
 
 
 def estimate_moments_empirical(series: TimeSeries, gamma: float, dy: TimeSeries) -> SpectralMoments:

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import GridMismatchError, InvalidParameterError
 from .kernels import KernelSpec, convolve_weights, kernel_value
 
+#: Samples per block of ``TimeSeries``'s finiteness check, whose mask is so
+#: one block long, not as long as the input.
+_FINITE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -37,7 +41,8 @@ class TimeSeries:
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise InvalidParameterError("values must be one-dimensional")
-        if not np.all(np.isfinite(values)):
+        if not all(np.isfinite(values[lo:lo + _FINITE_BLOCK]).all()
+                   for lo in range(0, len(values), _FINITE_BLOCK)):
             raise InvalidParameterError("values must be finite")
 
     def __len__(self) -> int:

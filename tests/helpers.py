@@ -1,5 +1,6 @@
 """Independent reference implementations used as oracles by the tests,
-and a builder of ``Extrema`` test inputs.
+a builder of ``Extrema`` test inputs and the shared input of the
+traced-memory tests.
 
 The oracles deliberately avoid the package's own code paths: plain
 loops, np.convolve, brute-force scans and the whole-array code that the
@@ -12,6 +13,7 @@ agree with the detector itself.
 """
 
 import csv
+import functools
 import math
 import warnings
 from collections import namedtuple
@@ -22,9 +24,11 @@ from stemcpd import (
     EvalResult,
     Extrema,
     InvalidParameterError,
+    NoiseModel,
     classify,
     compose,
     detect_change_points,
+    make_staircase,
     peak_height_tail,
     sample_noise,
 )
@@ -37,6 +41,17 @@ def extrema_of(index, height, sign, p_value=None):
     p = np.full(len(index), np.nan) if p_value is None else np.array(p_value, dtype=float)
     return Extrema(np.array(index, dtype=np.int64), np.array(height, dtype=float),
                    np.array(sign, dtype=np.int64), p)
+
+
+@functools.cache
+def dense_staircase():
+    """The paper staircase at n = 1e6 (jump 3 every 100 samples, nu = 2
+    noise, seed 5), built once for the traced-memory tests; its values are
+    read-only."""
+    n = 1_000_000
+    y = compose(make_staircase(3.0, 100, n), sample_noise(NoiseModel(1.0, 2.0), n, seed=5))
+    y.values.flags.writeable = False
+    return y
 
 
 def bh_bruteforce(pvalues, alpha):

@@ -1,6 +1,7 @@
 """Tests for spectral moments and extremum-height p-values."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,10 +31,10 @@ from stemcpd import (
     smooth,
 )
 from stemcpd import inference
-from stemcpd.inference import trim_correction
+from stemcpd.inference import _trimmed_variance, trim_correction
 
 import helpers
-from helpers import extrema_of, invert_tail_bisection, reference_tail
+from helpers import dense_staircase, extrema_of, invert_tail_bisection, reference_tail
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 
@@ -457,3 +458,28 @@ class TestEstimateMomentsEmpirical:
     def test_interior_too_short(self):
         with pytest.raises(MomentEstimationError, match="interior too short"):
             empirical(TimeSeries(np.random.default_rng(1).standard_normal(140)), 6.0)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_trimmed_variance_is_the_sorted_mean_square(self, order):
+        """The in-place trimmed variance equals, bit for bit, the mean
+        square of the smallest 90% of the interior's absolute values
+        rescaled by the trimmed-normal factor."""
+        y = compose(make_staircase(3.0, 500, 30_001), sample_noise(MODEL, 30_001, seed=71))
+        d = smooth(y, KernelSpec(gamma=6.0, order=order))
+        x = d.values[d.interior_slice()]
+        kept = np.sort(np.abs(x))[: len(x) - math.ceil(0.1 * len(x))]
+        assert _trimmed_variance(d) == float(np.mean(np.square(kept)) / trim_correction(0.1))
+
+    def test_trimmed_variance_traced_peak_is_one_copy(self):
+        """The trimmed variance of the order-1 smooth of the paper
+        staircase at n = 1e6 allocates one 8-byte copy per sample (three
+        copies took 16 bytes per sample)."""
+        dy = smooth(dense_staircase(), KernelSpec(gamma=6.0, order=1))
+        n = len(dy)
+        tracemalloc.start()
+        try:
+            _trimmed_variance(dy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 65536

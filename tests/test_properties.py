@@ -3,7 +3,8 @@
 Smoothing must reproduce the pairwise loop bit for bit (the golden fixture
 depends on its summation order), extrema extraction must agree with a
 run-by-run scan, and ``Extrema`` must behave as the sequence of
-``Extremum`` records it stands for.  The whole detector must map a sequence
+``Extremum`` records it stands for.  ``TimeSeries`` must accept exactly the
+finite arrays.  The whole detector must map a sequence
 reversed and negated to its own result mirrored, and a sequence scaled by
 a power of two to its own result with only the heights scaled.
 The tail inversion must land on the bracketed bisection's adjacent-float
@@ -44,7 +45,7 @@ from stemcpd import (
     sample_noise,
     smooth,
 )
-from stemcpd import cli, inference
+from stemcpd import InvalidParameterError, cli, inference, signals
 from stemcpd.cli import InputDataError, read_sequence_csv, write_detection_csv
 from stemcpd.kernels import convolve_weights
 
@@ -97,6 +98,39 @@ def interior_of_pairwise_loop(y, weights):
     out = np.zeros(len(y))
     out[k : len(y) - k] = convolve_weights_pairwise(y, weights)[k : len(y) - k]
     return out
+
+
+class TestFinitenessCheck:
+    @SETTINGS
+    @given(
+        body=st.lists(st.one_of(st.floats(), st.sampled_from([1e308, -1e308, -0.0, 5e-324])),
+                      max_size=12),
+        end=st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0, 1e308]),
+        first=st.booleans(),
+        block=st.sampled_from([1, 2, 3, signals._FINITE_BLOCK]),
+    )
+    @example(body=[], end=None, first=False, block=signals._FINITE_BLOCK)
+    @example(body=[1.0, 2.0], end=math.nan, first=True, block=signals._FINITE_BLOCK)
+    @example(body=[1.0, 2.0], end=math.inf, first=False, block=signals._FINITE_BLOCK)
+    @example(body=[1.0, 2.0], end=-math.inf, first=True, block=2)
+    @example(body=[-0.0], end=None, first=False, block=signals._FINITE_BLOCK)
+    @example(body=[1e308, 1e308], end=None, first=False, block=signals._FINITE_BLOCK)
+    @example(body=[-1e308, -1e308], end=1e308, first=False, block=3)
+    def test_refuses_what_isfinite_refuses(self, body, end, first, block):
+        """``TimeSeries`` accepts exactly the arrays whose samples are all
+        finite, whatever the block size of its check: a non-finite first or
+        last sample is refused, and signed zeros and samples whose sum
+        overflows are accepted."""
+        if end is not None:
+            body = [end] + body if first else body + [end]
+        values = np.array(body, dtype=float)
+        with mock.patch.object(signals, "_FINITE_BLOCK", block):
+            try:
+                TimeSeries(values)
+                accepted = True
+            except InvalidParameterError:
+                accepted = False
+        assert accepted == bool(np.isfinite(values).all())
 
 
 class TestSmoothBitExact:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from stemcpd import (
     make_staircase,
     sample_noise,
 )
+from stemcpd.signals import _FINITE_BLOCK
 
 from helpers import convolve_weights_pairwise, noise_kernel, staircase_scan
 
@@ -24,6 +26,27 @@ class TestTimeSeries:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):
             TimeSeries(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("at", [0, _FINITE_BLOCK - 1, _FINITE_BLOCK, 3 * _FINITE_BLOCK + 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_in_any_block(self, at, bad):
+        values = np.ones(3 * _FINITE_BLOCK + 5)
+        TimeSeries(values)
+        values[at] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            TimeSeries(values)
+
+    def test_traced_validation_is_one_block(self):
+        """Checking 1e6 float64 samples allocates one block's mask, not
+        one byte per sample."""
+        values = np.random.default_rng(3).standard_normal(1_000_000)
+        tracemalloc.start()
+        try:
+            TimeSeries(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _FINITE_BLOCK + 65536
 
 
 class TestPiecewiseSignal:
