@@ -12,10 +12,6 @@ bounds.
 
 from .detect import Extrema, Extremum, find_local_extrema, smooth
 from .errors import (
-    BandwidthTooLargeError,
-    BandwidthTooSmallError,
-    DegenerateConfigError,
-    GridMismatchError,
     InvalidParameterError,
     MomentEstimationError,
     StemcpdError,
@@ -50,7 +46,7 @@ from .theory import (
     null_max_rate,
     null_max_rate_above,
     snr,
-    theoretical_power_curve,
+    theory_table,
 )
 
 __version__ = "0.1.0"
@@ -58,16 +54,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateResult",
     "BHOutcome",
-    "BandwidthTooLargeError",
-    "BandwidthTooSmallError",
     "CellResult",
-    "DegenerateConfigError",
     "DetectionResult",
     "EvalResult",
     "Extrema",
     "Extremum",
     "GAUSSIAN_CUTOFF",
-    "GridMismatchError",
     "InvalidParameterError",
     "KernelSpec",
     "MomentEstimationError",
@@ -103,5 +95,5 @@ __all__ = [
     "sample_noise",
     "smooth",
     "snr",
-    "theoretical_power_curve",
+    "theory_table",
 ]

@@ -17,20 +17,11 @@ from itertools import compress
 import numpy as np
 
 from .errors import StemcpdError
-from .harness import CellResult, SimulateRequest, check_finite_grid, run_simulation
-from .inference import closed_form_moments
+from .harness import CellResult, SimulateRequest, run_simulation
 from .kernels import GAUSSIAN_CUTOFF
 from .pipeline import detect_change_points
 from .signals import NoiseModel, TimeSeries
-from .theory import (
-    TheoryConfig,
-    asymptotic_bh_pvalue,
-    asymptotic_bh_threshold,
-    fdr_upper_bound,
-    null_max_rate,
-    snr,
-    approx_power,
-)
+from .theory import theory_table
 
 
 class InputDataError(StemcpdError):
@@ -332,30 +323,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    model = NoiseModel(sigma=args.sigma, nu=args.nu)
-    check_finite_grid("jumps", args.jumps)
-    check_finite_grid("gammas", args.gammas)
-    header = ["gamma", "var_d1", "var_d2", "var_d3", "delta", "null_rate",
-              "q_star", "u_star", "fdr_bound_bh"]
-    header += [f"snr_j{a:g}" for a in args.jumps]
-    header += [f"power_j{a:g}" for a in args.jumps]
-    rows = []
-    for gamma in args.gammas:
-        moments = closed_form_moments(model, gamma)
-        cfg = TheoryConfig(density=args.density, alpha=args.alpha,
-                           moments=moments, gamma=gamma)
-        u_star = asymptotic_bh_threshold(cfg)
-        row = [
-            _fmt(gamma), _fmt(moments.var_d1), _fmt(moments.var_d2),
-            _fmt(moments.var_d3), _fmt(moments.delta),
-            _fmt(null_max_rate(moments)), _fmt(asymptotic_bh_pvalue(cfg)),
-            _fmt(u_star), _fmt(fdr_upper_bound(cfg)),
-        ]
-        row += [_fmt(snr(a, model, gamma)) for a in args.jumps]
-        row += [_fmt(approx_power(a, u_star, moments, gamma)) for a in args.jumps]
-        rows.append(row)
+    header, rows = theory_table(NoiseModel(sigma=args.sigma, nu=args.nu), args.gammas,
+                                args.jumps, args.density, args.alpha)
     footer = [(name, _fmt(getattr(args, name))) for name in ("density", "alpha", "sigma", "nu")]
-    _write_table(args.output, header, rows, footer + [("cutoff", _fmt(GAUSSIAN_CUTOFF))])
+    _write_table(args.output, header, ([_fmt(x) for x in row] for row in rows),
+                 footer + [("cutoff", _fmt(GAUSSIAN_CUTOFF))])
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthTooLargeError
+from .errors import InvalidParameterError
 from .kernels import KernelSpec, convolve_weights, kernel_weights
 from .signals import TimeSeries
 
@@ -92,7 +92,7 @@ def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
     n = len(series)
     k = spec.half_width()
     if n < 2 * k + 1:
-        raise BandwidthTooLargeError(
+        raise InvalidParameterError(
             # 2*k+1 may exceed the float range where k itself does not
             f"series of length {n} is shorter than the kernel at gamma={spec.gamma:g} "
             f"(2*{k:g}+1 samples)"

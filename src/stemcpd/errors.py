@@ -9,21 +9,5 @@ class InvalidParameterError(StemcpdError, ValueError):
     """A parameter is outside its documented domain."""
 
 
-class BandwidthTooSmallError(InvalidParameterError):
-    """Kernel support is narrower than the sampling grid can resolve."""
-
-
-class BandwidthTooLargeError(InvalidParameterError):
-    """Kernel support does not fit inside the data sequence."""
-
-
-class DegenerateConfigError(InvalidParameterError):
-    """Change points are so dense that the null region vanishes."""
-
-
-class GridMismatchError(StemcpdError, ValueError):
-    """Two sequences do not share the same sampling grid."""
-
-
 class MomentEstimationError(StemcpdError):
     """Empirical spectral moments cannot be estimated from the data."""

@@ -14,7 +14,6 @@ deterministic regardless of parallelism.
 """
 
 import itertools
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,18 +25,12 @@ from .errors import InvalidParameterError, StemcpdError
 from .evaluation import aggregate, classify
 from .inference import closed_form_moments
 from .kernels import KernelSpec
-from .multitest import check_alpha
+from .multitest import check_alpha, check_grid
 from .pipeline import DetectionResult, select_change_points
 from .signals import (NoiseModel, PiecewiseSignal, TimeSeries, check_sampled_nu, make_staircase,
                       sample_noise)
 
 THREADS_ENV_VAR = "STEMCPD_THREADS"
-
-
-def check_finite_grid(name: str, values: tuple) -> None:
-    """Refuse a grid holding a non-finite value, naming the grid."""
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidParameterError(f"{name} grid must be finite, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -71,10 +64,7 @@ class SimulateRequest:
         if self.rep_start < 0 or self.seed < 0:
             raise InvalidParameterError("seed and rep_start must be non-negative")
         for name in ("jumps", "gammas", "tolerances"):
-            values = getattr(self, name)
-            if not values:
-                raise InvalidParameterError(f"{name} grid must be non-empty")
-            check_finite_grid(name, values)
+            check_grid(name, getattr(self, name))
         if any(b <= 0 for b in self.tolerances):
             raise InvalidParameterError("tolerances must be positive")
         if any(g <= 0 for g in self.gammas):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandwidthTooSmallError, InvalidParameterError
+from .errors import InvalidParameterError
 
 #: Support half-width of the truncated Gaussian, in bandwidth units.
 GAUSSIAN_CUTOFF = 4.0
@@ -95,7 +95,7 @@ def kernel_weights(spec: KernelSpec) -> np.ndarray:
     odd orders are antisymmetrized exactly, so their true sum is zero.
     """
     if GAUSSIAN_CUTOFF * spec.gamma < 1.0:
-        raise BandwidthTooSmallError(
+        raise InvalidParameterError(
             f"kernel support half-width {GAUSSIAN_CUTOFF * spec.gamma:g} is "
             "narrower than one grid step"
         )

@@ -40,6 +40,15 @@ def check_alpha(alpha: float) -> None:
         raise InvalidParameterError("alpha must lie in (0, 1)")
 
 
+def check_grid(name: str, values) -> None:
+    """Refuse an empty grid or one holding a non-finite value, naming the
+    grid."""
+    if len(values) == 0:
+        raise InvalidParameterError(f"{name} grid must be non-empty")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParameterError(f"{name} grid must be finite, got {values!r}")
+
+
 def bh_select(pvalues, alpha: float) -> BHOutcome:
     """Step-up selection: reject the k smallest p-values, where k is the
     largest index whose i-th smallest p-value is strictly below i*alpha/m.

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidParameterError
+from .errors import InvalidParameterError
 from .kernels import KernelSpec, convolve_weights, kernel_value
 
 #: Samples per block of ``TimeSeries``'s finiteness check, whose mask is so
@@ -196,7 +196,7 @@ def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:
 def compose(signal: PiecewiseSignal, noise: TimeSeries) -> TimeSeries:
     """Pointwise sum of the sampled signal and a noise realization."""
     if len(noise) != signal.length:
-        raise GridMismatchError(
+        raise InvalidParameterError(
             f"noise length {len(noise)} does not match signal length {signal.length}"
         )
     return TimeSeries(signal.mean + noise.values)

@@ -6,18 +6,19 @@ large-jump approximation to per-jump detection probability, the
 deterministic limit of the step-up height threshold, and leading-term
 upper bounds on the false discovery rate.  Asymptotic remainder terms are
 not computable and are omitted throughout; bounds are leading-term only.
+``theory_table`` gathers them per bandwidth, as ``stemcpd theory`` prints
+them.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import ndtr
 
-from .errors import DegenerateConfigError, InvalidParameterError
+from .errors import InvalidParameterError
 from .inference import SpectralMoments, closed_form_moments, invert_peak_height_tail, peak_height_tail
 from .kernels import GAUSSIAN_CUTOFF, KernelSpec, kernel_value
-from .multitest import check_alpha
+from .multitest import check_alpha, check_grid
 from .signals import NoiseModel
 
 
@@ -42,7 +43,7 @@ class TheoryConfig:
         if not self.gamma > 0:
             raise InvalidParameterError("gamma must be positive")
         if self.null_fraction <= 0.0:
-            raise DegenerateConfigError(
+            raise InvalidParameterError(
                 "kernel occupancy 2*GAUSSIAN_CUTOFF*gamma*density reaches 1; "
                 "no null region remains"
             )
@@ -128,22 +129,31 @@ def fdr_upper_bound(cfg: TheoryConfig, u: float = None) -> float:
     return rate / (rate + cfg.density)
 
 
-def theoretical_power_curve(
-    jump: float,
-    model: NoiseModel,
-    gammas,
-    density: float,
-    alpha: float,
-) -> np.ndarray:
-    """Approximate power at the asymptotic step-up threshold, per bandwidth.
+def theory_table(model: NoiseModel, gammas, jumps, density: float, alpha: float):
+    """The analytic curves per bandwidth, as ``(header, rows)``.
 
-    For each bandwidth: compute closed-form moments, the deterministic
-    height threshold, and the large-jump detection probability there.
+    Each row holds, for one bandwidth of ``gammas`` in order, the bandwidth,
+    its closed-form moments, the null maxima rate, the asymptotic step-up
+    p-value and height thresholds ``q_star`` and ``u_star``, the step-up FDR
+    bound, then the SNR and the approximate power at ``u_star`` of each jump
+    of ``jumps`` in order (a repeated jump repeats its columns).  Both grids
+    must be non-empty and finite.
     """
-    powers = []
-    for gamma in np.asarray(gammas, dtype=float):
+    check_grid("jumps", jumps)
+    check_grid("gammas", gammas)
+    header = ["gamma", "var_d1", "var_d2", "var_d3", "delta", "null_rate",
+              "q_star", "u_star", "fdr_bound_bh"]
+    header += [f"snr_j{a:g}" for a in jumps]
+    header += [f"power_j{a:g}" for a in jumps]
+    rows = []
+    for gamma in map(float, gammas):
         moments = closed_form_moments(model, gamma)
         cfg = TheoryConfig(density=density, alpha=alpha, moments=moments, gamma=gamma)
         u_star = asymptotic_bh_threshold(cfg)
-        powers.append(approx_power(jump, u_star, moments, gamma))
-    return np.array(powers)
+        rows.append([
+            gamma, moments.var_d1, moments.var_d2, moments.var_d3, moments.delta,
+            null_max_rate(moments), asymptotic_bh_pvalue(cfg), u_star, fdr_upper_bound(cfg),
+            *(snr(a, model, gamma) for a in jumps),
+            *(approx_power(a, u_star, moments, gamma) for a in jumps),
+        ])
+    return header, rows

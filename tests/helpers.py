@@ -1,6 +1,6 @@
 """Independent reference implementations used as oracles by the tests,
-a builder of ``Extrema`` test inputs and the shared input of the
-traced-memory tests.
+a builder of ``Extrema`` test inputs, the shared input of the
+traced-memory tests and a reader of one ``theory_table`` column.
 
 The oracles deliberately avoid the package's own code paths: plain
 loops, np.convolve, brute-force scans and the whole-array code that the
@@ -31,6 +31,7 @@ from stemcpd import (
     make_staircase,
     peak_height_tail,
     sample_noise,
+    theory_table,
 )
 from stemcpd.cli import InputDataError
 
@@ -52,6 +53,14 @@ def dense_staircase():
     y = compose(make_staircase(3.0, 100, n), sample_noise(NoiseModel(1.0, 2.0), n, seed=5))
     y.values.flags.writeable = False
     return y
+
+
+def power_column(model, jump, gammas, density, alpha) -> np.ndarray:
+    """The ``power_j<jump>`` column of ``theory_table``: approximate power
+    at the asymptotic step-up threshold, one value per bandwidth."""
+    header, rows = theory_table(model, gammas, (jump,), density, alpha)
+    column = header.index(f"power_j{jump:g}")
+    return np.array([row[column] for row in rows])
 
 
 def bh_bruteforce(pvalues, alpha):

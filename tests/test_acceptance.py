@@ -27,11 +27,10 @@ from stemcpd import (
     run_simulation,
     sample_noise,
     smooth,
-    theoretical_power_curve,
 )
 from stemcpd.cli import main
 
-from helpers import bh_bruteforce, run_replicate
+from helpers import bh_bruteforce, power_column, run_replicate
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 
@@ -129,7 +128,7 @@ def test_criterion_05_interference():
 
 def test_criterion_06_power_curve_dip():
     grid = np.array([0.5] + list(range(1, 11)), dtype=float)
-    curve = theoretical_power_curve(1.0, MODEL, grid, density=0.01, alpha=0.05)
+    curve = power_column(MODEL, 1.0, grid, density=0.01, alpha=0.05)
     best = float(grid[int(np.argmin(curve))])
     target = float(grid[int(np.argmin(np.abs(grid - math.sqrt(2) * MODEL.nu)))])
     report(

@@ -408,9 +408,11 @@ class TestTheoryCommand:
             capsys.readouterr()
             assert run("theory", *bad, "--output", tmp_path / "o.csv") == 2, bad
             assert "sigma=" in capsys.readouterr().err, bad
-        # non-finite grid values are refused as simulate refuses them
+        # empty and non-finite grids are refused as simulate refuses them
         for bad, message in ((["--jump", "nan,inf"], "jumps grid must be finite, got (nan, inf)"),
-                             (["--grid-gamma", "inf"], "gammas grid must be finite, got (inf,)")):
+                             (["--grid-gamma", "inf"], "gammas grid must be finite, got (inf,)"),
+                             (["--jump", ""], "jumps grid must be non-empty"),
+                             (["--grid-gamma", ""], "gammas grid must be non-empty")):
             capsys.readouterr()
             assert run("theory", *bad, "--output", tmp_path / "o.csv") == 2, bad
             assert message in capsys.readouterr().err, bad

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from stemcpd import (
-    BandwidthTooLargeError,
     Extremum,
+    InvalidParameterError,
     KernelSpec,
     NoiseModel,
     TimeSeries,
@@ -87,7 +87,7 @@ class TestSmoothDerivative:
         assert np.max(np.abs(dy.values[sl] - expected[sl])) < 3e-4 * max(abs(a1), abs(a2))
 
     def test_series_shorter_than_kernel(self):
-        with pytest.raises(BandwidthTooLargeError):
+        with pytest.raises(InvalidParameterError, match="shorter than the kernel"):
             smooth(series(np.zeros(30)), KernelSpec(gamma=6.0, order=1))
 
     def test_interior_annotation(self):

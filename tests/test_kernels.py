@@ -7,7 +7,6 @@ import pytest
 
 from stemcpd import (
     GAUSSIAN_CUTOFF,
-    BandwidthTooSmallError,
     InvalidParameterError,
     KernelSpec,
     kernel_value,
@@ -124,7 +123,7 @@ class TestKernelWeights:
         assert abs(response[v + k + 5]) < 1e-12
 
     def test_bandwidth_too_small(self):
-        with pytest.raises(BandwidthTooSmallError):
+        with pytest.raises(InvalidParameterError, match="narrower than one grid step"):
             kernel_weights(KernelSpec(gamma=0.2))
 
     def test_kernel_value_zero_outside_support(self):

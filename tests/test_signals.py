@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from stemcpd import (
-    GridMismatchError,
     InvalidParameterError,
     NoiseModel,
     PiecewiseSignal,
@@ -261,5 +260,5 @@ class TestCompose:
         assert np.array_equal(out.values, mu + noise.values)
 
     def test_length_mismatch(self):
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(InvalidParameterError, match="does not match signal length"):
             compose(make_staircase(1.0, 10, 100), TimeSeries(np.zeros(99)))

@@ -1,12 +1,12 @@
 """Tests for analytic rates, SNR, approximate power and FDR bounds."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from stemcpd import (
-    DegenerateConfigError,
     InvalidParameterError,
     KernelSpec,
     NoiseModel,
@@ -21,8 +21,10 @@ from stemcpd import (
     null_max_rate_above,
     peak_height_tail,
     snr,
-    theoretical_power_curve,
+    theory_table,
 )
+
+from helpers import power_column
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 MOMENTS = closed_form_moments(MODEL, 6.0)
@@ -153,7 +155,7 @@ class TestAsymptoticThreshold:
         assert thresholds[-1] < -3 * MOMENTS.sd_d1
 
     def test_degenerate_config(self):
-        with pytest.raises(DegenerateConfigError):
+        with pytest.raises(InvalidParameterError, match="no null region remains"):
             config(gamma=6.0, density=0.05)  # occupancy 2*4*6*0.05 = 2.4
 
 
@@ -184,23 +186,23 @@ class TestTheoreticalPowerCurve:
     GRID = np.array([0.5] + list(range(1, 11)), dtype=float)
 
     def test_reference_values(self):
-        curve = theoretical_power_curve(1.0, MODEL, [1.0, 3.0, 6.0, 10.0], 0.01, 0.05)
+        curve = power_column(MODEL, 1.0, [1.0, 3.0, 6.0, 10.0], 0.01, 0.05)
         assert curve == pytest.approx(
             [0.561613816234982, 0.21660100165552032, 0.4487331571729915, 0.8026235715258311],
             rel=1e-9,
         )
 
     def test_stronger_jump_dominates(self):
-        weak = theoretical_power_curve(1.0, MODEL, self.GRID, 0.01, 0.05)
-        strong = theoretical_power_curve(3.0, MODEL, self.GRID, 0.01, 0.05)
+        weak = power_column(MODEL, 1.0, self.GRID, 0.01, 0.05)
+        strong = power_column(MODEL, 3.0, self.GRID, 0.01, 0.05)
         assert np.all(strong > weak)
 
     def test_values_are_probabilities(self):
-        curve = theoretical_power_curve(2.0, MODEL, self.GRID, 0.01, 0.05)
+        curve = power_column(MODEL, 2.0, self.GRID, 0.01, 0.05)
         assert np.all((curve >= 0.0) & (curve <= 1.0))
 
     def test_dip_near_snr_minimum(self):
-        curve = theoretical_power_curve(1.0, MODEL, self.GRID, 0.01, 0.05)
+        curve = power_column(MODEL, 1.0, self.GRID, 0.01, 0.05)
         best = self.GRID[int(np.argmin(curve))]
         nearest = self.GRID[int(np.argmin(np.abs(self.GRID - math.sqrt(2) * MODEL.nu)))]
         assert best == nearest == 3.0
@@ -217,9 +219,63 @@ class TestTheoreticalPowerCurve:
                 tolerances=(8.0,), alpha=0.05, replications=60, seed=71,
             )
             realized = {c.gamma: c.power for c in run_simulation(req)}
-            curve = theoretical_power_curve(jump, MODEL, gammas, 1.0 / 100, 0.05)
+            curve = power_column(MODEL, jump, gammas, 1.0 / 100, 0.05)
             for gamma, predicted in zip(gammas, curve):
                 assert realized[gamma] > predicted - 0.05
+
+
+class TestTheoryTable:
+    HEADER = ["gamma", "var_d1", "var_d2", "var_d3", "delta", "null_rate", "q_star", "u_star",
+              "fdr_bound_bh", "snr_j1", "snr_j3", "snr_j1", "power_j1", "power_j3", "power_j1"]
+
+    def test_rows_are_the_formulas(self):
+        # a repeated jump keeps its repeated columns, in grid order
+        header, rows = theory_table(MODEL, (6.0, 1.0), (1.0, 3.0, 1.0), 0.01, 0.05)
+        assert header == self.HEADER
+        assert [row[0] for row in rows] == [6.0, 1.0]
+        for row in rows:
+            gamma = row[0]
+            moments = closed_form_moments(MODEL, gamma)
+            cfg = config(gamma=gamma, moments=moments)
+            u_star = asymptotic_bh_threshold(cfg)
+            assert row == [
+                gamma, moments.var_d1, moments.var_d2, moments.var_d3, moments.delta,
+                null_max_rate(moments), asymptotic_bh_pvalue(cfg), u_star, fdr_upper_bound(cfg),
+                *(snr(a, MODEL, gamma) for a in (1.0, 3.0, 1.0)),
+                *(approx_power(a, u_star, moments, gamma) for a in (1.0, 3.0, 1.0)),
+            ]
+            assert all(type(value) is float for value in row)
+
+    def test_each_bandwidth_computed_once(self, monkeypatch):
+        from stemcpd import theory
+
+        calls = Counter()
+
+        def counted(f):
+            def wrapper(*args):
+                calls[f.__name__] += 1
+                return f(*args)
+            return wrapper
+
+        for name in ("closed_form_moments", "asymptotic_bh_threshold"):
+            monkeypatch.setattr(theory, name, counted(getattr(theory, name)))
+        theory_table(MODEL, (2.0, 4.0, 8.0), (1.0, 2.0, 3.0), 0.01, 0.05)
+        assert calls == {"closed_form_moments": 3, "asymptotic_bh_threshold": 3}
+
+    @pytest.mark.parametrize("gammas, jumps, message", [
+        ((), (1.0,), "gammas grid must be non-empty"),
+        ((6.0,), (), "jumps grid must be non-empty"),
+        ((6.0, math.nan), (1.0,), "gammas grid must be finite"),
+        ((6.0,), (1.0, -math.inf), "jumps grid must be finite"),
+        ((), (), "jumps grid must be non-empty"),
+    ])
+    def test_refuses_what_simulate_refuses(self, gammas, jumps, message):
+        from stemcpd import SimulateRequest
+
+        with pytest.raises(InvalidParameterError, match=message):
+            theory_table(MODEL, gammas, jumps, 0.01, 0.05)
+        with pytest.raises(InvalidParameterError, match=message):
+            SimulateRequest(gammas=gammas, jumps=jumps)
 
 
 class TestTheoryConfig:
