@@ -38,13 +38,8 @@ from .signals import (
     sample_noise,
 )
 from .theory import (
-    TheoryConfig,
     approx_power,
-    asymptotic_bh_pvalue,
-    asymptotic_bh_threshold,
-    fdr_upper_bound,
     null_max_rate,
-    null_max_rate_above,
     snr,
     theory_table,
 )
@@ -68,13 +63,10 @@ __all__ = [
     "SimulateRequest",
     "SpectralMoments",
     "StemcpdError",
-    "TheoryConfig",
     "TimeSeries",
     "aggregate",
     "approx_power",
     "assign_pvalues",
-    "asymptotic_bh_pvalue",
-    "asymptotic_bh_threshold",
     "bh_height_threshold",
     "bh_select",
     "classify",
@@ -82,14 +74,12 @@ __all__ = [
     "compose",
     "detect_change_points",
     "estimate_moments_empirical",
-    "fdr_upper_bound",
     "find_local_extrema",
     "invert_peak_height_tail",
     "kernel_value",
     "kernel_weights",
     "make_staircase",
     "null_max_rate",
-    "null_max_rate_above",
     "peak_height_tail",
     "run_simulation",
     "sample_noise",

@@ -101,6 +101,11 @@ def kernel_weights(spec: KernelSpec) -> np.ndarray:
         )
     k = spec.half_width()
     w = np.asarray(kernel_value(spec, np.arange(-k, k + 1)))
+    # not a no-op: numpy's ``x ** 3`` does not round x and -x to exact
+    # negatives, so raw order-3 samples miss antisymmetry by an ulp at some
+    # offsets (at gamma 3, 6, 10 and 50 among others).  Without this step
+    # convolve_weights would lose its exact zeros on flat input, and every
+    # empirical-moment result would move.
     if spec.order % 2 == 1:
         w = (w - w[::-1]) / 2.0
     else:

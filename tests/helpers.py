@@ -3,8 +3,9 @@ a builder of ``Extrema`` test inputs, the shared input of the
 traced-memory tests and a reader of one ``theory_table`` column.
 
 The oracles deliberately avoid the package's own code paths: plain
-loops, np.convolve, brute-force scans and the whole-array code that the
-package's faster forms replaced, so agreement is meaningful.
+loops, np.convolve, brute-force scans, the paper's closed forms and the
+whole-array code that the package's faster forms replaced, so agreement
+is meaningful.
 Two oracles are exceptions.  The tail inversion bisects the package's own
 ``peak_height_tail``, since bit-for-bit agreement is only defined on the
 same tail.  The simulation replicate composes each observed sequence and
@@ -23,6 +24,7 @@ import numpy as np
 from stemcpd import (
     EvalResult,
     Extrema,
+    GAUSSIAN_CUTOFF,
     InvalidParameterError,
     NoiseModel,
     classify,
@@ -61,6 +63,25 @@ def power_column(model, jump, gammas, density, alpha) -> np.ndarray:
     header, rows = theory_table(model, gammas, (jump,), density, alpha)
     column = header.index(f"power_j{jump:g}")
     return np.array([row[column] for row in rows])
+
+
+def step_up_limit(moments, gamma, density, alpha):
+    """The paper's asymptotic step-up quantities at one bandwidth, as
+    ``(null_fraction, q_star, fdr_bound)``.
+
+    The kernel supports around the change points, ``2*GAUSSIAN_CUTOFF*gamma``
+    wide at density ``A``, leave the null fraction of the domain.  There
+    null maxima and minima each fall at the Rice rate
+    ``sqrt(var_d3/var_d2)/(2*pi)``, ``m0`` per unit length together, and
+    every change point is found in the limit.  The step-up threshold is the
+    fixed point of ``q = alpha*G(q)``, ``G(q) = (A + m0*q)/(A + m0)`` being
+    the limiting share of p-values below ``q``; the bound is the false
+    share ``m0*q/(A + m0*q)`` of the rejections there.
+    """
+    null_fraction = 1.0 - GAUSSIAN_CUTOFF * 2.0 * gamma * density
+    m0 = 2.0 * null_fraction * math.sqrt(moments.var_d3 / moments.var_d2) / (2.0 * math.pi)
+    q_star = alpha * density / (density + m0 - alpha * m0)
+    return null_fraction, q_star, m0 * q_star / (density + m0 * q_star)
 
 
 def bh_bruteforce(pvalues, alpha):

@@ -397,10 +397,12 @@ class TestTheoryCommand:
         snrs = [float(l.split(",")[9]) for l in lines]
         assert gammas[int(np.argmin(snrs))] == 3.0
 
-    def test_degenerate_config_exit_2(self, tmp_path):
+    def test_degenerate_config_exit_2(self, tmp_path, capsys):
         code = run("theory", "--grid-gamma", "6", "--density", 0.05,
                    "--output", tmp_path / "o.csv")
         assert code == 2
+        assert "kernel occupancy" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_out_of_range_parameters_exit_2(self, tmp_path, capsys):
         # moments out of floating-point range are refused naming the inputs

@@ -10,33 +10,38 @@ from stemcpd import (
     InvalidParameterError,
     KernelSpec,
     NoiseModel,
-    TheoryConfig,
     approx_power,
-    asymptotic_bh_pvalue,
-    asymptotic_bh_threshold,
     closed_form_moments,
-    fdr_upper_bound,
+    invert_peak_height_tail,
     kernel_value,
     null_max_rate,
-    null_max_rate_above,
     peak_height_tail,
     snr,
     theory_table,
 )
 
-from helpers import power_column
+from helpers import power_column, step_up_limit
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 MOMENTS = closed_form_moments(MODEL, 6.0)
 
 
-def config(gamma=6.0, alpha=0.05, density=0.01, moments=None):
-    return TheoryConfig(
-        density=density,
-        alpha=alpha,
-        moments=moments or closed_form_moments(MODEL, gamma),
-        gamma=gamma,
-    )
+def table_rows(gammas=(6.0,), alpha=0.05, density=0.01):
+    """The ``theory_table`` rows of ``gammas`` (jump 1), each as a dict by
+    column name."""
+    header, rows = theory_table(MODEL, gammas, (1.0,), density, alpha)
+    return [dict(zip(header, row)) for row in rows]
+
+
+def table_row(gamma=6.0, alpha=0.05, density=0.01):
+    return table_rows((gamma,), alpha, density)[0]
+
+
+def null_fraction_of(row, alpha, density):
+    """The null fraction ``f`` read back from a row's bound ``b`` and null
+    rate ``r``: ``b/alpha = 2*r*f/(2*r*f + A)``, solved for ``f``."""
+    bound = row["fdr_bound_bh"]
+    return density * bound / ((alpha - bound) * 2.0 * row["null_rate"])
 
 
 class TestNullMaxRate:
@@ -55,26 +60,6 @@ class TestNullMaxRate:
     def test_decreasing_in_bandwidth(self):
         rates = [null_max_rate(closed_form_moments(MODEL, g)) for g in range(1, 11)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
-
-
-class TestNullMaxRateAbove:
-    def test_low_threshold_recovers_rate(self):
-        assert null_max_rate_above(-np.inf, MOMENTS) == null_max_rate(MOMENTS)
-
-    def test_value_at_zero(self):
-        assert null_max_rate_above(0.0, MOMENTS) == pytest.approx(
-            0.035304478988024406, rel=1e-12
-        )
-
-    def test_tail_identity(self):
-        for u in (-0.05, 0.0, 0.02, 0.08):
-            product = null_max_rate(MOMENTS) * peak_height_tail(u, MOMENTS)
-            assert null_max_rate_above(u, MOMENTS) == product
-
-    def test_monotone_decreasing(self):
-        us = np.linspace(-0.1, 0.1, 41)
-        vals = [null_max_rate_above(u, MOMENTS) for u in us]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestSnr:
@@ -117,7 +102,7 @@ class TestApproxPower:
         assert approx_power(1.0, math.inf, MOMENTS, 6.0) == 0.0
 
     def test_strong_jump_near_one(self):
-        u_star = asymptotic_bh_threshold(config())
+        u_star = table_row()["u_star"]
         value = approx_power(3.0, u_star, MOMENTS, 6.0)
         assert 0.99 < value < 1.0
 
@@ -129,56 +114,42 @@ class TestApproxPower:
 
 class TestAsymptoticThreshold:
     def test_pvalue_reference(self):
-        assert asymptotic_bh_pvalue(config()) == pytest.approx(
-            0.01013966970291401, rel=1e-12
-        )
+        assert table_row()["q_star"] == pytest.approx(0.01013966970291401, rel=1e-12)
 
     def test_threshold_reference(self):
-        assert asymptotic_bh_threshold(config()) == pytest.approx(
-            0.06953311886706356, abs=1e-10
-        )
+        assert table_row()["u_star"] == pytest.approx(0.06953311886706356, abs=1e-10)
 
     def test_inverse_contract(self):
-        cfg = config()
-        u_star = asymptotic_bh_threshold(cfg)
-        assert abs(peak_height_tail(u_star, MOMENTS) - asymptotic_bh_pvalue(cfg)) < 1e-10
+        row = table_row()
+        assert abs(peak_height_tail(row["u_star"], MOMENTS) - row["q_star"]) < 1e-10
 
     def test_alpha_near_one_gives_low_threshold(self):
         # as alpha approaches 1 the limiting threshold dives below the
         # entire null height distribution
-        thresholds = [
-            asymptotic_bh_threshold(config(alpha=a))
-            for a in (0.99, 1.0 - 1e-6, 1.0 - 1e-12)
-        ]
+        rows = [table_row(alpha=a) for a in (0.99, 1.0 - 1e-6, 1.0 - 1e-12)]
+        thresholds = [row["u_star"] for row in rows]
         assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
-        assert asymptotic_bh_pvalue(config(alpha=1.0 - 1e-12)) == pytest.approx(1.0, abs=1e-9)
+        assert rows[-1]["q_star"] == pytest.approx(1.0, abs=1e-9)
         assert thresholds[-1] < -3 * MOMENTS.sd_d1
 
     def test_degenerate_config(self):
         with pytest.raises(InvalidParameterError, match="no null region remains"):
-            config(gamma=6.0, density=0.05)  # occupancy 2*4*6*0.05 = 2.4
+            table_row(gamma=6.0, density=0.05)  # occupancy 2*4*6*0.05 = 2.4
 
 
 class TestFdrUpperBound:
     def test_bh_mode_reference(self):
-        assert fdr_upper_bound(config()) == pytest.approx(0.04026864101637727, rel=1e-12)
+        assert table_row()["fdr_bound_bh"] == pytest.approx(0.04026864101637727, rel=1e-12)
 
     def test_bh_mode_never_exceeds_alpha(self):
-        for gamma in (1.0, 3.0, 6.0, 10.0):
-            for alpha in (0.01, 0.05, 0.2):
-                for density in (0.001, 0.005, 0.01):
-                    cfg = config(gamma=gamma, alpha=alpha, density=density)
-                    assert fdr_upper_bound(cfg) <= alpha
-
-    def test_fixed_mode_vanishes_for_high_threshold(self):
-        cfg = config()
-        assert fdr_upper_bound(cfg, u=1.0) < 1e-200
-        lower = fdr_upper_bound(cfg, u=0.02)
-        higher = fdr_upper_bound(cfg, u=0.06)
-        assert higher < lower
+        for alpha in (0.01, 0.05, 0.2):
+            for density in (0.001, 0.005, 0.01):
+                for row in table_rows((1.0, 3.0, 6.0, 10.0), alpha, density):
+                    assert row["fdr_bound_bh"] <= alpha
 
     def test_monotone_in_density(self):
-        bounds = [fdr_upper_bound(config(density=d)) for d in (0.002, 0.005, 0.01)]
+        # more change points leave fewer null extrema per true one
+        bounds = [table_row(density=d)["fdr_bound_bh"] for d in (0.002, 0.005, 0.01)]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
 
@@ -236,15 +207,24 @@ class TestTheoryTable:
         for row in rows:
             gamma = row[0]
             moments = closed_form_moments(MODEL, gamma)
-            cfg = config(gamma=gamma, moments=moments)
-            u_star = asymptotic_bh_threshold(cfg)
-            assert row == [
-                gamma, moments.var_d1, moments.var_d2, moments.var_d3, moments.delta,
-                null_max_rate(moments), asymptotic_bh_pvalue(cfg), u_star, fdr_upper_bound(cfg),
+            null_fraction, q_star, bound = step_up_limit(moments, gamma, 0.01, 0.05)
+            assert row[:6] == [gamma, moments.var_d1, moments.var_d2, moments.var_d3,
+                               moments.delta, null_max_rate(moments)]
+            assert row[6] == pytest.approx(q_star, rel=1e-12)
+            assert row[7] == invert_peak_height_tail(row[6], moments)
+            assert row[8] == pytest.approx(bound, rel=1e-12)
+            named = dict(zip(header, row))
+            assert null_fraction_of(named, 0.05, 0.01) == pytest.approx(null_fraction, rel=1e-10)
+            assert row[9:] == [
                 *(snr(a, MODEL, gamma) for a in (1.0, 3.0, 1.0)),
-                *(approx_power(a, u_star, moments, gamma) for a in (1.0, 3.0, 1.0)),
+                *(approx_power(a, row[7], moments, gamma) for a in (1.0, 3.0, 1.0)),
             ]
             assert all(type(value) is float for value in row)
+
+    def test_null_fraction_from_columns(self):
+        # occupancy 2*4*6*0.01 = 0.48
+        assert step_up_limit(MOMENTS, 6.0, 0.01, 0.05)[0] == pytest.approx(0.52)
+        assert null_fraction_of(table_row(), 0.05, 0.01) == pytest.approx(0.52, rel=1e-10)
 
     def test_each_bandwidth_computed_once(self, monkeypatch):
         from stemcpd import theory
@@ -257,10 +237,10 @@ class TestTheoryTable:
                 return f(*args)
             return wrapper
 
-        for name in ("closed_form_moments", "asymptotic_bh_threshold"):
+        for name in ("closed_form_moments", "invert_peak_height_tail"):
             monkeypatch.setattr(theory, name, counted(getattr(theory, name)))
         theory_table(MODEL, (2.0, 4.0, 8.0), (1.0, 2.0, 3.0), 0.01, 0.05)
-        assert calls == {"closed_form_moments": 3, "asymptotic_bh_threshold": 3}
+        assert calls == {"closed_form_moments": 3, "invert_peak_height_tail": 3}
 
     @pytest.mark.parametrize("gammas, jumps, message", [
         ((), (1.0,), "gammas grid must be non-empty"),
@@ -277,13 +257,25 @@ class TestTheoryTable:
         with pytest.raises(InvalidParameterError, match=message):
             SimulateRequest(gammas=gammas, jumps=jumps)
 
+    @pytest.mark.parametrize("gammas, density, alpha, message", [
+        pytest.param((6.0,), 0.0, 0.05, "density must be positive", id="density-zero"),
+        pytest.param((6.0,), -0.01, 0.05, "density must be positive", id="density-negative"),
+        pytest.param((6.0,), math.nan, 0.05, "density must be positive", id="density-nan"),
+        pytest.param((6.0,), 0.01, 0.0, "alpha must lie in", id="alpha-zero"),
+        pytest.param((6.0,), 0.01, 1.0, "alpha must lie in", id="alpha-one"),
+        pytest.param((6.0,), 0.01, math.nan, "alpha must lie in", id="alpha-nan"),
+        # 2*4*12.5*0.01 is exactly 1, at the widest bandwidth, which comes last
+        pytest.param((1.0, 12.5), 0.01, 0.05, "kernel occupancy .* reaches 1; no null region remains",
+                     id="occupancy-one"),
+        pytest.param((1.0, 6.0), 0.05, 0.05, "kernel occupancy .* reaches 1; no null region remains",
+                     id="occupancy-above-one"),
+    ])
+    def test_refuses_before_any_row(self, monkeypatch, gammas, density, alpha, message):
+        from stemcpd import theory
 
-class TestTheoryConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            config(alpha=1.0)
-        with pytest.raises(InvalidParameterError):
-            config(density=0.0)
+        def no_row(*args):
+            raise AssertionError("a threshold was computed before the refusal")
 
-    def test_null_fraction(self):
-        assert config().null_fraction == pytest.approx(0.52)
+        monkeypatch.setattr(theory, "invert_peak_height_tail", no_row)
+        with pytest.raises(InvalidParameterError, match=message):
+            theory_table(MODEL, gammas, (1.0,), density, alpha)
