@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detect
-from .errors import InvalidParameterError, StemcpdError
+from .errors import InvalidParameterError
 from .evaluation import aggregate, classify
 from .inference import closed_form_moments
 from .kernels import KernelSpec
 from .multitest import check_alpha, check_grid
-from .pipeline import DetectionResult, select_change_points
+from .pipeline import select_change_points
 from .signals import (NoiseModel, PiecewiseSignal, TimeSeries, check_sampled_nu, make_staircase,
                       sample_noise)
 
@@ -98,18 +98,6 @@ class CellResult:
     seed: int
 
 
-def _check_threshold_equivalence(result: DetectionResult) -> None:
-    """The step-up rejection set must coincide with the height-threshold
-    selection; a mismatch would mean the tail inversion went wrong."""
-    extrema = result.extrema
-    by_height = np.flatnonzero(extrema.sign * extrema.height > result.outcome.u_threshold)
-    if not np.array_equal(by_height, result.outcome.rejected):
-        raise StemcpdError(
-            "p-value and height-threshold selections disagree "
-            f"({len(result.outcome.rejected)} vs {len(by_height)} rejections)"
-        )
-
-
 def _bandwidths(req: SimulateRequest) -> list:
     """Per bandwidth of ``req``: the bandwidth, its closed-form moments and
     the smooth of the unit staircase, or None when every jump is zero (the
@@ -136,7 +124,6 @@ def run_replicate(req: SimulateRequest, truths: list, bandwidths: list, rep: int
         for j, (jump, truth) in enumerate(zip(req.jumps, truths)):
             dy = dz if jump == 0.0 else TimeSeries(jump * unit.values + dz.values, dz.interior)
             result = select_change_points(dy, moments, gamma, req.alpha)
-            _check_threshold_equivalence(result)
             scores[j, g] = classify(result.significant, truth, req.tolerances).rates
     return scores
 

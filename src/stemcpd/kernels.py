@@ -91,8 +91,8 @@ def kernel_weights(spec: KernelSpec) -> np.ndarray:
     """Unit-grid samples of the order-th derivative of ``w_g``.
 
     Returns an odd-length, centered array covering grid offsets ``-K .. K``
-    with ``K = ceil(4*gamma)``.  Even orders are symmetrized exactly;
-    odd orders are antisymmetrized exactly, so their true sum is zero.
+    with ``K = ceil(4*gamma)``: exactly symmetric for even orders as
+    sampled, antisymmetrized exactly for odd orders, so their true sum is zero.
     """
     if GAUSSIAN_CUTOFF * spec.gamma < 1.0:
         raise InvalidParameterError(
@@ -108,8 +108,6 @@ def kernel_weights(spec: KernelSpec) -> np.ndarray:
     # empirical-moment result would move.
     if spec.order % 2 == 1:
         w = (w - w[::-1]) / 2.0
-    else:
-        w = (w + w[::-1]) / 2.0
     return w
 
 

@@ -14,9 +14,11 @@ loops over them in Python.
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import detect
 from .detect import Extrema, find_local_extrema
-from .errors import MomentEstimationError
+from .errors import MomentEstimationError, StemcpdError
 from .inference import (
     SpectralMoments,
     assign_pvalues,
@@ -96,7 +98,9 @@ def select_change_points(
 
     ``dy`` is the order-1 smooth at bandwidth ``gamma``, carrying its
     interior range, and ``moments`` its null moments, or None when they
-    could not be estimated and ``dy`` has no candidate extrema.
+    could not be estimated and ``dy`` has no candidate extrema.  A step-up
+    set that differs from the selection by the height threshold means the
+    tail inversion went wrong, and raises ``StemcpdError``.
     """
     extrema = find_local_extrema(dy)
     if moments is not None:
@@ -105,6 +109,12 @@ def select_change_points(
     # threshold is -inf and does not read the moments
     outcome = bh_select(extrema.p_value, alpha)
     outcome = replace(outcome, u_threshold=bh_height_threshold(outcome, moments))
+    by_height = np.flatnonzero(extrema.sign * extrema.height > outcome.u_threshold)
+    if not np.array_equal(by_height, outcome.rejected):
+        raise StemcpdError(
+            "p-value and height-threshold selections disagree "
+            f"({len(outcome.rejected)} vs {len(by_height)} rejections)"
+        )
     return DetectionResult(
         extrema=extrema,
         moments=moments,

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterError
-from .kernels import KernelSpec, convolve_weights, kernel_value
+from .kernels import KernelSpec, convolve_weights, kernel_weights
 
 #: Samples per block of ``TimeSeries``'s finiteness check, whose mask is so
 #: one block long, not as long as the input.
@@ -166,8 +166,8 @@ def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:
 
     White noise is drawn on a grid padded by the filter's half-width (four
     correlation scales) on each side before convolution so the returned
-    window is stationary throughout.  The filter is the density samples of
-    ``kernel_value``, so the process variance is about
+    window is stationary throughout.  The filter is the order-0 weights
+    ``kernel_weights(KernelSpec(nu))``, so the process variance is about
     ``sigma^2/(2 sqrt(pi) nu)``.  A ``nu`` that ``check_sampled_nu``
     refuses, and a filter longer than ``length``, are refused.  Output is
     a deterministic function of (model, length, seed): the generator is
@@ -187,10 +187,8 @@ def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:
             f"noise scale nu={model.nu:g} needs a filter of 2*ceil(4*nu)+1 samples, "
             f"more than the length {length}"
         )
-    g = kernel_value(spec, np.arange(-pad, pad + 1))
     e = rng.standard_normal(length + 2 * pad)
-    z = model.sigma * convolve_weights(e, g)[pad : pad + length]
-    return TimeSeries(z)
+    return TimeSeries(model.sigma * convolve_weights(e, kernel_weights(spec))[pad : pad + length])
 
 
 def compose(signal: PiecewiseSignal, noise: TimeSeries) -> TimeSeries:

@@ -51,10 +51,6 @@ def approx_power(jump: float, u: float, moments: SpectralMoments, gamma: float) 
     """Large-jump approximation to the probability of detecting one jump
     at a fixed height threshold ``u``: Phi((|jump|*w(0) - u)/sd)."""
     peak = abs(jump) * float(kernel_value(KernelSpec(gamma=gamma), 0.0))
-    if u == -math.inf:
-        return 1.0
-    if u == math.inf:
-        return 0.0
     return float(ndtr((peak - u) / moments.sd_d1))
 
 

@@ -1,6 +1,7 @@
 """Independent reference implementations used as oracles by the tests,
 a builder of ``Extrema`` test inputs, the shared input of the
-traced-memory tests and a reader of one ``theory_table`` column.
+traced-memory tests, a reader of one ``theory_table`` column and a patch
+that makes the height threshold disagree with the step-up selection.
 
 The oracles deliberately avoid the package's own code paths: plain
 loops, np.convolve, brute-force scans, the paper's closed forms and the
@@ -35,6 +36,7 @@ from stemcpd import (
     sample_noise,
     theory_table,
 )
+from stemcpd import pipeline
 from stemcpd.cli import InputDataError
 
 
@@ -44,6 +46,16 @@ def extrema_of(index, height, sign, p_value=None):
     p = np.full(len(index), np.nan) if p_value is None else np.array(p_value, dtype=float)
     return Extrema(np.array(index, dtype=np.int64), np.array(height, dtype=float),
                    np.array(sign, dtype=np.int64), p)
+
+
+def break_height_threshold(monkeypatch):
+    """Make the detector's height threshold +inf whenever the step-up rule
+    rejects something, so the height rule selects nothing and the two
+    selections disagree."""
+    real = pipeline.bh_height_threshold
+    monkeypatch.setattr(pipeline, "bh_height_threshold",
+                        lambda outcome, moments: math.inf if outcome.k > 0
+                        else real(outcome, moments))
 
 
 @functools.cache

@@ -16,7 +16,7 @@ from stemcpd.cli import (InputDataError, build_parser, main, parse_detection_csv
                          read_sequence_csv)
 from stemcpd.harness import SimulateRequest
 
-from helpers import bh_bruteforce, gauss_kernel_samples, reference_tail
+from helpers import bh_bruteforce, break_height_threshold, gauss_kernel_samples, reference_tail
 
 DATA = Path(__file__).parent / "data"
 CGH = DATA / "cgh_like.csv"
@@ -210,6 +210,18 @@ class TestDetectCommand:
             "# var_d1,nan\n# var_d2,nan\n# var_d3,nan\n# delta,nan\n"
             "# gamma,6.0\n# alpha,0.05\n# moment_source,empirical(trim=0.1)\n"
         )
+
+    def test_selection_disagreement_exit_3(self, tmp_path, capsys, monkeypatch):
+        """A step-up set that differs from the height rule is refused in one
+        line, before the output is written."""
+        out = tmp_path / "out.csv"
+        break_height_threshold(monkeypatch)
+        capsys.readouterr()
+        code = run("detect", "--input", CGH, "--output", out, "--gamma", 10, "--alpha", 0.2)
+        err = capsys.readouterr().err
+        assert code == 3 and not out.exists()
+        assert "selections disagree" in err and "Traceback" not in err, err
+        assert err.count("\n") == 1, err
 
     def test_bad_alpha_exit_3(self, tmp_path, capsys):
         for moments in ("closed", "empirical"):

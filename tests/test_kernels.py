@@ -62,12 +62,13 @@ class TestKernelWeights:
             assert w[len(w) // 2] == 0.0
 
     def test_exact_symmetry(self):
-        for order in (0, 2):
-            w = kernel_weights(KernelSpec(gamma=5.0, order=order))
-            assert np.array_equal(w, w[::-1])
-        for order in (1, 3):
-            w = kernel_weights(KernelSpec(gamma=5.0, order=order))
-            assert np.array_equal(w, -w[::-1])
+        """Even orders are exactly symmetric as sampled, odd orders exactly
+        antisymmetric, over bandwidths from a one-step support up."""
+        for gamma in [0.25, 2.0, 6.0, 10.0, 50.0] + (np.arange(25, 1001, 7) / 100).tolist():
+            for order in (0, 1, 2, 3):
+                w = kernel_weights(KernelSpec(gamma=gamma, order=order))
+                mirror = w[::-1] if order % 2 == 0 else -w[::-1]
+                assert np.array_equal(w, mirror), (gamma, order)
 
     def test_length_and_support(self):
         spec = KernelSpec(gamma=6.0, order=1)

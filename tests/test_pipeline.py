@@ -14,6 +14,7 @@ from stemcpd import (
     KernelSpec,
     NoiseModel,
     SimulateRequest,
+    StemcpdError,
     TimeSeries,
     aggregate,
     classify,
@@ -27,7 +28,8 @@ from stemcpd import (
 from stemcpd import detect, harness
 from stemcpd.harness import CellResult
 
-from helpers import aggregate_per_tolerance, classify_per_tolerance, run_replicate, score_at
+from helpers import (aggregate_per_tolerance, break_height_threshold, classify_per_tolerance,
+                     run_replicate, score_at)
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 
@@ -63,6 +65,13 @@ class TestDetectChangePoints:
             i for i, e in enumerate(res.extrema) if e.sign * e.height > u
         }
         assert by_height == set(res.outcome.rejected)
+
+    def test_selection_disagreement_refused(self, monkeypatch):
+        """The detector checks its own step-up set against the height rule."""
+        y, _ = observed()
+        break_height_threshold(monkeypatch)
+        with pytest.raises(StemcpdError, match="selections disagree"):
+            detect_change_points(y, 6.0, 0.05, noise_model=MODEL)
 
     def test_empirical_moments_default(self):
         y, sig = observed(seed=57)
@@ -229,6 +238,12 @@ class TestRunSimulation:
         merged_power = (first.power * 4 + second.power * 4) / 8
         assert abs(merged_fdr - whole.fdr) <= 1e-12
         assert abs(merged_power - whole.power) <= 1e-12
+
+    def test_selection_disagreement_refused(self, monkeypatch):
+        """The harness's detections are checked by the same selection step."""
+        break_height_threshold(monkeypatch)
+        with pytest.raises(StemcpdError, match="selections disagree"):
+            run_simulation(self.REQ, threads=1)
 
     def test_null_cells_report_nan_power(self):
         req = SimulateRequest(length=3000, separation=100, jumps=(0.0,),

@@ -9,10 +9,12 @@ import pytest
 
 from stemcpd import (
     InvalidParameterError,
+    KernelSpec,
     NoiseModel,
     PiecewiseSignal,
     TimeSeries,
     compose,
+    kernel_weights,
     make_staircase,
     sample_noise,
 )
@@ -216,12 +218,16 @@ class TestNoise:
         for nu in (0.0, 0.5):
             assert len(sample_noise(NoiseModel(1.0, nu), 1000, seed=1)) == 1000
 
-    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 4.0, 8.0])
-    def test_filter_matches_noise_kernel_oracle(self, nu):
-        """The filter is the pairwise fixed-order sum of the loop oracle, bit
-        for bit, and within 8 ulps of the absolute-term sum of np.convolve
-        (whose BLAS dot kernel sums in a CPU-specific order; 4 measured)."""
-        g = noise_kernel(nu)
+    @pytest.mark.parametrize("nu, taps", [
+        *(pytest.param(nu, noise_kernel, id=str(nu)) for nu in (0.5, 1.0, 2.0, 4.0, 8.0)),
+        pytest.param(2.5, lambda nu: kernel_weights(KernelSpec(gamma=nu)), id="kernel_weights"),
+    ])
+    def test_filter_matches_noise_kernel_oracle(self, nu, taps):
+        """The filter is the pairwise fixed-order sum of the loop oracle's
+        taps, and of ``kernel_weights``' order-0 taps, bit for bit, and within
+        8 ulps of the absolute-term sum of np.convolve (whose BLAS dot kernel
+        sums in a CPU-specific order; 4 measured)."""
+        g = taps(nu)
         pad = (len(g) - 1) // 2
         for length, seed in ((len(g), 0), (1000, 7), (12000, 21)):
             e = np.random.default_rng(seed).standard_normal(length + 2 * pad)
