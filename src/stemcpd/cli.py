@@ -16,6 +16,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import inference
 from .errors import StemcpdError
 from .harness import CellResult, SimulateRequest, run_simulation
 from .kernels import GAUSSIAN_CUTOFF
@@ -76,11 +77,7 @@ class PositionLabels(Sequence):
         line = _line_at(self._text, start)
         if '"' not in line:  # without a quote the first field ends at the first comma
             return line.partition(",")[0]
-        try:
-            return _fields(line)[0]
-        except csv.Error as exc:
-            raise InputDataError(
-                f"{self._path} line {_line_number(self._text, start)}: {exc}") from None
+        return _row_fields(self._path, self._text, start)[0]
 
 
 def _fields(line: str) -> list:
@@ -91,6 +88,15 @@ def _fields(line: str) -> list:
     if reader.line_num > 1:
         raise ValueError(f"a quoted field runs past the end of the line {line!r}")
     return fields
+
+
+def _row_fields(path: str, text: str, start: int) -> list:
+    """The csv fields of the line of ``text`` at offset ``start``; a line
+    that does not split into fields is refused by its number in ``path``."""
+    try:
+        return _fields(_line_at(text, start))
+    except (ValueError, csv.Error) as exc:
+        raise InputDataError(f"{path} line {_line_number(text, start)}: {exc}") from None
 
 
 def _is_comment(line: str) -> bool:
@@ -115,8 +121,7 @@ def _data_rows(text: str, start: int, end: int):
     keep = steps > 1
     if "#" in piece:
         keep &= [not _is_comment(line) for line in lines]
-        return list(compress(lines, keep.tolist())), starts[keep]
-    return list(filter(None, lines)), starts[keep]
+    return list(compress(lines, keep.tolist())), starts[keep]
 
 
 def _load(rows: list, width: int):
@@ -148,33 +153,6 @@ def _first_refused(rows: list, width: int) -> int:
         else:
             good = mid
     return good
-
-
-def _refusal(row: str, width: int) -> str:
-    """What is wrong with a data row that ``_load`` refuses, as the end of
-    a message that names its line."""
-    try:
-        _fields(row)
-    except (ValueError, csv.Error) as exc:
-        return f": {exc}"
-    return f" is not {width} column(s) of numbers: {row!r}"
-
-
-def _layout(path: str, text: str, row: str, start: int):
-    """The column count of the file and whether its first data row ``row``,
-    at offset ``start`` of ``text``, is a header (its last field is not a
-    number)."""
-    try:
-        first = _fields(row)
-    except (ValueError, csv.Error) as exc:
-        raise InputDataError(f"{path} line {_line_number(text, start)}: {exc}") from None
-    if len(first) not in (1, 2):
-        raise InputDataError(f"{path} must have one or two columns throughout")
-    try:
-        float(first[-1])
-    except ValueError:
-        return len(first), True
-    return len(first), False
 
 
 def _line_number(text: str, start: int) -> int:
@@ -214,16 +192,22 @@ def read_sequence_csv(path: str):
         rows, offsets = _data_rows(text, start, end)
         start = end + 1
         if width is None and rows:
-            width, header = _layout(path, text, rows[0], offsets[0])
-            if header:
+            first = _row_fields(path, text, offsets[0])
+            if len(first) not in (1, 2):
+                raise InputDataError(f"{path} must have one or two columns throughout")
+            width = len(first)
+            try:
+                float(first[-1])
+            except ValueError:
                 rows, offsets = rows[1:], offsets[1:]
         if not rows:
             continue
         read = _load(rows, width)
         if read is None:
             bad = _first_refused(rows, width)
-            raise InputDataError(f"{path} line {_line_number(text, offsets[bad])}"
-                                 f"{_refusal(rows[bad], width)}")
+            _row_fields(path, text, offsets[bad])  # refuses a row that does not split
+            raise InputDataError(f"{path} line {_line_number(text, offsets[bad])} is not "
+                                 f"{width} column(s) of numbers: {rows[bad]!r}")
         values.append(read)
         starts.append(offsets)
     if width is None:
@@ -252,19 +236,16 @@ def _write_table(path, header, rows, footer) -> None:
 def write_detection_csv(path, result, positions=None, moment_source="") -> None:
     extrema = result.extrema
     index = extrema.index.tolist()
-    columns = [
-        index,
-        map(repr, extrema.height.tolist()),
-        np.where(extrema.sign > 0, "max", "min").tolist(),
-        map(repr, extrema.p_value.tolist()),
+    labels = [] if positions is None else [("position", [positions[i - 1] for i in index])]
+    header, columns = zip(
+        ("index", index),
+        *labels,
+        ("height", map(repr, extrema.height.tolist())),
+        ("sign", np.where(extrema.sign > 0, "max", "min").tolist()),
+        ("p_value", map(repr, extrema.p_value.tolist())),
         # rejected indices are distinct: each counts once, the rest zero
-        np.bincount(result.outcome.rejected, minlength=len(index)).tolist(),
-    ]
-    if positions is not None:
-        columns.insert(1, [positions[i - 1] for i in index])
-    header = ["index", "height", "sign", "p_value", "significant"]
-    if positions is not None:
-        header.insert(1, "position")
+        ("significant", np.bincount(result.outcome.rejected, minlength=len(index)).tolist()),
+    )
     m = result.moments
     moment_of = lambda attr: _fmt(getattr(m, attr)) if m is not None else "nan"
     _write_table(path, header, zip(*columns), [
@@ -306,7 +287,7 @@ def cmd_detect(args) -> int:
         source = f"closed(sigma={args.sigma:g},nu={args.nu:g})"
     else:
         model = None
-        source = "empirical(trim=0.1)"
+        source = f"empirical(trim={inference._TRIM:g})"
     result = detect_change_points(series, args.gamma, args.alpha, noise_model=model)
     write_detection_csv(args.output, result, positions, source)
     return 0

@@ -560,6 +560,42 @@ class TestReadInPieces:
             assert read_outcome(src) == whole, chunk
 
 
+LONG_LABEL = '"' + "x" * 140_000 + '"'
+
+
+@pytest.mark.parametrize("chunk", [1, cli._CHUNK], ids=["one_line_pieces", "default_pieces"])
+@pytest.mark.parametrize("content, message", [
+    ('"a,1\n2\n', "<path> line 1: a quoted field runs past the end of the line '\"a,1'"),
+    (LONG_LABEL + ",1\n2,2\n", "<path> line 1: field larger than field limit (131072)"),
+    ('v\n1\n"2\n3\n', "<path> line 3: a quoted field runs past the end of the line '\"2'"),
+    ("p,v\na,1\n" + LONG_LABEL + ",2\nb,3\n",
+     "<path> line 3: field larger than field limit (131072)"),
+    ("a,b,c\n1,2,3\n", "<path> must have one or two columns throughout"),
+    ("v\n1\nabc\n", "<path> line 3 is not 1 column(s) of numbers: 'abc'"),
+    ("p,v\na,1\nb,2\nc,3\nx,abc\n", "<path> line 5 is not 2 column(s) of numbers: 'x,abc'"),
+    ("v\n1\nnan\n2\n", "<path> line 3 is not a finite number: 'nan'"),
+    ("v\nnan\nabc\n", "<path> line 3 is not 1 column(s) of numbers: 'abc'"),
+    ("# only a comment\n\n", "<path> contains no data rows"),
+    ("v\n", "<path> contains a header but no data"),
+    ("1.5\x1c\n2.5\n", "<path> contains an ASCII separator control character"),
+    (b"v\n\xff\n", "cannot read <path>: 'utf-8' codec can't decode byte 0xff in position 2: "
+                   "invalid start byte"),
+], ids=["split_first_row", "field_limit_first_row", "split_later_row", "split_label_at_write",
+        "three_columns", "non_numeric", "two_columns_non_numeric", "non_finite",
+        "refused_row_before_non_finite", "no_data_rows", "header_no_data", "separator_control",
+        "undecodable"])
+def test_refusal_message_exact(tmp_path, monkeypatch, chunk, content, message):
+    """Each refusal's whole message, at any piece size.  A quoted label is
+    split only when the output asks for it, so the labels are all cut here."""
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    src = tmp_path / "x.csv"
+    src.write_bytes(content if isinstance(content, bytes) else content.encode())
+    with pytest.raises(InputDataError) as info:
+        _, positions = read_sequence_csv(str(src))
+        list(positions)
+    assert str(info.value) == message.replace("<path>", str(src))
+
+
 def test_reader_memory_is_the_text_and_16_bytes_a_row(tmp_path):
     """No per-row Python object outlives its piece: on ASCII input, where
     the decoded text takes one byte a character, memory while reading stays
