@@ -16,7 +16,7 @@ from .errors import (
     MomentEstimationError,
     StemcpdError,
 )
-from .evaluation import AggregateResult, EvalResult, aggregate, classify
+from .evaluation import AggregateResult, aggregate, classify
 from .harness import CellResult, SimulateRequest, run_simulation
 from .inference import (
     SpectralMoments,
@@ -51,7 +51,6 @@ __all__ = [
     "BHOutcome",
     "CellResult",
     "DetectionResult",
-    "EvalResult",
     "Extrema",
     "Extremum",
     "GAUSSIAN_CUTOFF",

@@ -4,7 +4,8 @@ A detection counts as true when it falls inside the open window
 ``(v - b, v + b)`` around a change point v; anything landing outside every
 window is false.  Power credits each change point at most once, and only
 for a significant extremum of the matching sign (maximum for an upward
-jump, minimum for a downward one).
+jump, minimum for a downward one); a detection inside windows of the other
+sign only is neither false nor a hit.
 """
 
 import math
@@ -19,37 +20,6 @@ from .signals import PiecewiseSignal
 
 
 @dataclass(frozen=True, eq=False)
-class EvalResult:
-    """Error bookkeeping for one realization at T tolerances, in order.
-
-    ``n_detected`` (R) counts significant extrema.  The other fields are
-    arrays with one row per tolerance: ``n_false`` (V) counts those outside
-    every window regardless of sign, ``fdp`` is V/max(R, 1), and the (T, J)
-    ``per_jump_hit`` flags, per change point, whether a significant extremum
-    of the matching sign fell inside its window; ``power_fraction`` is the
-    mean of each row, or NaN when there are no jumps.  ``n_wrong_sign``
-    counts detections inside some window but matching the sign of none of
-    the windows that contain them (neither false nor a hit).
-    ``overlap_warning`` is set where windows overlap (2b exceeds the
-    smallest jump spacing); the counts still follow the set definitions.
-    """
-
-    n_detected: int
-    n_false: np.ndarray
-    fdp: np.ndarray
-    per_jump_hit: np.ndarray
-    power_fraction: np.ndarray
-    n_wrong_sign: np.ndarray
-    overlap_warning: np.ndarray
-
-    @property
-    def rates(self) -> np.ndarray:
-        """The (2, T) rows ``fdp`` and ``power_fraction``: what ``aggregate``
-        averages over replicates."""
-        return np.array((self.fdp, self.power_fraction))
-
-
-@dataclass(frozen=True, eq=False)
 class AggregateResult:
     """Monte Carlo averages over replicates, one entry per cell and
     tolerance: realized FDR and power (NaN without jumps) with their
@@ -59,7 +29,6 @@ class AggregateResult:
     fdr_se: np.ndarray
     power: np.ndarray
     power_se: np.ndarray
-    n_replications: int
 
 
 def _nearest_distance(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -74,21 +43,21 @@ def _nearest_distance(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.minimum(points - fenced[right - 1], fenced[right] - points)
 
 
-def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> EvalResult:
+def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> np.ndarray:
     """Score significant extrema against the true change points at every
-    tolerance in ``tolerances``: one ``EvalResult`` whose row t is the
-    score at the t-th tolerance.
+    tolerance in ``tolerances``: the (2, T) float64 rows of realized FDP,
+    V/max(R, 1) for V false of R detections, and power, NaN without jumps;
+    column t is the score at the t-th tolerance.
 
     Distances are taken once, each by a sorted search: each detection's
-    nearest jump, its nearest jump of matching sign, and each jump's
-    nearest detection of matching sign.  The window test at tolerance
-    ``b`` is then ``distance < b``.
+    nearest jump and each jump's nearest detection of matching sign.  The
+    window test at tolerance ``b`` is then ``distance < b``.  Overlapping
+    windows (2b above the smallest jump spacing) warn once per call.
     """
     b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
     if not np.all(b > 0):
         raise InvalidParameterError("tolerance must be positive")
-    overlap = 2.0 * b[:, 0] > truth.min_separation()
-    if overlap.any():
+    if np.any(2.0 * b > truth.min_separation()):
         warnings.warn(
             "tolerance windows overlap (2b exceeds the minimum jump spacing); "
             "counts follow the literal definitions and may double-credit",
@@ -96,29 +65,19 @@ def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> EvalRes
         )
     pos = detections.index.astype(float)
     raised = detections.sign > 0
-    rises = truth.sizes > 0
     locations = truth.locations
-    to_rise = _nearest_distance(pos, locations[rises])
-    to_fall = _nearest_distance(pos, locations[~rises])
-    nearest = np.minimum(to_rise, to_fall)  # (r,)
-    matched = np.where(raised, to_rise, to_fall)
-    found = np.where(rises, _nearest_distance(locations, np.sort(pos[raised])),
+    found = np.where(truth.sizes > 0, _nearest_distance(locations, np.sort(pos[raised])),
                      _nearest_distance(locations, np.sort(pos[~raised])))  # (J,)
-    n_in_any = np.count_nonzero(nearest < b, axis=1)
-    # inside a window of matching sign, hence also inside some window
-    n_in_matched = np.count_nonzero(matched < b, axis=1)
     hits = found < b  # (T, J)
-    power = hits.mean(axis=1) if truth.n_jumps else np.full(len(hits), np.nan)
-    r = len(detections)
-    n_false = r - n_in_any
-    n_wrong_sign = n_in_any - n_in_matched
-    return EvalResult(r, n_false, n_false / max(r, 1), hits, power, n_wrong_sign, overlap)
+    power = hits.mean(axis=1) if truth.n_jumps else np.full(len(b), np.nan)
+    n_false = len(pos) - np.count_nonzero(_nearest_distance(pos, locations) < b, axis=1)
+    return np.array((n_false / max(len(pos), 1), power))
 
 
 def aggregate(scores) -> AggregateResult:
     """Average realized FDP and power over replicates, in input order.
 
-    ``scores`` stacks one ``EvalResult.rates`` per replicate along a leading
+    ``scores`` stacks one ``classify`` score per replicate along a leading
     replicate axis: shape (R, ..., 2, T), where any axes between index
     cells scored at the same T tolerances (the harness passes a whole grid
     as (R, jumps, bandwidths, 2, T)).  Each field of the result has shape
@@ -136,4 +95,4 @@ def aggregate(scores) -> AggregateResult:
     mean = x.mean(axis=-1)
     se = (np.std(x, axis=-1, ddof=1) / math.sqrt(n) if n > 1
           else np.where(np.isnan(mean), np.nan, 0.0))
-    return AggregateResult(mean[..., 0, :], se[..., 0, :], mean[..., 1, :], se[..., 1, :], n)
+    return AggregateResult(mean[..., 0, :], se[..., 0, :], mean[..., 1, :], se[..., 1, :])

@@ -115,7 +115,8 @@ def run_replicate(req: SimulateRequest, truths: list, bandwidths: list, rep: int
 
     ``truths`` holds the ground truth per jump and ``bandwidths`` the
     per-bandwidth triples of ``_bandwidths``.  Returns the (jumps,
-    bandwidths, 2, tolerances) array of each detection's ``EvalResult.rates``.
+    bandwidths, 2, tolerances) array of each detection's ``classify`` score:
+    realized FDP and power per tolerance.
     """
     noise = sample_noise(req.noise_model(), req.length, req.seed ^ rep)
     scores = np.empty((len(req.jumps), len(req.gammas), 2, len(req.tolerances)))
@@ -124,7 +125,7 @@ def run_replicate(req: SimulateRequest, truths: list, bandwidths: list, rep: int
         for j, (jump, truth) in enumerate(zip(req.jumps, truths)):
             dy = dz if jump == 0.0 else TimeSeries(jump * unit.values + dz.values, dz.interior)
             result = select_change_points(dy, moments, gamma, req.alpha)
-            scores[j, g] = classify(result.significant, truth, req.tolerances).rates
+            scores[j, g] = classify(result.significant, truth, req.tolerances)
     return scores
 
 

@@ -23,7 +23,6 @@ from collections import namedtuple
 import numpy as np
 
 from stemcpd import (
-    EvalResult,
     Extrema,
     GAUSSIAN_CUTOFF,
     InvalidParameterError,
@@ -139,6 +138,19 @@ ToleranceScore = namedtuple(
     "n_detected n_false fdp per_jump_hit power_fraction n_wrong_sign overlap_warning",
 )
 
+#: The score of one realization at every tolerance, as ``classify`` kept it
+#: before it returned only the (2, T) rates ``fdp`` and ``power_fraction``:
+#: ``n_detected`` an int, ``per_jump_hit`` a (T, J) array and the other
+#: fields (T,) arrays.
+MatrixScore = namedtuple(
+    "MatrixScore",
+    "n_detected n_false fdp per_jump_hit power_fraction n_wrong_sign overlap_warning",
+)
+
+#: Realized FDP and power of one realization at one tolerance, as plain
+#: floats, power None when the truth has no jumps.
+ToleranceRates = namedtuple("ToleranceRates", "fdp power_fraction")
+
 #: The aggregate of one tolerance's replicates, as plain floats.
 ToleranceAggregate = namedtuple("ToleranceAggregate", "fdr fdr_se power power_se n_replications")
 
@@ -180,8 +192,8 @@ def classify_per_tolerance(detections, truth, b):
 
 def classify_matrix(detections, truth, tolerances):
     """Scoring at every tolerance from one (detections x jumps) distance
-    matrix: the scoring before each nearest distance came from a sorted
-    search."""
+    matrix, as ``MatrixScore``: the scoring before each nearest
+    distance came from a sorted search."""
     b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
     if not np.all(b > 0):
         raise InvalidParameterError("tolerance must be positive")
@@ -202,13 +214,14 @@ def classify_matrix(detections, truth, tolerances):
     r = len(detections)
     n_false = r - n_in_any
     n_wrong_sign = n_in_any - n_in_matched
-    return EvalResult(r, n_false, n_false / max(r, 1), hits, power, n_wrong_sign, overlap)
+    return MatrixScore(r, n_false, n_false / max(r, 1), hits, power, n_wrong_sign, overlap)
 
 
 def aggregate_per_tolerance(results) -> ToleranceAggregate:
     """Average realized FDP and power over replications, in input order:
-    the aggregation of one tolerance's ``ToleranceScore`` records at a
-    time, as it was before one call reduced every tolerance of a cell."""
+    the aggregation of one tolerance's records (``ToleranceScore`` or
+    ``ToleranceRates``) at a time, as it was before one call reduced every
+    tolerance of a cell."""
     results = list(results)
     if not results:
         raise InvalidParameterError("aggregate requires at least one result")
@@ -227,23 +240,19 @@ def aggregate_per_tolerance(results) -> ToleranceAggregate:
     return ToleranceAggregate(fdr, fdr_se, power, power_se, len(results))
 
 
-def score_at(result, t):
-    """Row ``t`` of an array score (``EvalResult``) as a ``ToleranceScore``
-    of plain Python values, NaN power read back as None."""
-    power = float(result.power_fraction[t])
-    return ToleranceScore(
-        result.n_detected, int(result.n_false[t]), float(result.fdp[t]),
-        tuple(result.per_jump_hit[t].tolist()), None if math.isnan(power) else power,
-        int(result.n_wrong_sign[t]), bool(result.overlap_warning[t]),
-    )
+def score_at(rates, t):
+    """Column ``t`` of a (2, T) ``classify`` score as ``ToleranceRates``
+    of plain Python floats, NaN power read back as None."""
+    fdp, power = rates[:, t].tolist()
+    return ToleranceRates(fdp, None if math.isnan(power) else power)
 
 
 def run_replicate(req, truth, rep):
     """One replicate as the harness ran it before it smoothed by linearity:
     the noise of replicate ``rep`` composed with ``truth``, detected by
     ``detect_change_points`` at every bandwidth of ``req`` and scored at
-    every tolerance.  Returns one ``EvalResult`` per bandwidth, in
-    ``req.gammas`` order."""
+    every tolerance.  Returns one (2, T) ``classify`` score per bandwidth,
+    in ``req.gammas`` order."""
     model = req.noise_model()
     observed = compose(truth, sample_noise(model, req.length, req.seed ^ rep))
     return [classify(detect_change_points(observed, gamma, req.alpha, noise_model=model).significant,

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stemcpd import (
-    EvalResult,
     Extrema,
     InvalidParameterError,
     PiecewiseSignal,
@@ -19,6 +18,7 @@ from stemcpd import (
 )
 
 from helpers import (
+    ToleranceRates,
     aggregate_per_tolerance,
     classify_bruteforce,
     classify_matrix,
@@ -94,48 +94,34 @@ TRUTH = PiecewiseSignal(((100.0, 1.0), (200.0, -2.0), (300.0, 1.5)), 400)
 class TestClassify:
     def test_exact_hit(self):
         res = classify(dets([100]), TRUTH, (5.0,))
-        assert (res.n_detected, res.n_false.tolist()) == (1, [0])
-        assert res.fdp.tolist() == [0.0]
-        assert res.per_jump_hit.tolist() == [[True, False, False]]
-        assert res.power_fraction == pytest.approx([1 / 3])
+        assert res.dtype == np.float64 and res.shape == (2, 1)
+        assert res.tolist() == [[0.0], [1 / 3]]
 
     def test_open_window_boundary(self):
         # distance exactly b falls outside the open interval
-        res = classify(dets([105]), TRUTH, (5.0,))
-        assert res.n_false.tolist() == [1]
-        assert res.per_jump_hit.tolist() == [[False, False, False]]
-        res = classify(dets([104]), TRUTH, (5.0,))
-        assert res.n_false.tolist() == [0]
-        assert res.per_jump_hit.tolist() == [[True, False, False]]
+        assert classify(dets([105]), TRUTH, (5.0,)).tolist() == [[1.0], [0.0]]
+        assert classify(dets([104]), TRUTH, (5.0,)).tolist() == [[0.0], [1 / 3]]
 
     def test_wrong_sign_is_neither_false_nor_hit(self):
         res = classify(dets([100], sign=-1), TRUTH, (5.0,))
-        assert res.n_false.tolist() == [0]
-        assert res.per_jump_hit.tolist() == [[False, False, False]]
-        assert res.n_wrong_sign.tolist() == [1]
-        assert res.fdp.tolist() == [0.0]
+        assert res.tolist() == [[0.0], [0.0]]
 
     def test_decreasing_jump_needs_minimum(self):
-        res = classify(dets([200], sign=-1), TRUTH, (5.0,))
-        assert res.per_jump_hit.tolist() == [[False, True, False]]
-        assert res.n_false.tolist() == [0]
+        assert classify(dets([200], sign=-1), TRUTH, (5.0,)).tolist() == [[0.0], [1 / 3]]
+        assert classify(dets([200], sign=1), TRUTH, (5.0,)).tolist() == [[0.0], [0.0]]
 
     def test_multiple_hits_count_once(self):
         res = classify(dets([98, 99, 101]), TRUTH, (5.0,))
-        assert res.per_jump_hit.tolist() == [[True, False, False]]
-        assert res.power_fraction == pytest.approx([1 / 3])
-        assert res.n_detected == 3
+        assert res.tolist() == [[0.0], [1 / 3]]
 
     def test_no_detections(self):
         res = classify(dets([]), TRUTH, (5.0,))
-        assert (res.n_detected, res.n_false.tolist(), res.fdp.tolist()) == (0, [0], [0.0])
-        assert res.power_fraction.tolist() == [0.0]
+        assert res.tolist() == [[0.0], [0.0]]
 
     def test_null_truth_power_absent(self):
         res = classify(dets([50]), PiecewiseSignal((), 400), (5.0, 8.0))
-        assert res.n_false.tolist() == [1, 1]
-        assert np.isnan(res.power_fraction).all() and res.power_fraction.shape == (2,)
-        assert res.per_jump_hit.shape == (2, 0)
+        assert res.shape == (2, 2) and res[0].tolist() == [1.0, 1.0]
+        assert np.isnan(res[1]).all()
 
     def test_counts_partition(self):
         rng = np.random.default_rng(31)
@@ -146,7 +132,7 @@ class TestClassify:
             in_window = sum(
                 any(abs(d.index - v) < 4.0 for v in truth.locations) for d in found
             )
-            assert res.n_false[0] + in_window == res.n_detected
+            assert res[0, 0] == (len(found) - in_window) / max(len(found), 1)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(37)
@@ -157,24 +143,23 @@ class TestClassify:
             r, v, fdp, hits, power = classify_bruteforce(
                 found, TRUTH.locations, TRUTH.sizes, b
             )
-            assert (res.n_detected, res.n_false[0]) == (r, v)
-            assert res.fdp[0] == pytest.approx(fdp)
-            assert res.per_jump_hit[0].tolist() == hits
-            assert res.power_fraction[0] == pytest.approx(power)
+            assert res[:, 0].tolist() == [fdp, power]
 
     def test_false_count_monotone_in_tolerance(self):
         rng = np.random.default_rng(41)
         found = dets(rng.integers(2, 399, size=25))
-        res = classify(found, TRUTH, (2.0, 5.0, 10.0, 20.0))
-        assert np.all(np.diff(res.n_false) <= 0)
-        assert np.all(np.diff(res.power_fraction) >= 0)
+        fdp, power = classify(found, TRUTH, (2.0, 5.0, 10.0, 20.0))
+        assert np.all(np.diff(fdp) <= 0)
+        assert np.all(np.diff(power) >= 0)
 
     def test_overlap_warning(self):
         truth = make_staircase(1.0, 10, 100)
-        with pytest.warns(UserWarning) as record:
-            res = classify(dets([10]), truth, (4.0, 8.0, 9.0))
+        with pytest.warns(UserWarning, match="tolerance windows overlap") as record:
+            classify(dets([10]), truth, (4.0, 8.0, 9.0))
         assert len(record) == 1  # once per call, however many tolerances overlap
-        assert res.overlap_warning.tolist() == [False, True, True]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            classify(dets([10]), truth, (4.0, 5.0))  # 2b equal to the spacing: no overlap
 
     def test_invalid_tolerance(self):
         for bad in ((0.0,), (5.0, -1.0), (math.nan,)):
@@ -184,10 +169,10 @@ class TestClassify:
     def test_one_result_per_tolerance_in_order(self):
         found = dets([98, 104, 150, 200], sign=[1, 1, 1, -1])
         res = classify(found, TRUTH, (8.0, 3.0, 8.0, 5.0))
-        assert res.n_false.tolist() == [1, 2, 1, 1]
-        assert score_at(res, 0) == score_at(res, 2)
+        assert res[0].tolist() == [0.25, 0.5, 0.25, 0.25]
+        assert res[1].tolist() == [2 / 3] * 4
         empty = classify(found, TRUTH, ())
-        assert (empty.fdp.shape, empty.per_jump_hit.shape) == ((0,), (0, 3))
+        assert empty.dtype == np.float64 and empty.shape == (2, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(case=scoring_cases())
@@ -199,8 +184,9 @@ class TestClassify:
             warnings.simplefilter("ignore", UserWarning)
             res = classify(found, truth, tolerances)
             expected = [classify_per_tolerance(found, truth, b) for b in tolerances]
-        assert [score_at(res, t) for t in range(len(tolerances))] == expected
-        assert res.per_jump_hit.shape == (len(tolerances), truth.n_jumps)
+        assert res.dtype == np.float64 and res.shape == (2, len(tolerances))
+        assert ([score_at(res, t) for t in range(len(tolerances))]
+                == [ToleranceRates(e.fdp, e.power_fraction) for e in expected])
 
 
     @settings(max_examples=300, deadline=None)
@@ -208,33 +194,22 @@ class TestClassify:
     @example(case=([15, 15, 25], [1, -1, -1], ((10.0, 1.0), (20.0, -2.0), (30.0, 0.5)),
                    (5.0, 5.5, 0.5)))
     def test_matches_distance_matrix_oracle(self, case):
-        """Field by field the score from one (detections x jumps) distance
-        matrix, whose minima the sorted searches replace."""
+        """Bit for bit the FDP and power rows from one (detections x jumps)
+        distance matrix, whose minima the sorted searches replace."""
         index, sign, jumps, tolerances = case
         found, truth = dets(index, sign), PiecewiseSignal(jumps, 200)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             res = classify(found, truth, tolerances)
             expected = classify_matrix(found, truth, tolerances)
-        assert res.n_detected == expected.n_detected
-        for name in ("n_false", "fdp", "per_jump_hit", "power_fraction", "n_wrong_sign",
-                     "overlap_warning"):
-            mine, theirs = getattr(res, name), getattr(expected, name)
-            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, name
-            assert np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f"), name
+        rates = np.array((expected.fdp, expected.power_fraction))
+        assert res.dtype == rates.dtype == np.float64 and res.shape == rates.shape
+        assert np.array_equal(bits(res), bits(rates))
 
 
 def scored(fdp, power):
-    """One replicate's score over len(fdp) tolerances, one jump each."""
-    fdp = np.array(fdp, dtype=float)
-    zeros = np.zeros(len(fdp), dtype=np.int64)
-    return EvalResult(1, zeros, fdp, np.ones((len(fdp), 1), dtype=bool),
-                      np.array(power, dtype=float), zeros, zeros.astype(bool))
-
-
-def stacked(results):
-    """The replicates' ``EvalResult.rates``, as ``aggregate`` takes them."""
-    return [res.rates for res in results]
+    """One replicate's (2, T) score over T = len(fdp) tolerances."""
+    return np.array((fdp, power), dtype=float)
 
 
 def bits(x):
@@ -264,20 +239,19 @@ def replicate_scores(draw):
 
 class TestAggregate:
     def test_all_zero(self):
-        agg = aggregate(stacked(scored([0.0], [1.0]) for _ in range(5)))
+        agg = aggregate([scored([0.0], [1.0])] * 5)
         assert agg.fdr.tolist() == [0.0]
         assert agg.fdr_se.tolist() == [0.0]
         assert agg.power.tolist() == [1.0]
 
     def test_mean_of_two(self):
-        agg = aggregate(stacked([scored([0.0], [1.0]), scored([0.5], [0.5])]))
+        agg = aggregate([scored([0.0], [1.0]), scored([0.5], [0.5])])
         assert agg.fdr == pytest.approx([0.25])
         assert agg.power == pytest.approx([0.75])
-        assert agg.n_replications == 2
 
     def test_standard_errors(self):
         vals = [0.0, 0.1, 0.2, 0.3]
-        agg = aggregate(stacked(scored([v], [v]) for v in vals))
+        agg = aggregate([scored([v], [v]) for v in vals])
         expected_se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert agg.fdr_se == pytest.approx([expected_se])
         assert agg.power_se == pytest.approx([expected_se])
@@ -285,12 +259,12 @@ class TestAggregate:
     def test_power_absent_for_null_runs(self):
         null = scored([0.0, 0.0], [math.nan, math.nan])
         for reps in (1, 2):
-            agg = aggregate(stacked([null] * reps))
+            agg = aggregate([null] * reps)
             assert np.isnan(agg.power).all() and np.isnan(agg.power_se).all()
             assert agg.fdr_se.tolist() == [0.0, 0.0]
 
     def test_single_replicate(self):
-        agg = aggregate(stacked([scored([0.5], [1.0])]))
+        agg = aggregate([scored([0.5], [1.0])])
         assert agg.fdr_se.tolist() == [0.0]
         assert agg.power_se.tolist() == [0.0]
 
@@ -303,13 +277,12 @@ class TestAggregate:
     def test_matches_per_tolerance_oracle(self, results):
         """Every tolerance's average and standard error equal, bit for
         bit, the one-tolerance aggregation of the same replicates."""
-        agg = aggregate(stacked(results))
+        agg = aggregate(results)
         expected = [aggregate_per_tolerance(score_at(res, t) for res in results)
-                    for t in range(len(results[0].fdp))]
+                    for t in range(results[0].shape[1])]
         for name in ("fdr", "fdr_se", "power", "power_se"):
             assert np.array_equal(bits(getattr(agg, name)),
                                   bits([getattr(e, name) for e in expected])), name
-        assert agg.n_replications == len(results)
 
     @pytest.mark.parametrize("reps", [1, 2, 7, 600])
     def test_grid_stack_matches_each_cell(self, reps):
@@ -319,7 +292,7 @@ class TestAggregate:
         x = rng.uniform(size=(reps, 3, 4, 2, 5))
         x[:, 0, :, 1] = np.nan  # a null row: no power
         agg = aggregate(x)
-        assert agg.fdr.shape == (3, 4, 5) and agg.n_replications == reps
+        assert agg.fdr.shape == (3, 4, 5)
         for j, g in np.ndindex(3, 4):
             cell = aggregate(x[:, j, g])
             for name in ("fdr", "fdr_se", "power", "power_se"):
