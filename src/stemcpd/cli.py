@@ -2,9 +2,9 @@
 and theory curves.  CSV in, CSV out; plots are left to downstream tools.
 
 Outputs carry a header row, then data rows, then footer metadata lines
-prefixed with '#'.  Exit codes: 0 ok, 2 input error, 3 configuration
-error.  The STEMCPD_THREADS environment variable caps simulation
-parallelism.
+prefixed with '#'.  A refusal prints one ``stemcpd <command>: error:``
+line and exits 2 when it is one of the subcommand's ``input_errors``, else
+3.  The STEMCPD_THREADS environment variable caps simulation parallelism.
 """
 
 import argparse
@@ -363,12 +363,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except args.input_errors as exc:
-        print(f"stemcpd {args.command}: error: {exc}", file=sys.stderr)
-        return 2
     except (StemcpdError, OSError) as exc:
         print(f"stemcpd {args.command}: error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, args.input_errors) else 3
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
     The output has the same length as the input and carries the half-open
     interior range where the kernel's full support fit; every sample
     outside it is exactly +0.0.  Raises if the series is shorter than the
-    kernel.
+    kernel, or if the sums overflow the floating-point range.
     """
     n = len(series)
     k = spec.half_width()
@@ -97,8 +97,14 @@ def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:
             f"series of length {n} is shorter than the kernel at gamma={spec.gamma:g} "
             f"(2*{k:g}+1 samples)"
         )
-    out = convolve_weights(series.values, kernel_weights(spec))
-    return TimeSeries(out, interior=(k, n - k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = convolve_weights(series.values, kernel_weights(spec))
+    try:
+        return TimeSeries(out, interior=(k, n - k))
+    except InvalidParameterError:  # the one refusal left: a sum that overflowed
+        raise InvalidParameterError(
+            f"smoothing at gamma={spec.gamma:g} leaves the floating-point range for an input "
+            f"of magnitude {np.max(np.abs(series.values)):g}") from None
 
 
 def find_local_extrema(dy: TimeSeries) -> Extrema:

@@ -9,7 +9,6 @@ sign only is neither false nor a hit.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,17 +51,12 @@ def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> np.ndar
     Distances are taken once, each by a sorted search: each detection's
     nearest jump and each jump's nearest detection of matching sign.  The
     window test at tolerance ``b`` is then ``distance < b``.  Overlapping
-    windows (2b above the smallest jump spacing) warn once per call.
+    windows (2b above the smallest jump spacing) are scored by the same
+    literal definitions, without a warning: ``SimulateRequest`` warns.
     """
     b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
     if not np.all(b > 0):
         raise InvalidParameterError("tolerance must be positive")
-    if np.any(2.0 * b > truth.min_separation()):
-        warnings.warn(
-            "tolerance windows overlap (2b exceeds the minimum jump spacing); "
-            "counts follow the literal definitions and may double-credit",
-            stacklevel=2,
-        )
     pos = detections.index.astype(float)
     raised = detections.sign > 0
     locations = truth.locations

@@ -15,6 +15,7 @@ deterministic regardless of parallelism.
 
 import itertools
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -43,7 +44,9 @@ class SimulateRequest:
     tolerance.  A jump size of zero requests a pure-noise (complete null)
     cell.  The grids, the FDR level and the noise model, with the noise
     scales ``sample_noise`` refuses, are checked here, before any
-    replicate runs.
+    replicate runs.  Tolerance windows that overlap (2b above the jump
+    spacing) warn here, once per request: scores then follow the literal
+    definitions and may double-credit.
     """
 
     length: int = 12000
@@ -72,6 +75,12 @@ class SimulateRequest:
         check_alpha(self.alpha)
         self.noise_model()
         check_sampled_nu(self.nu)
+        if any(self.jumps) and 2.0 * max(self.tolerances) > self.truth(1.0).min_separation():
+            warnings.warn(
+                "tolerance windows overlap (2b exceeds the minimum jump spacing); "
+                "counts follow the literal definitions and may double-credit",
+                stacklevel=3,
+            )
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel(sigma=self.sigma, nu=self.nu)

@@ -114,8 +114,9 @@ def _trimmed_variance(d: TimeSeries) -> float:
     kept = np.abs(x)
     kept.sort()
     kept = kept[: n - drop]
-    np.square(kept, out=kept)
-    return float(np.mean(kept) / trim_correction(_TRIM))
+    with np.errstate(over="ignore"):  # an inf here is refused by name
+        np.square(kept, out=kept)
+        return float(np.mean(kept) / trim_correction(_TRIM))
 
 
 def estimate_moments_empirical(series: TimeSeries, gamma: float, dy: TimeSeries) -> SpectralMoments:

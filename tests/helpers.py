@@ -17,7 +17,6 @@ agree with the detector itself.
 import csv
 import functools
 import math
-import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -134,8 +133,7 @@ def classify_bruteforce(detections, locations, sizes, tolerance):
 #: before one record held every tolerance: ``per_jump_hit`` a tuple of
 #: bools and ``power_fraction`` None when the truth has no jumps.
 ToleranceScore = namedtuple(
-    "ToleranceScore",
-    "n_detected n_false fdp per_jump_hit power_fraction n_wrong_sign overlap_warning",
+    "ToleranceScore", "n_detected n_false fdp per_jump_hit power_fraction n_wrong_sign",
 )
 
 #: The score of one realization at every tolerance, as ``classify`` kept it
@@ -143,8 +141,7 @@ ToleranceScore = namedtuple(
 #: ``n_detected`` an int, ``per_jump_hit`` a (T, J) array and the other
 #: fields (T,) arrays.
 MatrixScore = namedtuple(
-    "MatrixScore",
-    "n_detected n_false fdp per_jump_hit power_fraction n_wrong_sign overlap_warning",
+    "MatrixScore", "n_detected n_false fdp per_jump_hit power_fraction n_wrong_sign",
 )
 
 #: Realized FDP and power of one realization at one tolerance, as plain
@@ -160,18 +157,11 @@ def classify_per_tolerance(detections, truth, b):
     matrix per call: the scoring before all tolerances shared one pass."""
     locations = truth.locations
     sizes = truth.sizes
-    overlap = truth.n_jumps >= 2 and 2.0 * b > truth.min_separation()
-    if overlap:
-        warnings.warn(
-            "tolerance windows overlap (2b exceeds the minimum jump spacing); "
-            "counts follow the literal definitions and may double-credit",
-            stacklevel=2,
-        )
     r = len(detections)
     if r == 0:
         hits = tuple(False for _ in range(truth.n_jumps))
         power = float(np.mean(hits)) if truth.n_jumps else None
-        return ToleranceScore(0, 0, 0.0, hits, power, 0, overlap)
+        return ToleranceScore(0, 0, 0.0, hits, power, 0)
     pos = detections.index.astype(float)
     sgn = detections.sign
     if truth.n_jumps:
@@ -187,7 +177,7 @@ def classify_per_tolerance(detections, truth, b):
         n_wrong = 0
         power = None
     v = int(np.sum(~in_any))
-    return ToleranceScore(r, v, v / max(r, 1), hits, power, n_wrong, overlap)
+    return ToleranceScore(r, v, v / max(r, 1), hits, power, n_wrong)
 
 
 def classify_matrix(detections, truth, tolerances):
@@ -197,13 +187,6 @@ def classify_matrix(detections, truth, tolerances):
     b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
     if not np.all(b > 0):
         raise InvalidParameterError("tolerance must be positive")
-    overlap = 2.0 * b[:, 0] > truth.min_separation()
-    if overlap.any():
-        warnings.warn(
-            "tolerance windows overlap (2b exceeds the minimum jump spacing); "
-            "counts follow the literal definitions and may double-credit",
-            stacklevel=2,
-        )
     dist = np.abs(detections.index.astype(float)[:, None] - truth.locations[None, :])  # (r, J)
     matched = np.where(detections.sign[:, None] * truth.sizes[None, :] > 0, dist, np.inf)
     n_in_any = np.count_nonzero(dist.min(axis=1, initial=np.inf) < b, axis=1)
@@ -214,7 +197,7 @@ def classify_matrix(detections, truth, tolerances):
     r = len(detections)
     n_false = r - n_in_any
     n_wrong_sign = n_in_any - n_in_matched
-    return MatrixScore(r, n_false, n_false / max(r, 1), hits, power, n_wrong_sign, overlap)
+    return MatrixScore(r, n_false, n_false / max(r, 1), hits, power, n_wrong_sign)
 
 
 def aggregate_per_tolerance(results) -> ToleranceAggregate:

@@ -2,8 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
-import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -132,71 +133,15 @@ class TestDetectCommand:
         assert meta["m_tilde"] == "0"
         assert meta["p_threshold"] == "1.0"
 
-    def test_missing_input_exit_2(self, tmp_path):
-        code = run("detect", "--input", tmp_path / "nope.csv",
-                   "--output", tmp_path / "out.csv", "--gamma", 6)
-        assert code == 2
-
-    def test_non_numeric_input_exit_2(self, tmp_path):
-        src = tmp_path / "bad.csv"
-        for content in (b"value\n1.0\noops\n", b"value\n\xff\xfe1.0\n"):  # not UTF-8
-            src.write_bytes(content)
-            code = run("detect", "--input", src, "--output", tmp_path / "o.csv",
-                       "--gamma", 6)
-            assert code == 2, content
-
-    def test_nan_input_exit_2(self, tmp_path):
-        src = tmp_path / "bad.csv"
-        src.write_text("value\n1.0\nnan\n2.0\n")
-        code = run("detect", "--input", src, "--output", tmp_path / "o.csv",
-                   "--gamma", 6)
-        assert code == 2
-
-    def test_over_long_quoted_label_exit_2(self, tmp_path, capsys):
-        """A csv-quoted label longer than the csv module's field limit
-        (131072 characters) passes the reader, whose loadtxt has no such
-        limit, and is refused by its line once the output asks for it: exit
-        2 and no output file, since the labels are cut before it opens."""
-        src = tmp_path / "long.csv"
-        label = '"' + "x" * 140_000 + '"'
-        rows = [f"{label if 110 <= i < 130 else i},{float(i >= 120)!r}" for i in range(300)]
-        src.write_text("position,value\n" + "\n".join(rows) + "\n")
-        out = tmp_path / "out.csv"
-        capsys.readouterr()
-        code = run("detect", "--input", src, "--output", out, "--gamma", 2, "--moments", "closed")
-        err = capsys.readouterr().err
-        assert code == 2 and not out.exists()
-        assert f"{src} line 12" in err and "field larger than field limit" in err, err
-        assert "Traceback" not in err and err.count("\n") == 1, err
-
-    def test_bandwidth_too_large_exit_3(self, tmp_path, capsys):
-        src = tmp_path / "short.csv"
-        src.write_text("value\n" + "\n".join(repr(float(i % 3)) for i in range(30)) + "\n")
-        # an infinite or huge kernel is refused before any weight is sampled,
-        # in one short line that names gamma
-        for extra in ([], ["--gamma", "inf"], ["--gamma", "1e308"], ["--gamma", "1e12"],
-                      ["--gamma", "1e300"], ["--gamma", "4e307"]):
-            capsys.readouterr()
-            code = run("detect", "--input", src, "--output", tmp_path / "o.csv",
-                       "--gamma", 6, "--moments", "closed", *extra)
-            err = capsys.readouterr().err
-            assert code == 3, extra
-            assert "gamma" in err and len(err) < 160 and err.count("\n") == 1, (extra, err)
-
-    def test_short_interior_at_empirical_moments(self, tmp_path, capsys):
+    def test_short_interior_at_empirical_moments(self, tmp_path):
         """60 rows leave 12 interior samples at gamma 6, too few to estimate
-        the moments: a constant input has no candidates and exits 0, an input
-        with candidates is refused by name."""
+        the moments: a constant input has no candidates and exits 0 (one
+        with candidates is refused, ``short_interior`` in the refusal table)."""
         src, out = tmp_path / "short.csv", tmp_path / "out.csv"
         src.write_text("value\n" + "7.5\n" * 60)
         assert run("detect", "--input", src, "--output", out, "--gamma", 6) == 0
         rows, meta = parse_detection_csv(str(out))
         assert rows == [] and meta["m_tilde"] == "0"
-        values = np.random.default_rng(2).standard_normal(60)
-        src.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
-        capsys.readouterr()
-        assert run("detect", "--input", src, "--output", out, "--gamma", 6) == 3
-        assert "interior too short for moment estimation (12 samples)" in capsys.readouterr().err
 
     def test_constant_input_exact_bytes(self, tmp_path):
         """No candidates at the default empirical moments: a header, no rows,
@@ -223,42 +168,14 @@ class TestDetectCommand:
         assert "selections disagree" in err and "Traceback" not in err, err
         assert err.count("\n") == 1, err
 
-    def test_bad_alpha_exit_3(self, tmp_path, capsys):
-        for moments in ("closed", "empirical"):
-            capsys.readouterr()
-            code = run("detect", "--input", NULL_SEQ, "--output", tmp_path / "o.csv",
-                       "--gamma", 6, "--alpha", 1.5, "--moments", moments)
-            assert code == 3, moments
-            assert "alpha must lie in (0, 1)" in capsys.readouterr().err, moments
-
-    def test_closed_moments_out_of_range_exit_3(self, tmp_path, capsys):
-        for extra in (["--nu", "1e200"], ["--sigma", "1e200"], ["--sigma", "1e-200"]):
-            capsys.readouterr()
-            code = run("detect", "--input", NULL_SEQ, "--output", tmp_path / "o.csv",
-                       "--gamma", 6, "--moments", "closed", *extra)
-            assert code == 3, extra
-            assert "sigma=" in capsys.readouterr().err, extra
-
-    def test_empirical_moments_out_of_range_exit_3(self, tmp_path, capsys):
-        """An input near 1e100 overflows the empirical variance products:
-        refused by name, with the input's magnitude and no numpy warning."""
-        src = tmp_path / "huge.csv"
-        values = 1e100 * np.random.default_rng(3).standard_normal(500)
-        src.write_text("".join(f"{v!r}\n" for v in values.tolist()))
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run("detect", "--input", src, "--output", tmp_path / "o.csv", "--gamma", 3)
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "out of floating-point range" in err and "e+100" in err
-
 
 class TestSimulateCommand:
     ARGS = ("simulate", "--length", 3000, "--separation", 100, "--jump", "3",
             "--grid-gamma", "6", "--grid-b", "5,8", "--reps", 3, "--seed", 5)
 
-    def test_golden_byte_exact(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_golden_byte_exact(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("STEMCPD_THREADS", threads)
         out = tmp_path / "sim.csv"
         assert run(*self.ARGS, "--output", out) == 0
         assert out.read_bytes() == SIMULATE_GOLDEN.read_bytes()
@@ -335,31 +252,21 @@ class TestSimulateCommand:
         data = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
         assert len(data) == 1
 
-    def test_invalid_grid_exit_2(self, tmp_path, capsys):
-        # a non-finite noise scale is refused by name, not by a traceback
-        for bad in (["--grid-gamma", "0"], ["--grid-gamma", "inf"],
-                    ["--nu", "inf"], ["--nu", "nan"], ["--nu", "1e200"], ["--sigma", "1e200"],
-                    ["--alpha", "1.5"], ["--sigma", "-1"]):
-            code = run("simulate", *bad, "--reps", 2, "--output", tmp_path / "o.csv")
-            assert code == 2, bad
-        # a noise scale too fine for the unit-grid filter is refused by name
-        capsys.readouterr()
-        assert run("simulate", "--nu", "0.1", "--reps", 2, "--output", tmp_path / "o.csv") == 2
-        err = capsys.readouterr().err
-        assert "nu=0.1" in err and err.count("\n") == 1, err
-        # a non-finite grid value is refused before any replicate runs
-        for bad, field in ((["--jump", "nan"], "jumps"), (["--grid-b", "5,nan"], "tolerances"),
-                           (["--grid-gamma", "inf"], "gammas")):
-            capsys.readouterr()
-            code = run("simulate", *bad, "--reps", 2, "--output", tmp_path / "o.csv")
-            assert code == 2, bad
-            assert f"{field} grid must be finite" in capsys.readouterr().err, bad
-
-    def test_bandwidth_exceeding_length_exit_2(self, tmp_path):
-        code = run("simulate", "--length", 50, "--separation", 10,
-                   "--jump", "1", "--grid-gamma", "10", "--grid-b", 5,
-                   "--reps", 2, "--output", tmp_path / "o.csv")
-        assert code == 2
+    def test_overlap_warned_once(self, tmp_path, capfd):
+        """2b = 120 exceeds the jump spacing of 100: the rows are written and
+        the request warns once on stderr, serially and with a pool.  A child
+        process prints warnings as a user's would, as do its pool workers."""
+        root = str(Path(cli.__file__).parents[1])  # the stemcpd under test
+        for threads in ("1", "2"):
+            out = tmp_path / f"sim{threads}.csv"
+            subprocess.run([sys.executable, "-m", "stemcpd.cli", "simulate", "--length", "3000",
+                            "--jump", "1", "--grid-gamma", "6", "--grid-b", "5,60", "--reps", "4",
+                            "--seed", "1", "--output", str(out)],
+                           env={**os.environ, "STEMCPD_THREADS": threads, "PYTHONPATH": root},
+                           check=True)
+            err = capfd.readouterr().err
+            assert err.count("tolerance windows overlap") == 1 and "Traceback" not in err, err
+            assert len(parse_detection_csv(str(out))[0]) == 2
 
     def test_null_jump_cell(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -409,28 +316,6 @@ class TestTheoryCommand:
         snrs = [float(l.split(",")[9]) for l in lines]
         assert gammas[int(np.argmin(snrs))] == 3.0
 
-    def test_degenerate_config_exit_2(self, tmp_path, capsys):
-        code = run("theory", "--grid-gamma", "6", "--density", 0.05,
-                   "--output", tmp_path / "o.csv")
-        assert code == 2
-        assert "kernel occupancy" in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
-
-    def test_out_of_range_parameters_exit_2(self, tmp_path, capsys):
-        # moments out of floating-point range are refused naming the inputs
-        for bad in (["--sigma", "1e200"], ["--sigma", "1e-200"], ["--grid-gamma", "1e200"]):
-            capsys.readouterr()
-            assert run("theory", *bad, "--output", tmp_path / "o.csv") == 2, bad
-            assert "sigma=" in capsys.readouterr().err, bad
-        # empty and non-finite grids are refused as simulate refuses them
-        for bad, message in ((["--jump", "nan,inf"], "jumps grid must be finite, got (nan, inf)"),
-                             (["--grid-gamma", "inf"], "gammas grid must be finite, got (inf,)"),
-                             (["--jump", ""], "jumps grid must be non-empty"),
-                             (["--grid-gamma", ""], "gammas grid must be non-empty")):
-            capsys.readouterr()
-            assert run("theory", *bad, "--output", tmp_path / "o.csv") == 2, bad
-            assert message in capsys.readouterr().err, bad
-
 
 @pytest.mark.parametrize("argv, shared", [
     (["detect", "--input", "x.csv", "--gamma", "6"], {"alpha", "sigma", "nu"}),
@@ -456,8 +341,6 @@ class TestReadSequenceCsv:
     def test_empty_file(self, tmp_path):
         src = tmp_path / "x.csv"
         src.write_text("")
-        from stemcpd.cli import InputDataError
-
         with pytest.raises(InputDataError):
             read_sequence_csv(str(src))
 
@@ -477,8 +360,6 @@ class TestReadSequenceCsv:
     ], ids=["underscore", "arabic_indic_digit", "separator_control", "quote_over_line_end",
             "quote_open_at_end"])
     def test_spellings_outside_the_format_rejected(self, tmp_path, content):
-        from stemcpd.cli import InputDataError
-
         src = tmp_path / "x.csv"
         src.write_text(content, encoding="utf-8")
         with pytest.raises(InputDataError):
@@ -492,8 +373,6 @@ class TestReadSequenceCsv:
         ("p,v\na,1\n\nb,inf\nc,2\n", 4),
     ], ids=["extra_column", "non_numeric", "after_comment", "nan", "inf_after_blank"])
     def test_refused_row_named_by_its_line(self, tmp_path, content, line):
-        from stemcpd.cli import InputDataError
-
         src = tmp_path / "x.csv"
         src.write_text(content)
         with pytest.raises(InputDataError) as info:
@@ -505,8 +384,6 @@ class TestReadSequenceCsv:
     def test_three_columns_rejected(self, tmp_path):
         src = tmp_path / "x.csv"
         src.write_text("a,b,c\n1,2,3\n")
-        from stemcpd.cli import InputDataError
-
         with pytest.raises(InputDataError):
             read_sequence_csv(str(src))
 
@@ -559,6 +436,19 @@ class TestReadInPieces:
             monkeypatch.setattr(cli, "_CHUNK", chunk)
             assert read_outcome(src) == whole, chunk
 
+    def test_detect_labels_across_default_pieces(self, tmp_path):
+        """60k rows, about 8 default pieces, with a comment at row 30000: each
+        output position is the label of the input row its index names."""
+        labels = [f"chr1:{1000 + 7 * i},{i % 3}" for i in range(60_000)]
+        lines = [f'"{p}",{math.sin(i / 50) + i // 2000 % 2!r}' for i, p in enumerate(labels)]
+        lines.insert(30_000, '# a comment line, "quoted"')
+        src, out = tmp_path / "x.csv", tmp_path / "out.csv"
+        src.write_text("position,ratio\n" + "\n".join(lines) + "\n")
+        assert run("detect", "--input", src, "--output", out, "--moments", "closed",
+                   "--gamma", 10) == 0
+        rows, _ = parse_detection_csv(str(out))
+        assert rows and [r["position"] for r in rows] == [labels[int(r["index"]) - 1] for r in rows]
+
 
 LONG_LABEL = '"' + "x" * 140_000 + '"'
 
@@ -594,6 +484,116 @@ def test_refusal_message_exact(tmp_path, monkeypatch, chunk, content, message):
         _, positions = read_sequence_csv(str(src))
         list(positions)
     assert str(info.value) == message.replace("<path>", str(src))
+
+
+def normal_text(scale, n, seed):
+    """``n`` rows of ``scale`` times standard normal draws."""
+    values = scale * np.random.default_rng(seed).standard_normal(n)
+    return "".join(f"{v!r}\n" for v in values.tolist())
+
+
+SHORT = "value\n" + "".join(f"{float(i % 3)!r}\n" for i in range(30))
+NULL_TEXT = NULL_SEQ.read_text()
+LONG_LABELS = "position,value\n" + "".join(
+    f"{LONG_LABEL if 110 <= i < 130 else i},{float(i >= 120)!r}\n" for i in range(300))
+WIDE = "error: series of length 30 is shorter than the kernel at gamma="
+INFINITE = "error: gamma must be positive, and the support half-width 4*gamma finite\n"
+
+#: One row per refusal: name, argv, the input text (None: no file), exit code
+#: and a fragment of the message, in which ``<path>`` stands for the input's path.
+REFUSALS = [
+    # detect exits 2 for input it cannot read as a sequence
+    ("missing_input", ("detect", "--gamma", 6), None, 2, "cannot read <path>: [Errno 2]"),
+    ("non_numeric", ("detect", "--gamma", 6), "value\n1.0\noops\n", 2,
+     "<path> line 3 is not 1 column(s) of numbers: 'oops'"),
+    ("not_utf8", ("detect", "--gamma", 6), b"value\n\xff\xfe1.0\n", 2,
+     "cannot read <path>: 'utf-8' codec can't decode byte 0xff"),
+    ("nan", ("detect", "--gamma", 6), "value\n1.0\nnan\n2.0\n", 2,
+     "<path> line 3 is not a finite number: 'nan'"),
+    ("bad_row", ("detect", "--gamma", 2), "position,value\na,1\nb,2\nc,3\nx,abc\nd,4\n", 2,
+     "<path> line 5 is not 2 column(s) of numbers: 'x,abc'"),
+    # a label over the csv field limit is cut, and refused, before the output opens
+    ("over_long_label", ("detect", "--gamma", 2, "--moments", "closed"), LONG_LABELS, 2,
+     "<path> line 121: field larger than field limit (131072)"),
+    # and 3 for every other refusal: a kernel too wide, however wide, in one short line
+    *((f"gamma_{gamma}", ("detect", "--gamma", gamma, "--moments", "closed"), SHORT, 3, message)
+      for gamma, message in (("6", WIDE + "6 (2*24+1 samples)\n"),
+                             ("1e12", WIDE + "1e+12 (2*4e+12+1 samples)\n"),
+                             ("1e300", WIDE + "1e+300 (2*4e+300+1 samples)\n"),
+                             ("4e307", WIDE + "4e+307 (2*1.6e+308+1 samples)\n"),
+                             ("1e308", INFINITE), ("inf", INFINITE))),
+    *((f"alpha_{moments}", ("detect", "--gamma", 6, "--alpha", 1.5, "--moments", moments),
+       NULL_TEXT, 3, "alpha must lie in (0, 1)") for moments in ("closed", "empirical")),
+    *((f"closed_{name}_{value}", ("detect", "--gamma", 6, "--moments", "closed", f"--{name}",
+       value), NULL_TEXT, 3, f"sigma={sigma}") for name, value, sigma in
+      (("nu", "1e200", 1), ("sigma", "1e200", "1e+200"), ("sigma", "1e-200", "1e-200"))),
+    ("short_interior", ("detect", "--gamma", 6), "value\n" + normal_text(1.0, 60, 2), 3,
+     "interior too short for moment estimation (12 samples)"),
+    # inputs whose variances or smooths overflow, refused by name without a numpy warning
+    ("empirical_variance_products", ("detect", "--gamma", 3), normal_text(1e100, 500, 3), 3,
+     "empirical moments are out of floating-point range for an input of magnitude 3.323e+100"),
+    ("empirical_square", ("detect", "--gamma", 6), normal_text(1e160, 3000, 3), 3,
+     "out of floating-point range for an input of magnitude 3.88646e+160 at gamma=6"),
+    ("empirical_mean", ("detect", "--gamma", 3), normal_text(1.2e154, 3000, 3), 3,
+     "out of floating-point range for an input of magnitude 4.66375e+154 at gamma=3"),
+    ("smooth", ("detect", "--gamma", 3, "--moments", "closed"), "1e+308\n1e+308\n-1e+308\n"
+     "-1e+308\n" * 100, 3, "smoothing at gamma=3 leaves the floating-point range for an input "
+     "of magnitude 1e+308"),
+    # simulate and theory exit 2 for every refusal, before any replicate runs
+    *((f"simulate_{name}_{value}", ("simulate", "--reps", 2, f"--{name}", value), None, 2, fragment)
+      for name, value, fragment in (
+        ("grid-gamma", "0", "bandwidths must be positive"),
+        ("nu", "inf", "nu must be non-negative and finite, got inf"),
+        ("nu", "nan", "nu must be non-negative and finite, got nan"),
+        ("nu", "1e200", "sigma=1, nu=1e+200"),
+        ("sigma", "1e200", "sigma=1e+200"),
+        ("sigma", "-1", "sigma must be positive and finite, got -1.0"),
+        ("alpha", "1.5", "alpha must lie in (0, 1)"),
+        ("nu", "0.1", "nu=0.1"),
+        ("jump", "nan", "jumps grid must be finite, got (nan,)"),
+        ("grid-b", "5,nan", "tolerances grid must be finite, got (5.0, nan)"),
+        ("grid-gamma", "inf", "gammas grid must be finite, got (inf,)"))),
+    ("simulate_kernel_wider_than_series", ("simulate", "--reps", 2, "--length", 50,
+     "--separation", 10, "--jump", "1", "--grid-gamma", "10", "--grid-b", 5), None, 2,
+     "series of length 50 is shorter than the kernel at gamma=10"),
+    ("theory_kernel_occupancy", ("theory", "--grid-gamma", "6", "--density", 0.05), None, 2,
+     "kernel occupancy"),
+    *((f"theory_{name}_{value or 'empty'}", ("theory", f"--{name}", value), None, 2, fragment)
+      for name, value, fragment in (
+        ("sigma", "1e200", "sigma=1e+200"),
+        ("sigma", "1e-200", "sigma=1e-200"),
+        ("grid-gamma", "1e200", "sigma=1"),
+        ("jump", "nan,inf", "jumps grid must be finite, got (nan, inf)"),
+        ("grid-gamma", "inf", "gammas grid must be finite, got (inf,)"),
+        ("jump", "", "jumps grid must be non-empty"),
+        ("grid-gamma", "", "gammas grid must be non-empty"))),
+]
+
+
+@pytest.mark.parametrize("argv, text, code, fragment, chunk", [
+    pytest.param(argv, text, code, fragment, chunk,
+                 id=f"{name}-{pieces}" if argv[0] == "detect" else name)
+    for name, argv, text, code, fragment in REFUSALS
+    for chunk, pieces in ((1, "one_line_pieces"), (cli._CHUNK, "default_pieces"))
+    if argv[0] == "detect" or chunk == cli._CHUNK
+])
+def test_refusal_contract(tmp_path, monkeypatch, capsys, argv, text, code, fragment, chunk):
+    """The CLI's refusal contract, whole in every row: the exit code,
+    exactly one stderr line ``stemcpd <command>: error: ...`` holding the
+    fragment, no traceback and no output file; pytest.ini turns a warning
+    into a failure.  ``detect`` rows run at one-line and default pieces."""
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    src, out = tmp_path / "x.csv", tmp_path / "out.csv"
+    if text is not None:
+        src.write_bytes(text if isinstance(text, bytes) else text.encode())
+    command, *options = argv
+    if command == "detect":
+        options += ["--input", src]
+    assert run(command, *options, "--output", out) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"stemcpd {command}: error: ") and err.count("\n") == 1, err
+    assert fragment.replace("<path>", str(src)) in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_reader_memory_is_the_text_and_16_bytes_a_row(tmp_path):

@@ -272,6 +272,15 @@ class TestRunSimulation:
             with pytest.raises(InvalidParameterError, match=message):
                 SimulateRequest(**bad)
 
+    def test_overlap_warns_at_construction(self):
+        """2b above the jump spacing warns once, when the request is made; 2b
+        equal to it, or null jumps alone, do not (pytest.ini fails a warning)."""
+        with pytest.warns(UserWarning, match="tolerance windows overlap") as record:
+            SimulateRequest(separation=10, tolerances=(4.0, 5.5, 9.0))
+        assert len(record) == 1
+        SimulateRequest(separation=10, tolerances=(4.0, 5.0))
+        SimulateRequest(separation=10, jumps=(0.0,), tolerances=(9.0,))
+
     def test_one_pool_per_grid(self, monkeypatch):
         pools = []
 
