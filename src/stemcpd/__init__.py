@@ -33,7 +33,6 @@ from .signals import (
     NoiseModel,
     PiecewiseSignal,
     TimeSeries,
-    compose,
     make_staircase,
     sample_noise,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "bh_select",
     "classify",
     "closed_form_moments",
-    "compose",
     "detect_change_points",
     "estimate_moments_empirical",
     "find_local_extrema",

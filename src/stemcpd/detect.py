@@ -11,7 +11,8 @@ the ties before it, so a plateau is one candidate.
 
 The candidates of one sequence travel through inference and selection as
 one ``Extrema``: parallel arrays of grid index, height, sign and p-value.
-It reads as a sequence of ``Extremum`` records, one per candidate.
+The arrays are the interface; its view as a sequence of ``Extremum``
+records, one per candidate, is read only by the benchmark's checks.
 """
 
 from dataclasses import dataclass

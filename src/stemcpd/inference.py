@@ -36,6 +36,12 @@ _SATURATION = 40.0
 #: empirical moment estimate discards.
 _TRIM = 0.1
 
+#: The standard normal quantile that ``_TRIM`` of its mass lies beyond in
+#: absolute value, and the variance the normal keeps inside it: the factor
+#: that de-biases a trimmed variance.
+_TRIM_QUANTILE = ndtri(1.0 - _TRIM / 2.0)
+_TRIM_CORRECTION = float(1.0 - 2.0 * _TRIM_QUANTILE * float(_phi(_TRIM_QUANTILE)) / (1.0 - _TRIM))
+
 
 @dataclass(frozen=True)
 class SpectralMoments:
@@ -95,17 +101,6 @@ def closed_form_moments(model: NoiseModel, gamma: float) -> SpectralMoments:
         ) from exc
 
 
-def trim_correction(trim: float) -> float:
-    """Variance retained by a standard normal after discarding the top
-    ``trim`` fraction by absolute value (used to de-bias trimmed variances)."""
-    if not 0.0 <= trim < 0.5:
-        raise InvalidParameterError("trim fraction must lie in [0, 0.5)")
-    if trim == 0.0:
-        return 1.0
-    c = ndtri(1.0 - trim / 2.0)
-    return 1.0 - 2.0 * c * float(_phi(c)) / (1.0 - trim)
-
-
 def _trimmed_variance(d: TimeSeries) -> float:
     x = d.values[d.interior_slice()]
     n = len(x)
@@ -116,7 +111,7 @@ def _trimmed_variance(d: TimeSeries) -> float:
     kept = kept[: n - drop]
     with np.errstate(over="ignore"):  # an inf here is refused by name
         np.square(kept, out=kept)
-        return float(np.mean(kept) / trim_correction(_TRIM))
+        return float(np.mean(kept) / _TRIM_CORRECTION)
 
 
 def estimate_moments_empirical(series: TimeSeries, gamma: float, dy: TimeSeries) -> SpectralMoments:

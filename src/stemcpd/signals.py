@@ -190,11 +190,3 @@ def sample_noise(model: NoiseModel, length: int, seed: int) -> TimeSeries:
     e = rng.standard_normal(length + 2 * pad)
     return TimeSeries(model.sigma * convolve_weights(e, kernel_weights(spec))[pad : pad + length])
 
-
-def compose(signal: PiecewiseSignal, noise: TimeSeries) -> TimeSeries:
-    """Pointwise sum of the sampled signal and a noise realization."""
-    if len(noise) != signal.length:
-        raise InvalidParameterError(
-            f"noise length {len(noise)} does not match signal length {signal.length}"
-        )
-    return TimeSeries(signal.mean + noise.values)

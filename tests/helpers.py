@@ -9,9 +9,9 @@ whole-array code that the package's faster forms replaced, so agreement
 is meaningful.
 Two oracles are exceptions.  The tail inversion bisects the package's own
 ``peak_height_tail``, since bit-for-bit agreement is only defined on the
-same tail.  The simulation replicate composes each observed sequence and
-runs the package's ``detect_change_points`` on it, since the harness must
-agree with the detector itself.
+same tail.  The simulation replicate adds each noise draw to the truth and
+runs the package's ``detect_change_points`` on the sum, since the harness
+must agree with the detector itself.
 """
 
 import csv
@@ -26,8 +26,8 @@ from stemcpd import (
     GAUSSIAN_CUTOFF,
     InvalidParameterError,
     NoiseModel,
+    TimeSeries,
     classify,
-    compose,
     detect_change_points,
     make_staircase,
     peak_height_tail,
@@ -62,7 +62,8 @@ def dense_staircase():
     noise, seed 5), built once for the traced-memory tests; its values are
     read-only."""
     n = 1_000_000
-    y = compose(make_staircase(3.0, 100, n), sample_noise(NoiseModel(1.0, 2.0), n, seed=5))
+    y = TimeSeries(make_staircase(3.0, 100, n).mean
+                   + sample_noise(NoiseModel(1.0, 2.0), n, seed=5).values)
     y.values.flags.writeable = False
     return y
 
@@ -114,16 +115,17 @@ def bh_bruteforce(pvalues, alpha):
 
 def classify_bruteforce(detections, locations, sizes, tolerance):
     """Literal region-membership evaluation with explicit loops."""
-    r = len(detections)
+    found = list(zip(detections.index.tolist(), detections.sign.tolist()))
+    r = len(found)
     v = 0
-    for e in detections:
-        if not any(abs(e.index - loc) < tolerance for loc in locations):
+    for index, _ in found:
+        if not any(abs(index - loc) < tolerance for loc in locations):
             v += 1
     hits = []
     for loc, size in zip(locations, sizes):
         want = 1 if size > 0 else -1
         hits.append(
-            any(abs(e.index - loc) < tolerance and e.sign == want for e in detections)
+            any(abs(index - loc) < tolerance and sign == want for index, sign in found)
         )
     power = sum(hits) / len(hits) if len(hits) else None
     return r, v, v / max(r, 1), hits, power
@@ -232,12 +234,12 @@ def score_at(rates, t):
 
 def run_replicate(req, truth, rep):
     """One replicate as the harness ran it before it smoothed by linearity:
-    the noise of replicate ``rep`` composed with ``truth``, detected by
+    the noise of replicate ``rep`` added to ``truth``, detected by
     ``detect_change_points`` at every bandwidth of ``req`` and scored at
     every tolerance.  Returns one (2, T) ``classify`` score per bandwidth,
     in ``req.gammas`` order."""
     model = req.noise_model()
-    observed = compose(truth, sample_noise(model, req.length, req.seed ^ rep))
+    observed = TimeSeries(truth.mean + sample_noise(model, req.length, req.seed ^ rep).values)
     return [classify(detect_change_points(observed, gamma, req.alpha, noise_model=model).significant,
                      truth, req.tolerances)
             for gamma in req.gammas]
@@ -278,7 +280,8 @@ def noise_kernel(nu: float) -> np.ndarray:
 
 
 def reference_tail(u, var_d1, var_d2, var_d3):
-    """Extremum-height tail probability via scipy.stats.norm (scalar)."""
+    """Height tail probability of a null local maximum via scipy.stats.norm
+    (scalar)."""
     from scipy.stats import norm
 
     delta = var_d1 * var_d3 - var_d2 ** 2
@@ -400,8 +403,8 @@ def step_signal_loop(jumps, length):
 
 
 # The CSV reader and writer of the command line before it read and wrote
-# whole arrays, kept verbatim: one csv row and one float() per input line,
-# one Extremum record per output row.
+# whole arrays: one csv row and one float() per input line, one row of plain
+# Python numbers per candidate.
 
 
 def _fmt(x) -> str:
@@ -452,16 +455,18 @@ def write_detection_csv_records(path, result, positions=None, moment_source="") 
             header.insert(1, "position")
         writer.writerow(header)
         significant = set(result.outcome.rejected)
-        for i, e in enumerate(result.extrema):
+        ex = result.extrema
+        rows = zip(ex.index.tolist(), ex.height.tolist(), ex.sign.tolist(), ex.p_value.tolist())
+        for i, (index, height, sign, p_value) in enumerate(rows):
             row = [
-                str(e.index),
-                _fmt(e.height),
-                "max" if e.sign > 0 else "min",
-                _fmt(e.p_value),
+                str(index),
+                _fmt(height),
+                "max" if sign > 0 else "min",
+                _fmt(p_value),
                 "1" if i in significant else "0",
             ]
             if positions is not None:
-                row.insert(1, positions[e.index - 1])
+                row.insert(1, positions[index - 1])
             writer.writerow(row)
         m = result.moments
         moment_of = lambda attr: _fmt(getattr(m, attr)) if m is not None else "nan"

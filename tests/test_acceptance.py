@@ -19,7 +19,6 @@ from stemcpd import (
     assign_pvalues,
     bh_select,
     closed_form_moments,
-    compose,
     detect_change_points,
     find_local_extrema,
     make_staircase,
@@ -47,7 +46,7 @@ def test_criterion_01_null_pvalue_calibration():
     dy = smooth(noise, KernelSpec(gamma=6.0, order=1))
     extrema = find_local_extrema(dy)
     moments = closed_form_moments(MODEL, 6.0)
-    pvalues = [e.p_value for e in assign_pvalues(extrema, moments)]
+    pvalues = assign_pvalues(extrema, moments).p_value
     ks = kstest(pvalues, "uniform").statistic
     elapsed = time.monotonic() - start
     ok = len(pvalues) >= 10_000 and ks < 0.02 and elapsed < 10.0
@@ -78,9 +77,9 @@ def test_criterion_02_closed_form_moments():
 def test_criterion_03_null_extrema_rate():
     noise = sample_noise(MODEL, 1_000_000, seed=103)
     dy = smooth(noise, KernelSpec(gamma=6.0, order=1))
-    maxima = [e for e in find_local_extrema(dy) if e.sign > 0]
+    n_maxima = np.count_nonzero(find_local_extrema(dy).sign > 0)
     lo, hi = dy.interior
-    observed = len(maxima) / (hi - lo)
+    observed = n_maxima / (hi - lo)
     expected = null_max_rate(closed_form_moments(MODEL, 6.0))
     rel = abs(observed / expected - 1.0)
     report(
@@ -162,7 +161,7 @@ def test_criterion_08_complete_null_fdr():
     truth, model = req.truth(0.0), req.noise_model()
     with_rejections = 0
     for rep in range(req.replications):
-        y = compose(truth, sample_noise(model, req.length, req.seed ^ rep))
+        y = TimeSeries(truth.mean + sample_noise(model, req.length, req.seed ^ rep).values)
         result = detect_change_points(y, req.gammas[0], req.alpha, noise_model=model)
         with_rejections += len(result.significant) > 0
     fraction = with_rejections / req.replications
@@ -180,14 +179,12 @@ def test_criterion_09_threshold_equivalence():
     for jump, alpha in ((0.8, 0.05), (3.0, 0.2)):
         sig = make_staircase(jump, 100, 6000)
         for rep in range(25):
-            y = compose(sig, sample_noise(MODEL, 6000, seed=606 ^ rep))
+            y = TimeSeries(sig.mean + sample_noise(MODEL, 6000, seed=606 ^ rep).values)
             res = detect_change_points(y, 6.0, alpha, noise_model=MODEL)
-            u = res.outcome.u_threshold
-            by_height = tuple(
-                i for i, e in enumerate(res.extrema) if e.sign * e.height > u
-            )
+            by_height = np.flatnonzero(
+                res.extrema.sign * res.extrema.height > res.outcome.u_threshold)
             checked += 1
-            mismatches += by_height != tuple(res.outcome.rejected.tolist())
+            mismatches += not np.array_equal(by_height, res.outcome.rejected)
     report(
         9, "threshold equivalence", mismatches == 0,
         f"{mismatches} mismatches over {checked} replicates "
@@ -201,14 +198,13 @@ def test_criterion_10_noiseless_recovery():
         sep = int(2 * 4.0 * gamma) + 10
         for jump in (1.7, -0.9):
             sig = make_staircase(jump, sep, 15 * sep)
-            y = compose(sig, TimeSeries(np.zeros(sig.length)))
-            dy = smooth(y, KernelSpec(gamma=gamma, order=1))
+            dy = smooth(TimeSeries(sig.mean), KernelSpec(gamma=gamma, order=1))
             extrema = find_local_extrema(dy)
             want = 1 if jump > 0 else -1
             ok = (
                 len(extrema) == sig.n_jumps
-                and all(abs(e.index - v) <= 1 for e, v in zip(extrema, sig.locations))
-                and all(e.sign == want for e in extrema)
+                and np.all(np.abs(extrema.index - sig.locations) <= 1)
+                and np.all(extrema.sign == want)
             )
             if not ok:
                 failures.append((gamma, jump))

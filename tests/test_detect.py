@@ -11,7 +11,6 @@ from stemcpd import (
     KernelSpec,
     NoiseModel,
     TimeSeries,
-    compose,
     find_local_extrema,
     kernel_value,
     kernel_weights,
@@ -121,21 +120,15 @@ class TestSmoothDerivative:
 class TestFindLocalExtrema:
     def test_single_maximum(self):
         out = find_local_extrema(series([0.0, 1.0, 0.0]))
-        assert len(out) == 1
-        e = out[0]
-        assert (e.index, e.height, e.sign) == (2, 1.0, 1)
+        assert (out.index.tolist(), out.height.tolist(), out.sign.tolist()) == ([2], [1.0], [1])
 
     def test_plateau_reports_leftmost(self):
         out = find_local_extrema(series([0.0, 1.0, 1.0, 0.0]))
-        assert len(out) == 1
-        assert out[0].index == 2
-        assert out[0].sign == 1
+        assert (out.index.tolist(), out.sign.tolist()) == ([2], [1])
 
     def test_minimum_plateau(self):
         out = find_local_extrema(series([0.0, -1.0, -1.0, 0.0]))
-        assert len(out) == 1
-        assert out[0].index == 2
-        assert out[0].sign == -1
+        assert (out.index.tolist(), out.sign.tolist()) == ([2], [-1])
 
     def test_monotone_has_no_extrema(self):
         assert len(find_local_extrema(series([0.0, 1.0, 2.0, 3.0]))) == 0
@@ -161,29 +154,30 @@ class TestFindLocalExtrema:
         vals[10] = 1.0
         dy = TimeSeries(vals, interior=(4, 16))
         out = find_local_extrema(dy)
-        assert [e.index for e in out] == [11]
+        assert out.index.tolist() == [11]
 
     def test_sign_symmetry(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(500)
         plus = find_local_extrema(series(vals))
         minus = find_local_extrema(series(-vals))
-        assert [(e.index, -e.sign) for e in plus] == [(e.index, e.sign) for e in minus]
-        assert [pytest.approx(-e.height) for e in plus] == [e.height for e in minus]
+        assert np.array_equal(plus.index, minus.index)
+        assert np.array_equal(-plus.sign, minus.sign)
+        assert minus.height == pytest.approx(-plus.height)
 
     def test_alternation(self):
         noise = sample_noise(NoiseModel(1.0, 2.0), 20_000, seed=13)
         dy = smooth(noise, KernelSpec(gamma=6.0, order=1))
-        signs = [e.sign for e in find_local_extrema(dy)]
-        assert all(a != b for a, b in zip(signs, signs[1:]))
+        signs = find_local_extrema(dy).sign
+        assert np.all(signs[1:] != signs[:-1])
 
     def test_no_extremum_near_boundary(self):
         noise = sample_noise(NoiseModel(1.0, 2.0), 5_000, seed=14)
         spec = KernelSpec(gamma=6.0, order=1)
         dy = smooth(noise, spec)
         k = spec.half_width()
-        for e in find_local_extrema(dy):
-            assert k + 1 <= e.index - 1 <= len(noise) - k - 2
+        at = find_local_extrema(dy).index - 1
+        assert np.all((k + 1 <= at) & (at <= len(noise) - k - 2))
 
     def test_traced_peak_at_most_five_and_a_half_bytes_per_sample(self):
         """Extraction keeps its full-length temporaries boolean and drops
@@ -258,14 +252,12 @@ class TestNoiselessRecovery:
         sep = int(2 * 4.0 * gamma) + 20
         length = 12 * sep
         sig = make_staircase(jump, sep, length)
-        y = compose(sig, TimeSeries(np.zeros(length)))
-        dy = smooth(y, KernelSpec(gamma=gamma, order=1))
+        dy = smooth(TimeSeries(sig.mean), KernelSpec(gamma=gamma, order=1))
         extrema = find_local_extrema(dy)
         want_sign = 1 if jump > 0 else -1
         assert len(extrema) == sig.n_jumps
-        for e, v in zip(extrema, sig.locations):
-            assert abs(e.index - v) <= 1
-            assert e.sign == want_sign
+        assert np.all(np.abs(extrema.index - sig.locations) <= 1)
+        assert np.all(extrema.sign == want_sign)
 
 
 class TestSmoothOrderZero:

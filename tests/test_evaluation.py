@@ -129,7 +129,7 @@ class TestClassify:
             found = random_dets(rng, rng.integers(0, 30), 999)
             res = classify(found, truth, (4.0,))
             in_window = sum(
-                any(abs(d.index - v) < 4.0 for v in truth.locations) for d in found
+                any(abs(i - v) < 4.0 for v in truth.locations) for i in found.index.tolist()
             )
             assert res[0, 0] == (len(found) - in_window) / max(len(found), 1)
 

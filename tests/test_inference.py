@@ -20,7 +20,6 @@ from stemcpd import (
     TimeSeries,
     assign_pvalues,
     closed_form_moments,
-    compose,
     estimate_moments_empirical,
     find_local_extrema,
     invert_peak_height_tail,
@@ -31,7 +30,7 @@ from stemcpd import (
     smooth,
 )
 from stemcpd import inference
-from stemcpd.inference import _trimmed_variance, trim_correction
+from stemcpd.inference import _TRIM, _TRIM_CORRECTION, _trimmed_variance
 
 import helpers
 from helpers import dense_staircase, extrema_of, invert_tail_bisection, reference_tail
@@ -48,7 +47,8 @@ def empirical(series, gamma):
 def null_maxima_heights(length, seed, gamma=6.0, model=MODEL):
     noise = sample_noise(model, length, seed=seed)
     dy = smooth(noise, KernelSpec(gamma=gamma, order=1))
-    return np.array([e.height for e in find_local_extrema(dy) if e.sign > 0])
+    candidates = find_local_extrema(dy)
+    return candidates.height[candidates.sign > 0]
 
 
 class TestClosedFormMoments:
@@ -347,13 +347,13 @@ class TestInvertPeakHeightTail:
 class TestAssignPvalues:
     def test_sign_symmetry(self):
         m = closed_form_moments(MODEL, 6.0)
-        p_up, p_down = assign_pvalues(extrema_of([10, 20], [0.05, -0.05], [1, -1]), m)
-        assert p_up.p_value == p_down.p_value
+        p_up, p_down = assign_pvalues(extrema_of([10, 20], [0.05, -0.05], [1, -1]), m).p_value
+        assert p_up == p_down
 
     def test_zero_height_maximum(self):
         m = closed_form_moments(MODEL, 6.0)
-        (e,) = assign_pvalues(extrema_of([5], [0.0], [1]), m)
-        assert e.p_value == pytest.approx(0.8872983, abs=1e-7)
+        (p,) = assign_pvalues(extrema_of([5], [0.0], [1]), m).p_value
+        assert p == pytest.approx(0.8872983, abs=1e-7)
 
     def test_empty(self):
         m = closed_form_moments(MODEL, 6.0)
@@ -374,29 +374,23 @@ class TestAssignPvalues:
 
 
 class TestTrimCorrection:
-    def test_no_trim(self):
-        assert trim_correction(0.0) == 1.0
-
     def test_known_value(self):
         # variance retained by a standard normal inside its 5th..95th
         # percentile band, computed from truncated-normal moments
         from scipy.stats import norm
 
         q = 0.1
+        assert _TRIM == q
         c = norm.ppf(1 - q / 2)
         expected = 1.0 - 2.0 * c * norm.pdf(c) / (1.0 - q)
-        assert trim_correction(q) == pytest.approx(expected, rel=1e-12)
+        assert _TRIM_CORRECTION == pytest.approx(expected, rel=1e-12)
 
     def test_monte_carlo(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(400_000)
         q = 0.1
         kept = np.sort(np.abs(x))[: len(x) - int(np.ceil(q * len(x)))]
-        assert np.mean(kept ** 2) == pytest.approx(trim_correction(q), rel=0.01)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidParameterError):
-            trim_correction(0.5)
+        assert np.mean(kept ** 2) == pytest.approx(_TRIM_CORRECTION, rel=0.01)
 
 
 class TestEstimateMomentsEmpirical:
@@ -424,7 +418,7 @@ class TestEstimateMomentsEmpirical:
         strictly below the plain mean square, toward its pure-noise value."""
         length = 100_000
         sig = make_staircase(3.0, 2000, length)
-        y = compose(sig, sample_noise(MODEL, length, seed=47))
+        y = TimeSeries(sig.mean + sample_noise(MODEL, length, seed=47).values)
         trimmed = empirical(y, 6.0)
         ref = closed_form_moments(MODEL, 6.0)
         for order, attr in enumerate(("var_d1", "var_d2", "var_d3"), 1):
@@ -488,11 +482,12 @@ class TestEstimateMomentsEmpirical:
         """The in-place trimmed variance equals, bit for bit, the mean
         square of the smallest 90% of the interior's absolute values
         rescaled by the trimmed-normal factor."""
-        y = compose(make_staircase(3.0, 500, 30_001), sample_noise(MODEL, 30_001, seed=71))
+        y = TimeSeries(make_staircase(3.0, 500, 30_001).mean
+                       + sample_noise(MODEL, 30_001, seed=71).values)
         d = smooth(y, KernelSpec(gamma=6.0, order=order))
         x = d.values[d.interior_slice()]
         kept = np.sort(np.abs(x))[: len(x) - math.ceil(0.1 * len(x))]
-        assert _trimmed_variance(d) == float(np.mean(np.square(kept)) / trim_correction(0.1))
+        assert _trimmed_variance(d) == float(np.mean(np.square(kept)) / _TRIM_CORRECTION)
 
     def test_trimmed_variance_traced_peak_is_one_copy(self):
         """The trimmed variance of the order-1 smooth of the paper

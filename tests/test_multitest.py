@@ -166,8 +166,5 @@ class TestHeightThreshold:
             )
             out = bh_select(extrema.p_value, 0.2)
             out = replace(out, u_threshold=bh_height_threshold(out, MOMENTS))
-            by_p = set(out.rejected)
-            by_height = {
-                i for i, e in enumerate(extrema) if e.sign * e.height > out.u_threshold
-            }
-            assert by_p == by_height
+            by_height = np.flatnonzero(extrema.sign * extrema.height > out.u_threshold)
+            assert np.array_equal(out.rejected, by_height)

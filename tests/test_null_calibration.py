@@ -1,16 +1,20 @@
-"""Null calibration at nu = 2 and, in ``TestWhiteNoise``, at nu = 0: on
-pure noise the detector's candidates arrive at the analytic rate, their
-p-values are uniform, and the complete-null FDR stays at alpha.
+"""Null calibration at nu = 2, at nu = 0 (white noise, ``TestWhiteNoise``)
+and at nu = 0.5 (``TestHalfScaleNoise``): on pure noise the detector's
+candidates arrive at the analytic rate, their p-values are uniform, and the
+complete-null FDR stays at alpha.
 
-Every band is three Monte Carlo standard errors wide, and both noise
-scales share every seed, size and band.  The noise is
+Every band is three Monte Carlo standard errors wide, and every noise
+scale shares every seed, size and band.  The noise is
 ``sample_noise(NoiseModel(1, nu), 200_000, seed)`` for seeds 0-2 and the
 p-values use closed-form moments.  Candidate p-values of one sequence are
 weakly dependent, so the binomial and Kolmogorov-Smirnov checks treat them
-as independent draws; the bands are not tightened below that.
+as independent draws; the bands are not tightened below that.  The cells
+that fail today are strict xfails in ``KNOWN_FAILURES``, each with its
+measured value and its cause.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -32,11 +36,53 @@ from stemcpd import (
 
 LENGTH = 200_000
 SEEDS = (0, 1, 2)
-GAMMAS = (4.0, 6.0, 10.0)
+GAMMAS = (1.0, 4.0, 6.0, 10.0)
+COUNT_GAMMAS = (1.0, 2.0, 4.0, 6.0, 10.0)
+FDR_GAMMAS = (1.0, 2.0, 6.0, 10.0)
+LEVELS = (0.05, 0.01)
+
+LATTICE = ("the continuous-process law does not describe the maxima of the sampled "
+           "sequence; ROADMAP item 4")
+FILTER = ("the unit-grid noise filter's covariances are not the model's at nu 0.5; "
+          "ROADMAP item 12")
+
+#: The cells that fail today, keyed by ``(nu, check, *cell)``: the measured
+#: value and its cause.
+KNOWN_FAILURES = {
+    (2.0, "count", 1.0): f"ratio 0.986, 5.3 se low: {LATTICE}",
+    (2.0, "count", 2.0): f"ratio 0.988, 3.9 se low: {LATTICE}",
+    (2.0, "uniform", 1.0): f"KS p 1.3e-6: {LATTICE}",
+    (2.0, "tail", 1.0, 0.05): f"P(p < 0.05) 0.0472, 4.7 se low: {LATTICE}",
+    (0.0, "count", 1.0): f"ratio 0.913, 47.7 se low: {LATTICE}",
+    (0.0, "count", 2.0): f"ratio 0.982, 6.8 se low: {LATTICE}",
+    (0.0, "uniform", 1.0): f"KS p 5e-145: {LATTICE}",
+    (0.0, "tail", 1.0, 0.05): f"P(p < 0.05) 0.0385, 27.6 se low: {LATTICE}",
+    (0.0, "tail", 1.0, 0.01): f"P(p < 0.01) 0.0068, 17.1 se low: {LATTICE}",
+    (0.5, "count", 1.0): f"ratio 0.958, 21.6 se low: {LATTICE}",
+    (0.5, "count", 2.0): f"ratio 0.989, 4.3 se low: {LATTICE}",
+    (0.5, "uniform", 1.0): f"KS p 9e-62: {LATTICE}, and {FILTER}",
+    (0.5, "uniform", 4.0): f"KS p 7e-4: {FILTER}",
+    (0.5, "tail", 1.0, 0.05): f"P(p < 0.05) 0.0515, 3.5 se high: {FILTER}, and {LATTICE}",
+    (0.5, "tail", 1.0, 0.01): f"P(p < 0.01) 0.0106, 3.3 se high: {FILTER}, and {LATTICE}",
+    (0.5, "tail", 4.0, 0.05): f"P(p < 0.05) 0.0531, 3.9 se high: {FILTER}",
+    (0.5, "tail", 4.0, 0.01): f"P(p < 0.01) 0.0114, 3.7 se high: {FILTER}",
+    (0.5, "tail", 10.0, 0.05): f"P(p < 0.05) 0.0540, 3.2 se high: {FILTER}",
+}
+
+
+def cells(nu, check, *axes):
+    """Every combination of ``axes`` as a parameter set of ``check`` at
+    noise scale ``nu``, the known failures marked as strict xfails."""
+    params = []
+    for cell in itertools.product(*axes):
+        reason = KNOWN_FAILURES.get((nu, check, *cell))
+        marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)] if reason else []
+        params.append(pytest.param(*cell, marks=marks))
+    return params
 
 
 @functools.lru_cache(maxsize=None)
-def null_candidates(gamma, nu=2.0):
+def null_candidates(gamma, nu):
     """The candidates' p-values over every seed, and their analytic count
     ``2*null_max_rate*|interior|`` summed over the seeds."""
     model = NoiseModel(1.0, nu)
@@ -50,86 +96,63 @@ def null_candidates(gamma, nu=2.0):
     return np.concatenate(p_values), expected
 
 
-def check_count(gamma, nu=2.0):
-    p_values, expected = null_candidates(gamma, nu)
-    ratio = len(p_values) / expected
-    assert abs(ratio - 1.0) <= 3.0 / math.sqrt(expected), ratio  # Poisson se
-
-
-def check_uniform(gamma, nu=2.0):
-    p_values, _ = null_candidates(gamma, nu)
-    assert kstest(p_values, "uniform").pvalue > 1e-3
-
-
-def check_tail_fraction(gamma, level, nu=2.0):
-    p_values, _ = null_candidates(gamma, nu)
-    fraction = np.mean(p_values < level)
-    se = math.sqrt(level * (1.0 - level) / len(p_values))
-    assert abs(fraction - level) <= 3.0 * se, fraction
-
-
 @functools.lru_cache(maxsize=None)
-def complete_null_cells(nu=2.0):
-    req = SimulateRequest(jumps=(0.0,), gammas=(2.0, 6.0, 10.0), tolerances=(5.0,),
+def complete_null_cells(nu):
+    req = SimulateRequest(jumps=(0.0,), gammas=FDR_GAMMAS, tolerances=(5.0,),
                           replications=400, seed=3, nu=nu)
     return {cell.gamma: cell for cell in run_simulation(req, threads=1)}
 
 
-def check_complete_null_fdr(gamma, nu=2.0):
-    """With no change point every rejection is false, so the realized FDR
-    is the family-wise error rate."""
-    cell = complete_null_cells(nu)[gamma]
-    assert cell.replications == 400
-    assert cell.fdr <= SimulateRequest.alpha + 3.0 * cell.fdr_se, (cell.fdr, cell.fdr_se)
+def calibration_tests(nu):
+    """The four checks at noise scale ``nu``, each parametrized over its
+    cells; every noise scale runs these same four."""
+
+    @pytest.mark.parametrize("gamma", cells(nu, "count", COUNT_GAMMAS))
+    def test_candidate_count_matches_analytic_rate(gamma):
+        p_values, expected = null_candidates(gamma, nu)
+        ratio = len(p_values) / expected
+        assert abs(ratio - 1.0) <= 3.0 / math.sqrt(expected), ratio  # Poisson se
+
+    @pytest.mark.parametrize("gamma", cells(nu, "uniform", GAMMAS))
+    def test_candidate_pvalues_are_uniform(gamma):
+        p_values, _ = null_candidates(gamma, nu)
+        assert kstest(p_values, "uniform").pvalue > 1e-3
+
+    @pytest.mark.parametrize("gamma, level", cells(nu, "tail", GAMMAS, LEVELS))
+    def test_candidate_pvalue_tail_fraction(gamma, level):
+        p_values, _ = null_candidates(gamma, nu)
+        fraction = np.mean(p_values < level)
+        se = math.sqrt(level * (1.0 - level) / len(p_values))
+        assert abs(fraction - level) <= 3.0 * se, fraction
+
+    @pytest.mark.parametrize("gamma", cells(nu, "fdr", FDR_GAMMAS))
+    def test_complete_null_fdr_at_most_alpha(gamma):
+        """With no change point every rejection is false, so the realized
+        FDR is the family-wise error rate."""
+        cell = complete_null_cells(nu)[gamma]
+        assert cell.replications == 400
+        assert cell.fdr <= SimulateRequest.alpha + 3.0 * cell.fdr_se, (cell.fdr, cell.fdr_se)
+
+    return (test_candidate_count_matches_analytic_rate, test_candidate_pvalues_are_uniform,
+            test_candidate_pvalue_tail_fraction, test_complete_null_fdr_at_most_alpha)
 
 
-@pytest.mark.parametrize("gamma", [
-    pytest.param(2.0, marks=pytest.mark.xfail(
-        strict=True, reason="the continuous-process rate overcounts the sampled sequence's "
-                            "maxima at gamma 2 (ratio 0.988, 3.9 se low); ROADMAP item 4")),
-    *GAMMAS,
-])
-def test_candidate_count_matches_analytic_rate(gamma):
-    check_count(gamma)
-
-
-@pytest.mark.parametrize("gamma", GAMMAS)
-def test_candidate_pvalues_are_uniform(gamma):
-    check_uniform(gamma)
-
-
-@pytest.mark.parametrize("level", [0.05, 0.01])
-@pytest.mark.parametrize("gamma", GAMMAS)
-def test_candidate_pvalue_tail_fraction(gamma, level):
-    check_tail_fraction(gamma, level)
-
-
-@pytest.mark.parametrize("gamma", [2.0, 6.0, 10.0])
-def test_complete_null_fdr_at_most_alpha(gamma):
-    check_complete_null_fdr(gamma)
+(test_candidate_count_matches_analytic_rate, test_candidate_pvalues_are_uniform,
+ test_candidate_pvalue_tail_fraction, test_complete_null_fdr_at_most_alpha) = calibration_tests(2.0)
 
 
 class TestWhiteNoise:
     """The same checks at nu = 0, where each sample's noise is independent."""
 
-    @pytest.mark.parametrize("gamma", [
-        pytest.param(2.0, marks=pytest.mark.xfail(
-            strict=True, reason="the continuous-process rate overcounts the sampled "
-                                "sequence's maxima at gamma 2 (6.8 se low); ROADMAP item 4")),
-        *GAMMAS,
-    ])
-    def test_candidate_count_matches_analytic_rate(self, gamma):
-        check_count(gamma, nu=0.0)
+    (test_candidate_count_matches_analytic_rate, test_candidate_pvalues_are_uniform,
+     test_candidate_pvalue_tail_fraction, test_complete_null_fdr_at_most_alpha) = map(
+        staticmethod, calibration_tests(0.0))
 
-    @pytest.mark.parametrize("gamma", GAMMAS)
-    def test_candidate_pvalues_are_uniform(self, gamma):
-        check_uniform(gamma, nu=0.0)
 
-    @pytest.mark.parametrize("level", [0.05, 0.01])
-    @pytest.mark.parametrize("gamma", GAMMAS)
-    def test_candidate_pvalue_tail_fraction(self, gamma, level):
-        check_tail_fraction(gamma, level, nu=0.0)
+class TestHalfScaleNoise:
+    """The same checks at nu = 0.5, the finest correlated noise that
+    ``sample_noise`` draws."""
 
-    @pytest.mark.parametrize("gamma", [2.0, 6.0, 10.0])
-    def test_complete_null_fdr_at_most_alpha(self, gamma):
-        check_complete_null_fdr(gamma, nu=0.0)
+    (test_candidate_count_matches_analytic_rate, test_candidate_pvalues_are_uniform,
+     test_candidate_pvalue_tail_fraction, test_complete_null_fdr_at_most_alpha) = map(
+        staticmethod, calibration_tests(0.5))

@@ -2,8 +2,9 @@
 
 Smoothing must reproduce the pairwise loop bit for bit (the golden fixture
 depends on its summation order), extrema extraction must agree with a
-run-by-run scan, and ``Extrema`` must behave as the sequence of
-``Extremum`` records it stands for.  ``TimeSeries`` must accept exactly the
+run-by-run scan, and an ``Extrema`` slice, index array or mask must pick
+the same candidates from every column, whose records hold exactly the
+columns' numbers.  ``TimeSeries`` must accept exactly the
 finite arrays.  The whole detector must map a sequence
 reversed and negated to its own result mirrored, and a sequence scaled by
 a power of two to its own result with only the heights scaled.
@@ -35,7 +36,6 @@ from stemcpd import (
     TimeSeries,
     bh_select,
     closed_form_moments,
-    compose,
     detect_change_points,
     find_local_extrema,
     invert_peak_height_tail,
@@ -60,6 +60,9 @@ from helpers import (
     step_signal_loop,
     write_detection_csv_records,
 )
+
+#: The parallel columns of an ``Extrema``.
+FIELDS = ("index", "height", "sign", "p_value")
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -177,8 +180,9 @@ class TestExtremaScan:
         lo, hi = sorted(min(c, len(y)) for c in cut)
         found = find_local_extrema(TimeSeries(y, interior=(lo, hi)))
         want = extrema_scan(y.tolist(), lo, hi)
-        assert [(e.index, e.height, e.sign) for e in found] == want
-        assert all(type(e.index) is int and type(e.height) is float for e in found)
+        assert list(zip(found.index.tolist(), found.height.tolist(), found.sign.tolist())) == want
+        assert (found.index.dtype, found.height.dtype, found.sign.dtype) == (
+            np.int64, np.float64, np.int64)
 
     @SETTINGS
     @given(
@@ -199,7 +203,7 @@ class TestExtremaScan:
         lo, hi = sorted(min(c, len(y)) for c in cut)
         found = find_local_extrema(TimeSeries(y, interior=(lo, hi)))
         want = extrema_scan(y.tolist(), lo, hi)
-        assert [(e.index, e.height, e.sign) for e in found] == want
+        assert list(zip(found.index.tolist(), found.height.tolist(), found.sign.tolist())) == want
 
     @SETTINGS
     @given(
@@ -219,7 +223,7 @@ class TestExtremaScan:
         lo = min(margin, n)
         dy = TimeSeries(y, interior=(lo, max(lo, n - margin)))
         found, want = find_local_extrema(dy), extrema_run_length(dy)
-        for name in ("index", "height", "sign", "p_value"):
+        for name in FIELDS:
             mine, theirs = getattr(found, name), getattr(want, name)
             assert mine.dtype == theirs.dtype, name
             assert np.array_equal(mine.view(np.int64), theirs.view(np.int64)), name
@@ -260,17 +264,26 @@ class TestExtremaRecords:
            step=st.sampled_from([None, 1, 2, 3, -1, -2]), picks=st.lists(st.integers(0, 39)),
            mask_bits=st.integers(0, 2**40 - 1))
     def test_slices_and_index_arrays(self, columns, start, stop, step, picks, mask_bits):
+        """A slice, an index list or array and a boolean mask each give an
+        ``Extrema`` of the same dtypes holding, in every column, what the
+        same selection picks from that column as a list."""
         ex = extrema_of(*columns)
-        recs = list(ex)
-        part = ex[start:stop:step]
-        assert isinstance(part, Extrema)
-        # by repr: a NaN p-value is unequal to itself
-        assert repr(list(part)) == repr(recs[start:stop:step])
-        picks = [i for i in picks if i < len(recs)]
-        assert repr(list(ex[picks])) == repr([recs[i] for i in picks])
-        assert repr(list(ex[np.array(picks, dtype=np.int64)])) == repr([recs[i] for i in picks])
-        mask = np.array([(mask_bits >> i) & 1 for i in range(len(recs))], dtype=bool)
-        assert repr(list(ex[mask])) == repr([r for r, keep in zip(recs, mask) if keep])
+        picks = [i for i in picks if i < len(ex)]
+        mask = np.array([(mask_bits >> i) & 1 for i in range(len(ex))], dtype=bool)
+        selections = [
+            (slice(start, stop, step), lambda column: column[start:stop:step]),
+            (picks, lambda column: [column[i] for i in picks]),
+            (np.array(picks, dtype=np.int64), lambda column: [column[i] for i in picks]),
+            (mask, lambda column: [v for v, keep in zip(column, mask) if keep]),
+        ]
+        for key, select in selections:
+            part = ex[key]
+            assert isinstance(part, Extrema)
+            for name in FIELDS:
+                mine, column = getattr(part, name), getattr(ex, name)
+                assert mine.dtype == column.dtype, name
+                # by repr: a NaN p-value is unequal to itself
+                assert repr(mine.tolist()) == repr(select(column.tolist())), name
         assert len(ex[()]) == 0 and len(ex[[]]) == 0
 
     @SETTINGS
@@ -278,15 +291,17 @@ class TestExtremaRecords:
            gamma=st.sampled_from([2.0, 4.0, 6.0]))
     def test_significant_is_the_rejected_subset(self, seed, jump, gamma):
         model = NoiseModel(1.0, 2.0)
-        y = compose(make_staircase(jump, 100, 3000), sample_noise(model, 3000, seed))
+        y = TimeSeries(make_staircase(jump, 100, 3000).mean
+                       + sample_noise(model, 3000, seed).values)
         res = detect_change_points(y, gamma, 0.05, noise_model=model)
         sig = res.significant
         assert isinstance(sig, Extrema)
-        assert list(sig) == [res.extrema[i] for i in res.outcome.rejected]
-        rejected = set(res.outcome.rejected)
-        assert list(sig) == [e for i, e in enumerate(res.extrema) if i in rejected]
+        rejected = res.outcome.rejected.tolist()
+        for name in FIELDS:
+            column = getattr(res.extrema, name).tolist()
+            assert getattr(sig, name).tolist() == [column[i] for i in rejected], name
         assert np.all(np.diff(sig.index) > 0)
-        assert all(e.p_value is not None for e in sig)
+        assert not np.isnan(sig.p_value).any()
 
 
 class TestMirrorSymmetry:

@@ -13,7 +13,6 @@ from stemcpd import (
     NoiseModel,
     PiecewiseSignal,
     TimeSeries,
-    compose,
     kernel_weights,
     make_staircase,
     sample_noise,
@@ -80,7 +79,7 @@ class TestPiecewiseSignal:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         assert sig.min_separation() == 15.0
-        # the sampled mean is built on first use, then shared by every compose
+        # the sampled mean is built on first use, then shared by every caller
         assert "mean" not in vars(sig)
         assert sig.mean is sig.mean
         with pytest.raises(ValueError):
@@ -245,26 +244,3 @@ class TestNoise:
         digest = hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
         assert digest == "346ae316fcc91962cdcbeed4729e708258712e45967664689fc48574989b47f2"
 
-
-class TestCompose:
-    def test_zero_signal_keeps_noise(self):
-        noise = sample_noise(NoiseModel(1.0, 2.0), 500, seed=8)
-        out = compose(PiecewiseSignal((), 500), noise)
-        assert np.array_equal(out.values, noise.values)
-
-    def test_staircase_plus_zero_noise(self):
-        sig = make_staircase(1.0, 100, 1000)
-        out = compose(sig, TimeSeries(np.zeros(1000)))
-        assert np.array_equal(out.values, sig.mean)
-
-    def test_elementwise_sum_oracle(self):
-        sig = make_staircase(1.0, 100, 12000)
-        noise = sample_noise(NoiseModel(1.0, 2.0), 12000, seed=9)
-        out = compose(sig, noise)
-        t = np.arange(1, 12001)
-        mu = 1.0 * np.minimum(t // 100, sig.n_jumps)
-        assert np.array_equal(out.values, mu + noise.values)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidParameterError, match="does not match signal length"):
-            compose(make_staircase(1.0, 10, 100), TimeSeries(np.zeros(99)))
