@@ -16,7 +16,7 @@ from .errors import (
     MomentEstimationError,
     StemcpdError,
 )
-from .evaluation import AggregateResult, aggregate, classify
+from .evaluation import aggregate, classify
 from .harness import CellResult, SimulateRequest, run_simulation
 from .inference import (
     SpectralMoments,
@@ -46,7 +46,6 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateResult",
     "BHOutcome",
     "CellResult",
     "DetectionResult",

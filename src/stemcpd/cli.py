@@ -4,11 +4,13 @@ and theory curves.  CSV in, CSV out; plots are left to downstream tools.
 Outputs carry a header row, then data rows, then footer metadata lines
 prefixed with '#'.  A refusal prints one ``stemcpd <command>: error:``
 line and exits 2 when it is one of the subcommand's ``input_errors``, else
-3.  The STEMCPD_THREADS environment variable caps simulation parallelism.
+3.  The STEMCPD_THREADS environment variable caps simulation parallelism;
+unset or not an integer, it reads as 1.
 """
 
 import argparse
 import csv
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import fields
@@ -293,10 +295,18 @@ def cmd_detect(args) -> int:
     return 0
 
 
+def _threads() -> int:
+    try:
+        return int(os.environ.get("STEMCPD_THREADS", ""))
+    except ValueError:
+        return 1
+
+
 def cmd_simulate(args) -> int:
     req = SimulateRequest(**{f.name: getattr(args, f.name) for f in fields(SimulateRequest)})
     header = [f.name for f in fields(CellResult)]
-    rows = ([_fmt(getattr(c, name)) for name in header] for c in run_simulation(req))
+    cells = run_simulation(req, _threads())
+    rows = ([_fmt(getattr(c, name)) for name in header] for c in cells)
     footer = [(name, _fmt(getattr(req, name)))
               for name in ("length", "separation", "alpha", "sigma", "nu", "rep_start")]
     _write_table(args.output, header, rows, footer + [("cutoff", _fmt(GAUSSIAN_CUTOFF))])
@@ -352,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate, input_errors=(StemcpdError, OSError))
 
     p = sub.add_parser("theory", parents=[common, grids], help="emit analytic curves and bounds")
-    p.add_argument("--density", type=float, default=0.01,
+    p.add_argument("--density", type=float, default=1.0 / SimulateRequest.separation,
                    help="expected change points per unit length")
     p.set_defaults(func=cmd_theory, input_errors=(StemcpdError, OSError))
 

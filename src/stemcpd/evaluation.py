@@ -9,25 +9,12 @@ sign only is neither false nor a hit.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .detect import Extrema
 from .errors import InvalidParameterError
 from .signals import PiecewiseSignal
-
-
-@dataclass(frozen=True, eq=False)
-class AggregateResult:
-    """Monte Carlo averages over replicates, one entry per cell and
-    tolerance: realized FDR and power (NaN without jumps) with their
-    standard errors."""
-
-    fdr: np.ndarray
-    fdr_se: np.ndarray
-    power: np.ndarray
-    power_se: np.ndarray
 
 
 def _nearest_distance(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -68,14 +55,15 @@ def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> np.ndar
     return np.array((n_false / max(len(pos), 1), power))
 
 
-def aggregate(scores) -> AggregateResult:
+def aggregate(scores) -> np.ndarray:
     """Average realized FDP and power over replicates, in input order.
 
     ``scores`` stacks one ``classify`` score per replicate along a leading
     replicate axis: shape (R, ..., 2, T), where any axes between index
     cells scored at the same T tolerances (the harness passes a whole grid
-    as (R, jumps, bandwidths, 2, T)).  Each field of the result has shape
-    (..., T).
+    as (R, jumps, bandwidths, 2, T)).  Returns the (4, ..., T) float64 rows
+    of realized FDR, its standard error, power (NaN without jumps) and its
+    standard error, in ``CellResult``'s column order.
 
     Reducing the last axis of a C-contiguous (..., 2, T, R) copy, numpy uses
     the pairwise summation of a 1-D array: each cell and tolerance's mean
@@ -89,4 +77,4 @@ def aggregate(scores) -> AggregateResult:
     mean = x.mean(axis=-1)
     se = (np.std(x, axis=-1, ddof=1) / math.sqrt(n) if n > 1
           else np.where(np.isnan(mean), np.nan, 0.0))
-    return AggregateResult(mean[..., 0, :], se[..., 0, :], mean[..., 1, :], se[..., 1, :])
+    return np.stack((mean[..., 0, :], se[..., 0, :], mean[..., 1, :], se[..., 1, :]))

@@ -31,9 +31,6 @@ from .pipeline import select_change_points
 from .signals import (NoiseModel, PiecewiseSignal, TimeSeries, check_sampled_nu, make_staircase,
                       sample_noise)
 
-THREADS_ENV_VAR = "STEMCPD_THREADS"
-
-
 @dataclass(frozen=True)
 class SimulateRequest:
     """One simulation grid: jump sizes x bandwidths x tolerances.
@@ -147,27 +144,17 @@ def run_replicates(req: SimulateRequest, reps: range) -> np.ndarray:
     return np.array([run_replicate(req, truths, bandwidths, rep) for rep in reps])
 
 
-def env_threads() -> int:
-    """Parallelism cap from the environment (defaults to 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_simulation(req: SimulateRequest, threads: int = None) -> list:
+def run_simulation(req: SimulateRequest, threads: int = 1) -> list:
     """Run the whole grid; one CellResult per (jump, gamma, tolerance).
 
     Cells appear in grid order (jumps outermost, tolerances innermost).
     The replicates run in one process pool of ``min(threads, replicates,
     usable CPUs)`` workers, as about four tasks of consecutive replicates
-    per worker, or serially as one task when that is 1; usable CPUs are the
-    process's affinity set where the platform reports one.  Results arrive
-    in replicate order, so output is independent of parallelism.
+    per worker, or serially as one task when that is at most 1; usable
+    CPUs are the process's affinity set where the platform reports one.
+    Results arrive in replicate order, so output is independent of
+    parallelism.
     """
-    if threads is None:
-        threads = env_threads()
     reps = range(req.rep_start, req.rep_start + req.replications)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, len(reps), cpus or 1)
@@ -183,8 +170,7 @@ def run_simulation(req: SimulateRequest, threads: int = None) -> list:
 def _cells(req: SimulateRequest, scores: np.ndarray) -> list:
     """The grid's cells from its (replicates, jumps, bandwidths, 2,
     tolerances) scores, in replicate order, by one ``aggregate`` call."""
-    agg = aggregate(scores)
-    columns = (a.ravel().tolist() for a in (agg.fdr, agg.fdr_se, agg.power, agg.power_se))
+    columns = aggregate(scores).reshape(4, -1).tolist()
     grid = itertools.product(req.jumps, req.gammas, req.tolerances)
     return [CellResult(*key, *values, req.replications, req.seed)
             for key, *values in zip(grid, *columns)]

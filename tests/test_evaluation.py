@@ -232,34 +232,34 @@ def replicate_scores(draw):
 
 class TestAggregate:
     def test_all_zero(self):
-        agg = aggregate([scored([0.0], [1.0])] * 5)
-        assert agg.fdr.tolist() == [0.0]
-        assert agg.fdr_se.tolist() == [0.0]
-        assert agg.power.tolist() == [1.0]
+        fdr, fdr_se, power, power_se = aggregate([scored([0.0], [1.0])] * 5)
+        assert fdr.tolist() == [0.0]
+        assert fdr_se.tolist() == [0.0]
+        assert power.tolist() == [1.0]
 
     def test_mean_of_two(self):
-        agg = aggregate([scored([0.0], [1.0]), scored([0.5], [0.5])])
-        assert agg.fdr == pytest.approx([0.25])
-        assert agg.power == pytest.approx([0.75])
+        fdr, fdr_se, power, power_se = aggregate([scored([0.0], [1.0]), scored([0.5], [0.5])])
+        assert fdr == pytest.approx([0.25])
+        assert power == pytest.approx([0.75])
 
     def test_standard_errors(self):
         vals = [0.0, 0.1, 0.2, 0.3]
-        agg = aggregate([scored([v], [v]) for v in vals])
+        fdr, fdr_se, power, power_se = aggregate([scored([v], [v]) for v in vals])
         expected_se = np.std(vals, ddof=1) / math.sqrt(len(vals))
-        assert agg.fdr_se == pytest.approx([expected_se])
-        assert agg.power_se == pytest.approx([expected_se])
+        assert fdr_se == pytest.approx([expected_se])
+        assert power_se == pytest.approx([expected_se])
 
     def test_power_absent_for_null_runs(self):
         null = scored([0.0, 0.0], [math.nan, math.nan])
         for reps in (1, 2):
-            agg = aggregate([null] * reps)
-            assert np.isnan(agg.power).all() and np.isnan(agg.power_se).all()
-            assert agg.fdr_se.tolist() == [0.0, 0.0]
+            fdr, fdr_se, power, power_se = aggregate([null] * reps)
+            assert np.isnan(power).all() and np.isnan(power_se).all()
+            assert fdr_se.tolist() == [0.0, 0.0]
 
     def test_single_replicate(self):
-        agg = aggregate([scored([0.5], [1.0])])
-        assert agg.fdr_se.tolist() == [0.0]
-        assert agg.power_se.tolist() == [0.0]
+        fdr, fdr_se, power, power_se = aggregate([scored([0.5], [1.0])])
+        assert fdr_se.tolist() == [0.0]
+        assert power_se.tolist() == [0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -273,9 +273,8 @@ class TestAggregate:
         agg = aggregate(results)
         expected = [aggregate_per_tolerance(score_at(res, t) for res in results)
                     for t in range(results[0].shape[1])]
-        for name in ("fdr", "fdr_se", "power", "power_se"):
-            assert np.array_equal(bits(getattr(agg, name)),
-                                  bits([getattr(e, name) for e in expected])), name
+        for name, row in zip(("fdr", "fdr_se", "power", "power_se"), agg):
+            assert np.array_equal(bits(row), bits([getattr(e, name) for e in expected])), name
 
     @pytest.mark.parametrize("reps", [1, 2, 7, 600])
     def test_grid_stack_matches_each_cell(self, reps):
@@ -285,9 +284,8 @@ class TestAggregate:
         x = rng.uniform(size=(reps, 3, 4, 2, 5))
         x[:, 0, :, 1] = np.nan  # a null row: no power
         agg = aggregate(x)
-        assert agg.fdr.shape == (3, 4, 5)
+        assert agg.shape == (4, 3, 4, 5)
         for j, g in np.ndindex(3, 4):
             cell = aggregate(x[:, j, g])
-            for name in ("fdr", "fdr_se", "power", "power_se"):
-                assert np.array_equal(bits(getattr(agg, name)[j, g]),
-                                      bits(getattr(cell, name))), (name, j, g)
+            for name, row, cell_row in zip(("fdr", "fdr_se", "power", "power_se"), agg, cell):
+                assert np.array_equal(bits(row[j, g]), bits(cell_row)), (name, j, g)

@@ -4,7 +4,9 @@ candidates arrive at the analytic rate, their p-values are uniform, and the
 complete-null FDR stays at alpha.
 
 Every band is three Monte Carlo standard errors wide, and every noise
-scale shares every seed, size and band.  The noise is
+scale shares every seed, size and band.  At nu = 0.5 the complete-null
+FDR at gamma 1 and 2 is also gated at 2,000 replicates, where the band can
+see the excess measured there.  The noise is
 ``sample_noise(NoiseModel(1, nu), 200_000, seed)`` for seeds 0-2 and the
 p-values use closed-form moments.  Candidate p-values of one sequence are
 weakly dependent, so the binomial and Kolmogorov-Smirnov checks treat them
@@ -67,6 +69,8 @@ KNOWN_FAILURES = {
     (0.5, "tail", 4.0, 0.05): f"P(p < 0.05) 0.0531, 3.9 se high: {FILTER}",
     (0.5, "tail", 4.0, 0.01): f"P(p < 0.01) 0.0114, 3.7 se high: {FILTER}",
     (0.5, "tail", 10.0, 0.05): f"P(p < 0.05) 0.0540, 3.2 se high: {FILTER}",
+    (0.5, "fdr 2000", 1.0): f"FDR 0.0785 +- 0.0060, 4.7 se over alpha: {FILTER}, and {LATTICE}",
+    (0.5, "fdr 2000", 2.0): f"FDR 0.0670 +- 0.0056, 3.0 se over alpha: {FILTER}, and {LATTICE}",
 }
 
 
@@ -97,9 +101,9 @@ def null_candidates(gamma, nu):
 
 
 @functools.lru_cache(maxsize=None)
-def complete_null_cells(nu):
-    req = SimulateRequest(jumps=(0.0,), gammas=FDR_GAMMAS, tolerances=(5.0,),
-                          replications=400, seed=3, nu=nu)
+def complete_null_cells(nu, gammas=FDR_GAMMAS, replications=400):
+    req = SimulateRequest(jumps=(0.0,), gammas=gammas, tolerances=(5.0,),
+                          replications=replications, seed=3, nu=nu)
     return {cell.gamma: cell for cell in run_simulation(req, threads=1)}
 
 
@@ -156,3 +160,12 @@ class TestHalfScaleNoise:
     (test_candidate_count_matches_analytic_rate, test_candidate_pvalues_are_uniform,
      test_candidate_pvalue_tail_fraction, test_complete_null_fdr_at_most_alpha) = map(
         staticmethod, calibration_tests(0.5))
+
+    @pytest.mark.parametrize("gamma", cells(0.5, "fdr 2000", (1.0, 2.0)))
+    def test_complete_null_fdr_at_most_alpha_at_2000_replicates(self, gamma):
+        """The same FDR check where 400 replicates give a band (about
+        +-0.036) too wide to see the excess: 2,000 narrow it to about
+        +-0.017."""
+        cell = complete_null_cells(0.5, (1.0, 2.0), 2000)[gamma]
+        assert cell.replications == 2000
+        assert cell.fdr <= SimulateRequest.alpha + 3.0 * cell.fdr_se, (cell.fdr, cell.fdr_se)

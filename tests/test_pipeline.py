@@ -299,7 +299,7 @@ class TestRunSimulation:
     ])
     def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch, affinity, cpu_count, reps,
                                             workers):
-        """A huge STEMCPD_THREADS asks for min(tasks, usable CPUs) workers,
+        """A huge thread count asks for min(tasks, usable CPUs) workers,
         and one usable CPU runs serially.  The pool is a fake that records
         its size and runs in-process, so no worker process starts."""
         sizes = []
@@ -324,10 +324,9 @@ class TestRunSimulation:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
                                 raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        monkeypatch.setenv("STEMCPD_THREADS", "100000")
         req = SimulateRequest(length=400, separation=100, jumps=(1.0,), gammas=(2.0,),
                               tolerances=(5.0,), replications=reps, seed=1)
-        cells = run_simulation(req)
+        cells = run_simulation(req, threads=100000)
         assert sizes == ([] if workers is None else [workers])
         assert repr(cells) == repr(run_simulation(req, threads=1))
 
@@ -413,10 +412,10 @@ class TestRunSimulation:
             truth = req.truth(jump)
             scores = [run_replicate(req, truth, r) for r in range(rep_start, rep_start + reps)]
             for g, gamma in enumerate(req.gammas):
-                agg = aggregate([res[g] for res in scores])
+                fdr, fdr_se, power, power_se = aggregate([res[g] for res in scores])
                 expected += [CellResult(jump, gamma, *values, reps, req.seed) for values in
-                             zip(req.tolerances, agg.fdr.tolist(), agg.fdr_se.tolist(),
-                                 agg.power.tolist(), agg.power_se.tolist())]
+                             zip(req.tolerances, fdr.tolist(), fdr_se.tolist(),
+                                 power.tolist(), power_se.tolist())]
         assert repr(run_simulation(req, threads=1)) == repr(expected)
 
     def test_grid_monotonicities_in_tolerance(self):
