@@ -144,19 +144,6 @@ def _load(rows: list, width: int):
     return values[:-1] if len(values) == len(rows) + 1 else None
 
 
-def _first_refused(rows: list, width: int) -> int:
-    """Index of the first of ``rows`` that ``_load`` refuses, by bisection;
-    ``_load`` must refuse ``rows`` as a whole."""
-    good, bad = 0, len(rows)  # rows[:good] are read, rows[good:bad] hold a refused one
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if _load(rows[good:mid], width) is None:
-            bad = mid
-        else:
-            good = mid
-    return good
-
-
 def _line_number(text: str, start: int) -> int:
     """1-based number of the line of ``text`` that starts at offset ``start``."""
     return text.count("\n", 0, start) + 1
@@ -206,7 +193,7 @@ def read_sequence_csv(path: str):
             continue
         read = _load(rows, width)
         if read is None:
-            bad = _first_refused(rows, width)
+            bad = next(i for i, row in enumerate(rows) if _load([row], width) is None)
             _row_fields(path, text, offsets[bad])  # refuses a row that does not split
             raise InputDataError(f"{path} line {_line_number(text, offsets[bad])} is not "
                                  f"{width} column(s) of numbers: {rows[bad]!r}")

@@ -26,12 +26,6 @@ from .signals import NoiseModel, TimeSeries
 _SQRT_PI = math.sqrt(math.pi)
 _TINY = np.finfo(float).tiny
 
-#: Heights beyond this many standard deviations ``sd_d1`` leave the height
-#: tail saturated: its Gaussian factors are exp(-800) == 0.0
-#: and its normal integrals exactly 0 or 1 there.  Clamping heights to it
-#: changes no result and keeps phi's square from overflowing.
-_SATURATION = 40.0
-
 #: Fraction of largest-magnitude smoothed-derivative samples that the
 #: empirical moment estimate discards.
 _TRIM = 0.1
@@ -154,15 +148,6 @@ def _bump_coefficient(moments: SpectralMoments) -> float:
     return _SQRT_2PI * moments.var_d2 / math.sqrt(moments.var_d3 * moments.var_d1)
 
 
-def _heights(u, sd: float):
-    """Heights clamped to ``+/-_SATURATION*sd``: a scalar as a Python float,
-    anything else as a float64 array."""
-    limit = _SATURATION * sd
-    if isinstance(u, (float, int)):
-        return min(max(float(u), -limit), limit)
-    return np.minimum(np.maximum(np.asarray(u, dtype=float), -limit), limit)
-
-
 def peak_height_tail(u, moments: SpectralMoments):
     """Right-tail probability of the height of a null local maximum.
 
@@ -180,11 +165,15 @@ def peak_height_tail(u, moments: SpectralMoments):
     heights never round to an exact zero p-value.
     """
     sd = moments.sd_d1
-    u = _heights(u, sd)
+    u = float(u) if isinstance(u, (float, int)) else np.asarray(u, dtype=float)
     sqrt_delta = math.sqrt(moments.delta)
-    tail = ndtr(-u * math.sqrt(moments.var_d3) / sqrt_delta)
+    # past 40 sd the tail saturates: phi is exp(-800) == 0.0 and, as
+    # var_d3/delta >= 1/var_d1, the normal integral is exactly 0 or 1; an
+    # overflow beyond that (phi's square, up to +/-inf) changes nothing
     coef = _bump_coefficient(moments)
-    bump = coef * _phi(u / sd) * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
+    with np.errstate(over="ignore"):
+        tail = ndtr(-u * math.sqrt(moments.var_d3) / sqrt_delta)
+        bump = coef * _phi(u / sd) * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
     out = np.minimum(np.maximum(tail + bump, _TINY), 1.0)
     return out if out.ndim else float(out)
 

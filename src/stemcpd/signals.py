@@ -17,11 +17,6 @@ import numpy as np
 from .errors import InvalidParameterError
 from .kernels import KernelSpec, convolve_weights, kernel_weights
 
-#: Samples per block of ``TimeSeries``'s finiteness check, whose mask is so
-#: one block long, not as long as the input.
-_FINITE_BLOCK = 1 << 16
-
-
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A real-valued sequence on the unit grid: sample ``i`` sits at
@@ -41,8 +36,9 @@ class TimeSeries:
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise InvalidParameterError("values must be one-dimensional")
-        if not all(np.isfinite(values[lo:lo + _FINITE_BLOCK]).all()
-                   for lo in range(0, len(values), _FINITE_BLOCK)):
+        # a NaN propagates to both extremes and an inf is one of them; no
+        # mask is allocated, and unlike a sum neither extreme can overflow
+        if not (math.isfinite(values.min(initial=0.0)) and math.isfinite(values.max(initial=0.0))):
             raise InvalidParameterError("values must be finite")
 
     def __len__(self) -> int:

@@ -371,7 +371,9 @@ class TestReadSequenceCsv:
         ("v\n1\n# note\n\nabc\n", 5),  # comment and blank lines count as lines
         ("1\n2\n3\n4\n5\n6\n7\nnan\n", 8),
         ("p,v\na,1\n\nb,inf\nc,2\n", 4),
-    ], ids=["extra_column", "non_numeric", "after_comment", "nan", "inf_after_blank"])
+        ("v\n1\nabc\n2\nxyz\n", 3),  # the first of two refused rows in one piece
+    ], ids=["extra_column", "non_numeric", "after_comment", "nan", "inf_after_blank",
+            "first_of_two"])
     def test_refused_row_named_by_its_line(self, tmp_path, content, line):
         src = tmp_path / "x.csv"
         src.write_text(content)

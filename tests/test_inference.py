@@ -198,9 +198,9 @@ class TestPeakHeightTail:
 
 
     def test_saturation_clamp_changes_no_value(self):
-        """Clamping heights to 40 sd is invisible: the tail equals the
-        unclamped formula bit for bit, scalar and array, from -60 to 60 sd,
-        where that formula does not overflow yet."""
+        """No clamp or guard moves a value: the tail equals the plain
+        formula, clipped into [tiny, 1], bit for bit, scalar and array,
+        from -60 to 60 sd, across the 40 sd where it saturates."""
         for gamma, nu in ((1.0, 0.5), (6.0, 2.0), (50.0, 2.0)):
             m = closed_form_moments(NoiseModel(1.0, nu), gamma)
             sd, sqrt_delta = m.sd_d1, math.sqrt(m.delta)

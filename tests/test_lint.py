@@ -1,12 +1,18 @@
-"""Source lint: the package makes no BLAS-backed call.
+"""Source lint: the package makes no BLAS-backed call, and its import
+stays light.
 
 np.convolve and numpy's dot and matrix products sum through a BLAS kernel
 chosen per CPU.  The package calls none of them, so every convolution sums
 in one fixed order and no result changes with the kernel OpenBLAS picks;
 the byte-exact fixtures rely on that.
+
+Most of a process's start-up is import: numpy, then ``scipy.special``,
+which the null height tail needs.  No other scipy subpackage is loaded.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stemcpd"
@@ -36,3 +42,19 @@ def test_no_blas_backed_call_in_the_package():
     assert sources, f"no package source under {PACKAGE}"
     found = [hit for path in sources for hit in blas_calls(path)]
     assert not found, "\n".join(found)
+
+
+#: scipy subpackages that ``import stemcpd`` must not load.
+HEAVY = ("scipy.fft", "scipy.ndimage", "scipy.signal", "scipy.stats", "scipy.integrate",
+         "scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.interpolate")
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    """``import stemcpd`` in a fresh interpreter, from the source tree,
+    loads none of ``HEAVY``."""
+    code = "import sys, stemcpd; print(stemcpd.__file__); print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=PACKAGE.parent, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert Path(out[0]).parent == PACKAGE
+    loaded = set(out[1:])
+    assert not [name for name in HEAVY if name in loaded]

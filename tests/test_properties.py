@@ -9,8 +9,9 @@ finite arrays.  The whole detector must map a sequence
 reversed and negated to its own result mirrored, and a sequence scaled by
 a power of two to its own result with only the heights scaled.
 The tail inversion must land on the bracketed bisection's adjacent-float
-crossing, with no more tail evaluations.  Benjamini-Hochberg rejections can only grow with
-the level.  The command line's CSV
+crossing, with no more tail evaluations, and the tail itself must
+saturate exactly from 40 standard deviations out.  Benjamini-Hochberg
+rejections can only grow with the level.  The command line's CSV
 reader and writer must read and write exactly what the row-by-row code
 they replaced did, and the reader must read, and refuse, the same at any
 piece size.
@@ -19,11 +20,12 @@ piece size.
 import csv
 import io
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from stemcpd import (
@@ -33,6 +35,7 @@ from stemcpd import (
     MomentEstimationError,
     NoiseModel,
     PiecewiseSignal,
+    SpectralMoments,
     TimeSeries,
     bh_select,
     closed_form_moments,
@@ -45,7 +48,7 @@ from stemcpd import (
     sample_noise,
     smooth,
 )
-from stemcpd import InvalidParameterError, cli, inference, signals
+from stemcpd import InvalidParameterError, cli, inference
 from stemcpd.cli import InputDataError, read_sequence_csv, write_detection_csv
 from stemcpd.kernels import convolve_weights
 
@@ -110,29 +113,26 @@ class TestFinitenessCheck:
                       max_size=12),
         end=st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0, 1e308]),
         first=st.booleans(),
-        block=st.sampled_from([1, 2, 3, signals._FINITE_BLOCK]),
     )
-    @example(body=[], end=None, first=False, block=signals._FINITE_BLOCK)
-    @example(body=[1.0, 2.0], end=math.nan, first=True, block=signals._FINITE_BLOCK)
-    @example(body=[1.0, 2.0], end=math.inf, first=False, block=signals._FINITE_BLOCK)
-    @example(body=[1.0, 2.0], end=-math.inf, first=True, block=2)
-    @example(body=[-0.0], end=None, first=False, block=signals._FINITE_BLOCK)
-    @example(body=[1e308, 1e308], end=None, first=False, block=signals._FINITE_BLOCK)
-    @example(body=[-1e308, -1e308], end=1e308, first=False, block=3)
-    def test_refuses_what_isfinite_refuses(self, body, end, first, block):
+    @example(body=[], end=None, first=False)
+    @example(body=[1.0, 2.0], end=math.nan, first=True)
+    @example(body=[1.0, 2.0], end=math.inf, first=False)
+    @example(body=[1.0, 2.0], end=-math.inf, first=True)
+    @example(body=[-0.0], end=None, first=False)
+    @example(body=[1e308, 1e308], end=None, first=False)
+    @example(body=[-1e308, -1e308], end=1e308, first=False)
+    def test_refuses_what_isfinite_refuses(self, body, end, first):
         """``TimeSeries`` accepts exactly the arrays whose samples are all
-        finite, whatever the block size of its check: a non-finite first or
-        last sample is refused, and signed zeros and samples whose sum
-        overflows are accepted."""
+        finite: a non-finite first or last sample is refused, and signed
+        zeros and samples whose sum overflows are accepted."""
         if end is not None:
             body = [end] + body if first else body + [end]
         values = np.array(body, dtype=float)
-        with mock.patch.object(signals, "_FINITE_BLOCK", block):
-            try:
-                TimeSeries(values)
-                accepted = True
-            except InvalidParameterError:
-                accepted = False
+        try:
+            TimeSeries(values)
+            accepted = True
+        except InvalidParameterError:
+            accepted = False
         assert accepted == bool(np.isfinite(values).all())
 
 
@@ -455,6 +455,42 @@ class TestTailInversion:
         crossing; the answer is still an adjacent-float crossing."""
         m = tail_moments(sigma, k, nu, gamma)
         assert is_tail_crossing(invert_peak_height_tail(p, m), p, m)
+
+
+@st.composite
+def saturating_tails(draw):
+    """Valid moments with derivative variances from 1e-100 to 1e100, and
+    height magnitudes from 40 sd up to 1e308 and inf."""
+    log_var = st.floats(-100.0, 100.0)
+    var_d1, var_d3 = (10.0 ** draw(log_var) for _ in range(2))
+    rho = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    try:
+        moments = SpectralMoments(var_d1, rho * math.sqrt(var_d1 * var_d3), var_d3)
+    except InvalidParameterError:  # var_d2 rounded to 0, or delta to <= 0
+        reject()
+    edge = 40.0 * moments.sd_d1
+    magnitude = st.one_of(st.just(edge), st.floats(edge, 1e308), st.just(math.inf))
+    return moments, draw(st.lists(magnitude, min_size=1, max_size=8))
+
+
+class TestTailSaturation:
+    @SETTINGS
+    @given(case=saturating_tails())
+    def test_saturated_beyond_40_sd(self, case):
+        """From 40 sd out, the tail is exactly the smallest normal float on
+        the right and 1.0 on the left, scalar and array alike, with no
+        floating-point warning: a Gaussian factor there is exp(-800) == 0.0
+        and a normal integral exactly 0 or 1, and an overflow past it moves
+        nothing."""
+        moments, magnitudes = case
+        heights = np.array(magnitudes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            right, left = peak_height_tail(heights, moments), peak_height_tail(-heights, moments)
+            scalars = [peak_height_tail(u, moments) for u in (*magnitudes, *(-heights).tolist())]
+        expected = bits([np.finfo(float).tiny] * len(heights) + [1.0] * len(heights)).tolist()
+        assert bits(np.concatenate((right, left))).tolist() == expected
+        assert bits(scalars).tolist() == expected
 
 
 class TestBHMonotoneInAlpha:

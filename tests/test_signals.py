@@ -17,7 +17,6 @@ from stemcpd import (
     make_staircase,
     sample_noise,
 )
-from stemcpd.signals import _FINITE_BLOCK
 
 from helpers import convolve_weights_pairwise, noise_kernel, staircase_scan
 
@@ -27,18 +26,20 @@ class TestTimeSeries:
         with pytest.raises(InvalidParameterError):
             TimeSeries(np.array([1.0, np.nan]))
 
-    @pytest.mark.parametrize("at", [0, _FINITE_BLOCK - 1, _FINITE_BLOCK, 3 * _FINITE_BLOCK + 4])
+    @pytest.mark.parametrize("at", [0, 65535, 65536, 196612])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_in_any_block(self, at, bad):
-        values = np.ones(3 * _FINITE_BLOCK + 5)
+        """A non-finite sample is refused wherever it sits in 196,613
+        samples, the first and the last included."""
+        values = np.ones(196613)
         TimeSeries(values)
         values[at] = bad
         with pytest.raises(InvalidParameterError, match="finite"):
             TimeSeries(values)
 
     def test_traced_validation_is_one_block(self):
-        """Checking 1e6 float64 samples allocates one block's mask, not
-        one byte per sample."""
+        """Checking 1e6 float64 samples allocates at most 64 KiB, not one
+        byte per sample."""
         values = np.random.default_rng(3).standard_normal(1_000_000)
         tracemalloc.start()
         try:
@@ -46,7 +47,7 @@ class TestTimeSeries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _FINITE_BLOCK + 65536
+        assert peak <= 65536
 
 
 class TestPiecewiseSignal:
