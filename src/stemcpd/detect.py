@@ -11,8 +11,8 @@ the ties before it, so a plateau is one candidate.
 
 The candidates of one sequence travel through inference and selection as
 one ``Extrema``: parallel arrays of grid index, height, sign and p-value.
-The arrays are the interface; its view as a sequence of ``Extremum``
-records, one per candidate, is read only by the benchmark's checks.
+The arrays are the interface; iterating it as ``Extremum(index, height,
+sign)`` records, one per candidate, is read only by the benchmark's checks.
 """
 
 from dataclasses import dataclass
@@ -34,13 +34,12 @@ class Extremum:
 
     ``index`` is the integer grid location t of the sample (unit grid),
     ``height`` the derivative value there, ``sign`` +1 for a maximum and
-    -1 for a minimum.  ``p_value`` is NaN until the inference step fills it.
+    -1 for a minimum.
     """
 
     index: int
     height: float
     sign: int
-    p_value: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,10 +50,10 @@ class Extrema:
     (int64, +1 for a maximum and -1 for a minimum) and ``p_value``
     (float64, NaN before inference) have one entry per candidate.
 
-    It reads as a sequence of ``Extremum`` records: an integer index
-    gives a record holding plain Python numbers, iteration yields records
-    in order (converting ``_RECORD_CHUNK`` candidates at a time), and a
-    slice, integer array or boolean mask gives another ``Extrema``.
+    Iteration yields one ``Extremum`` record of plain Python numbers per
+    candidate, in order, converting ``_RECORD_CHUNK`` candidates at a
+    time.  A slice, integer array or boolean mask gives another
+    ``Extrema``; a single integer is refused.
     """
 
     index: np.ndarray
@@ -66,11 +65,10 @@ class Extrema:
         return len(self.index)
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return Extremum(self.index[key].item(), self.height[key].item(),
-                            self.sign[key].item(), self.p_value[key].item())
         if not isinstance(key, slice):
             key = np.asarray(key)
+            if key.ndim == 0:
+                raise TypeError("an Extrema takes a slice, an index array or a mask")
             if key.size == 0:
                 key = key.astype(np.intp)
         return Extrema(self.index[key], self.height[key], self.sign[key], self.p_value[key])
@@ -79,7 +77,7 @@ class Extrema:
         for lo in range(0, len(self.index), _RECORD_CHUNK):
             chunk = slice(lo, lo + _RECORD_CHUNK)
             yield from map(Extremum, self.index[chunk].tolist(), self.height[chunk].tolist(),
-                           self.sign[chunk].tolist(), self.p_value[chunk].tolist())
+                           self.sign[chunk].tolist())
 
 
 def smooth(series: TimeSeries, spec: KernelSpec) -> TimeSeries:

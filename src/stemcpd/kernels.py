@@ -133,6 +133,8 @@ def convolve_weights(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise InvalidParameterError("weights must have odd length")
     center = weights[k]
     combine = np.subtract if np.array_equal(weights[::-1], -weights) else np.add
+    if combine is np.add and not np.array_equal(weights[::-1], weights):
+        raise InvalidParameterError("weights must be symmetric or antisymmetric")
     # `out` starts at +0.0 and only ever has terms added to it, so it never
     # holds -0.0 and the sign of a zero term cannot show
     out = np.zeros(n)

@@ -78,8 +78,6 @@ def bh_height_threshold(outcome: BHOutcome, moments: SpectralMoments) -> float:
     nothing either way.
     """
     p = outcome.p_threshold
-    if p >= 1.0:
-        return -math.inf
     if p <= 0.0:
         return math.inf
     return invert_peak_height_tail(p, moments)

@@ -151,6 +151,13 @@ class TestHeightThreshold:
         none = BHOutcome(k=0, p_threshold=0.0, rejected=np.empty(0, dtype=np.intp))
         assert bh_height_threshold(none, MOMENTS) == math.inf
 
+    def test_threshold_above_one_is_refused(self):
+        from stemcpd.multitest import BHOutcome
+
+        above = BHOutcome(k=0, p_threshold=1.5, rejected=np.empty(0, dtype=np.intp))
+        with pytest.raises(InvalidParameterError, match="target probability"):
+            bh_height_threshold(above, MOMENTS)
+
     def test_rejection_set_equivalence(self):
         """Selection by p-value and selection by signed height agree
         exactly on simulated candidate sets."""
