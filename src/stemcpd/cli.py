@@ -161,8 +161,11 @@ def read_sequence_csv(path: str):
 
     The decoded text is parsed in pieces of about ``_CHUNK`` characters
     that end at line ends, so no per-row Python object outlives its piece.
-    The result holds a float64 value per row and, with two columns, the
-    text and each row's int64 line offset, which ``PositionLabels`` cuts a
+    One float64 value array and one int64 offset array, sized by the
+    text's line count, are allocated up front; each piece fills its rows'
+    values and line offsets in place, and the filled prefixes are
+    returned.  The result holds a float64 value per row and, with two
+    columns, the text and the offsets, which ``PositionLabels`` cuts a
     label from.  Values, labels and error messages do not depend on the
     piece size.
     """
@@ -173,8 +176,10 @@ def read_sequence_csv(path: str):
         raise InputDataError(f"cannot read {path}: {exc}") from exc
     if any(c in text for c in _SEPARATORS):
         raise InputDataError(f"{path} contains an ASCII separator control character")
-    width, values, starts = None, [], []
-    start = 0
+    # a data row is at most one line, so the line count bounds the row count
+    capacity = text.count("\n") + 1
+    values, starts = np.empty(capacity), np.empty(capacity, np.int64)
+    width, filled, start = None, 0, 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK - 1)
         end = len(text) if end < 0 else end
@@ -197,13 +202,14 @@ def read_sequence_csv(path: str):
             _row_fields(path, text, offsets[bad])  # refuses a row that does not split
             raise InputDataError(f"{path} line {_line_number(text, offsets[bad])} is not "
                                  f"{width} column(s) of numbers: {rows[bad]!r}")
-        values.append(read)
-        starts.append(offsets)
+        values[filled : filled + len(rows)] = read
+        starts[filled : filled + len(rows)] = offsets
+        filled += len(rows)
     if width is None:
         raise InputDataError(f"{path} contains no data rows")
-    if not values:
+    if not filled:
         raise InputDataError(f"{path} contains a header but no data")
-    values, starts = np.concatenate(values), np.concatenate(starts)
+    values, starts = values[:filled], starts[:filled]
     finite = np.isfinite(values)
     if not finite.all():
         bad = starts[np.argmin(finite)]

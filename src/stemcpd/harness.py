@@ -16,7 +16,6 @@ deterministic regardless of parallelism.
 import itertools
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +158,9 @@ def run_simulation(req: SimulateRequest, threads: int = 1) -> list:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, len(reps), cpus or 1)
     if workers > 1:
+        # imported here, so that `import stemcpd` loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         size = -(-len(reps) // (4 * workers))
         blocks = [reps[i : i + size] for i in range(0, len(reps), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

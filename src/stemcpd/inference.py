@@ -95,12 +95,14 @@ def closed_form_moments(model: NoiseModel, gamma: float) -> SpectralMoments:
         ) from exc
 
 
-def _trimmed_variance(d: TimeSeries) -> float:
+def _trimmed_variance(d: TimeSeries, owned: bool = False) -> float:
+    """The trimmed variance of ``d``'s interior.  Its absolute values are
+    sorted and squared in place: in ``d``'s own array when ``owned``, so
+    the caller must not read ``d`` afterwards, else in one copy."""
     x = d.values[d.interior_slice()]
     n = len(x)
     drop = int(math.ceil(_TRIM * n))
-    # one copy of the input, sorted and squared in place
-    kept = np.abs(x)
+    kept = np.abs(x, out=x if owned else None)
     kept.sort()
     kept = kept[: n - drop]
     with np.errstate(over="ignore"):  # an inf here is refused by name
@@ -125,8 +127,11 @@ def estimate_moments_empirical(series: TimeSeries, gamma: float, dy: TimeSeries)
     lo, hi = dy.interior
     if hi - lo < 100:
         raise MomentEstimationError(f"interior too short for moment estimation ({hi - lo} samples)")
+    # dy is read again by extraction; the order-2 and order-3 smooths are
+    # owned here and reduced in place
     variances = [_trimmed_variance(dy)]
-    variances += (_trimmed_variance(smooth(series, KernelSpec(gamma=gamma, order=order)))
+    variances += (_trimmed_variance(smooth(series, KernelSpec(gamma=gamma, order=order)),
+                                    owned=True)
                   for order in (2, 3))
     if min(variances) <= 0.0:
         raise MomentEstimationError("smoothed derivatives vanish; cannot estimate moments")

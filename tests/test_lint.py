@@ -7,7 +7,9 @@ in one fixed order and no result changes with the kernel OpenBLAS picks;
 the byte-exact fixtures rely on that.
 
 Most of a process's start-up is import: numpy, then ``scipy.special``,
-which the null height tail needs.  No other scipy subpackage is loaded.
+which the null height tail needs.  No other scipy subpackage is loaded,
+and neither is ``multiprocessing``: the simulation harness imports its
+process pool only when it runs one.
 """
 
 import ast
@@ -44,9 +46,11 @@ def test_no_blas_backed_call_in_the_package():
     assert not found, "\n".join(found)
 
 
-#: scipy subpackages that ``import stemcpd`` must not load.
+#: Modules that ``import stemcpd`` must not load: scipy subpackages, and
+#: the process pool's ``multiprocessing``, which neither numpy nor scipy loads.
 HEAVY = ("scipy.fft", "scipy.ndimage", "scipy.signal", "scipy.stats", "scipy.integrate",
-         "scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.interpolate")
+         "scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.interpolate",
+         "multiprocessing")
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

@@ -1,0 +1,117 @@
+"""Paired runs of the benchmark: a base commit against the working tree.
+
+    python3 tools/compare.py BASE --workload cli_empirical --pairs 10
+
+BASE's committed files are exported with ``git archive`` into a temporary
+directory, which is removed at the end.  Each of the K pairs runs
+``bench/run.py --trace 0`` once in each tree, each run in a fresh process,
+and the tree that runs first alternates from pair to pair.  Both trees run
+the same workload and seed for ``run_seconds`` of ``BENCHMARK.json``, and
+each run imports the package from its own tree.
+
+For each end-to-end metric in ``BENCHMARK.json`` the script prints both
+trees' medians and quartiles, the pairs the working tree wins (ties count
+for neither), the change of the median and whether it stays within the
+metric's bound, and whether a gain may be claimed: the working tree wins at
+least nine tenths of at least ten pairs, and its median is better than the
+base median by more than the base runs' interquartile range.
+"""
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def summarize(base, head, better: str, bound: float) -> dict:
+    """Compare one metric over paired runs: ``base[i]`` and ``head[i]`` are
+    pair i's values, ``better`` is "lower" or "higher", and ``bound`` is the
+    fraction of the base median by which the head's median may be worse."""
+    sign = 1.0 if better == "lower" else -1.0
+    b = np.percentile(base, [25, 50, 75]).tolist()
+    h = np.percentile(head, [25, 50, 75]).tolist()
+    pairs = len(base)
+    wins = sum(sign * (x - y) > 0 for x, y in zip(base, head))
+    gain = sign * (b[1] - h[1])  # positive when the head's median is better
+    return {
+        "base": b,
+        "head": h,
+        "wins": wins,
+        "pairs": pairs,
+        "change": (h[1] - b[1]) / b[1] if b[1] else math.nan,
+        "within_bound": -gain <= bound * abs(b[1]),
+        "claim": pairs >= 10 and 10 * wins >= 9 * pairs and gain > b[2] - b[0],
+    }
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one untraced benchmark run of ``tree``."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"compare.py: bench/run.py in {tree} exited {proc.returncode}\n"
+                         f"{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the files of commit ``rev`` into ``dest``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _fmt(q) -> str:
+    return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="the commit to compare the working tree against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = manifest["run_seconds"]
+    runs = {"base": [], "head": []}
+    with tempfile.TemporaryDirectory(prefix="compare-base-") as tmp:
+        export(args.base, Path(tmp))
+        trees = {"base": Path(tmp), "head": ROOT}
+        for i in range(args.pairs):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for side in order:
+                runs[side].append(run_bench(trees[side], args.workload, args.seed, seconds))
+            values = "  ".join(f"{m}: {runs['base'][-1]['metrics'][m]['value']:.6g} -> "
+                               f"{runs['head'][-1]['metrics'][m]['value']:.6g}"
+                               for m in runs["head"][-1]["metrics"])
+            print(f"pair {i + 1} ({order[0]} first)  {values}", flush=True)
+    print(f"\n{args.workload}: {args.base} (base) against the working tree (head), "
+          f"{args.pairs} pairs, seed {args.seed}, {seconds:g} s runs")
+    for side, lines in runs.items():
+        correct = sum(line["correct"] for line in lines)
+        failed = sum(line["failed"] for line in lines)
+        print(f"  {side}: {correct} of {len(lines)} runs correct, {failed} failed ops")
+    print(f"  {'metric':26s} {'base median [q1, q3]':38s} {'head median [q1, q3]':38s} "
+          f"{'wins':>6s} {'change':>8s}  within bound  claim")
+    for metric in manifest["end_to_end"]:
+        name = metric["name"]
+        s = summarize([line["metrics"][name]["value"] for line in runs["base"]],
+                      [line["metrics"][name]["value"] for line in runs["head"]],
+                      metric["better"], metric["bound"])
+        print(f"  {name:26s} {_fmt(s['base']):38s} {_fmt(s['head']):38s} "
+              f"{s['wins']:>3d}/{s['pairs']:<2d} {s['change']:+8.2%}  "
+              f"{'yes' if s['within_bound'] else 'NO':12s}  {'yes' if s['claim'] else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
