@@ -26,7 +26,7 @@ from .inference import (
     invert_peak_height_tail,
     peak_height_tail,
 )
-from .kernels import GAUSSIAN_CUTOFF, KernelSpec, kernel_value, kernel_weights
+from .kernels import GAUSSIAN_CUTOFF, KernelSpec, kernel_weights
 from .multitest import BHOutcome, bh_height_threshold, bh_select
 from .pipeline import DetectionResult, detect_change_points
 from .signals import (
@@ -72,7 +72,6 @@ __all__ = [
     "estimate_moments_empirical",
     "find_local_extrema",
     "invert_peak_height_tail",
-    "kernel_value",
     "kernel_weights",
     "make_staircase",
     "null_max_rate",

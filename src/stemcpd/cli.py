@@ -205,6 +205,8 @@ def read_sequence_csv(path: str):
         values[filled : filled + len(rows)] = read
         starts[filled : filled + len(rows)] = offsets
         filled += len(rows)
+        # let this piece's lines go before the next piece is split
+        del rows, offsets, read
     if width is None:
         raise InputDataError(f"{path} contains no data rows")
     if not filled:

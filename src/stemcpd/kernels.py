@@ -33,18 +33,6 @@ def _phi(x):
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
 
 
-def _gauss_derivative(x: np.ndarray, order: int) -> np.ndarray:
-    """Order-th derivative of the standard Gaussian density at x."""
-    phi = _phi(x)
-    if order == 0:
-        return phi
-    if order == 1:
-        return -x * phi
-    if order == 2:
-        return (x * x - 1.0) * phi
-    return (3.0 * x - x ** 3) * phi
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """A bandwidth-scaled truncated Gaussian and a derivative order.
@@ -74,25 +62,15 @@ class KernelSpec:
         return int(math.ceil(GAUSSIAN_CUTOFF * self.gamma))
 
 
-def kernel_value(spec: KernelSpec, t) -> np.ndarray:
-    """Analytic value of the order-th derivative of ``w_g`` at offset ``t``.
-
-    Values outside the truncated support are exactly zero.  Inside the
-    support the derivative of the untruncated Gaussian density is used;
-    the jump introduced by truncation at the support edge is ignored.
-    """
-    t = np.asarray(t, dtype=float)
-    x = t / spec.gamma
-    out = _gauss_derivative(x, spec.order) / spec.gamma ** (spec.order + 1)
-    return np.where(np.abs(t) <= GAUSSIAN_CUTOFF * spec.gamma, out, 0.0)
-
-
 def kernel_weights(spec: KernelSpec) -> np.ndarray:
     """Unit-grid samples of the order-th derivative of ``w_g``.
 
     Returns an odd-length, centered array covering grid offsets ``-K .. K``
     with ``K = ceil(4*gamma)``: exactly symmetric for even orders as
     sampled, antisymmetrized exactly for odd orders, so their true sum is zero.
+    Inside the support each tap is the derivative of the untruncated
+    Gaussian density, ignoring the jump that truncation makes at the edge;
+    a tap past ``4*gamma`` is exactly zero.
     """
     if GAUSSIAN_CUTOFF * spec.gamma < 1.0:
         raise InvalidParameterError(
@@ -100,7 +78,19 @@ def kernel_weights(spec: KernelSpec) -> np.ndarray:
             "narrower than one grid step"
         )
     k = spec.half_width()
-    w = np.asarray(kernel_value(spec, np.arange(-k, k + 1)))
+    t = np.arange(-k, k + 1, dtype=float)
+    x = t / spec.gamma
+    phi = _phi(x)
+    if spec.order == 0:
+        w = phi
+    elif spec.order == 1:
+        w = -x * phi
+    elif spec.order == 2:
+        w = (x * x - 1.0) * phi
+    else:
+        w = (3.0 * x - x ** 3) * phi
+    w = np.where(np.abs(t) <= GAUSSIAN_CUTOFF * spec.gamma,
+                 w / spec.gamma ** (spec.order + 1), 0.0)
     # not a no-op: numpy's ``x ** 3`` does not round x and -x to exact
     # negatives, so raw order-3 samples miss antisymmetry by an ulp at some
     # offsets (at gamma 3, 6, 10 and 50 among others).  Without this step

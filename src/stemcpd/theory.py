@@ -16,7 +16,7 @@ from scipy.special import ndtr
 
 from .errors import InvalidParameterError
 from .inference import SpectralMoments, closed_form_moments, invert_peak_height_tail
-from .kernels import GAUSSIAN_CUTOFF, KernelSpec, kernel_value
+from .kernels import _SQRT_2PI, GAUSSIAN_CUTOFF
 from .multitest import check_alpha, check_grid
 from .signals import NoiseModel
 
@@ -49,8 +49,11 @@ def snr(jump: float, model: NoiseModel, gamma: float) -> float:
 
 def approx_power(jump: float, u: float, moments: SpectralMoments, gamma: float) -> float:
     """Large-jump approximation to the probability of detecting one jump
-    at a fixed height threshold ``u``: Phi((|jump|*w(0) - u)/sd)."""
-    peak = abs(jump) * float(kernel_value(KernelSpec(gamma=gamma), 0.0))
+    at a fixed height threshold ``u``: Phi((|jump|*w(0) - u)/sd), with the
+    kernel's center value ``w(0) = 1/(gamma*sqrt(2*pi))``."""
+    if not gamma > 0:
+        raise InvalidParameterError("gamma must be positive")
+    peak = abs(jump) * (1.0 / _SQRT_2PI / gamma)
     return float(ndtr((peak - u) / moments.sd_d1))
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used as oracles by the tests,
 a builder of ``Extrema`` test inputs, the shared input of the
-traced-memory tests, a reader of one ``theory_table`` column and a patch
-that makes the height threshold disagree with the step-up selection.
+traced-memory tests, a reader of one ``theory_table`` column, the
+kernel's center tap as the detector samples it, and a patch that makes
+the height threshold disagree with the step-up selection.
 
 The oracles deliberately avoid the package's own code paths: plain
 loops, np.convolve, brute-force scans, the paper's closed forms and the
@@ -29,6 +30,7 @@ from stemcpd import (
     TimeSeries,
     classify,
     detect_change_points,
+    kernel_weights,
     make_staircase,
     peak_height_tail,
     sample_noise,
@@ -250,6 +252,21 @@ def staircase_scan(jump, separation, length):
     increments over t = 2..length."""
     mu = [jump * (t // separation) for t in range(1, length + 1)]
     return [t + 1 for t in range(1, length) if mu[t] != mu[t - 1]]
+
+
+def gauss_kernel_at(t, gamma):
+    """The truncated Gaussian kernel ``phi(t/gamma)/gamma`` at offsets ``t``,
+    zero past ``GAUSSIAN_CUTOFF*gamma``, written from scratch."""
+    t = np.asarray(t, dtype=float)
+    w = np.exp(-0.5 * (t / gamma) ** 2) / (gamma * math.sqrt(2 * math.pi))
+    return np.where(np.abs(t) <= GAUSSIAN_CUTOFF * gamma, w, 0.0)
+
+
+def center_tap(spec) -> float:
+    """The center weight of ``kernel_weights(spec)``: the kernel's value at
+    offset 0, as the detector samples it."""
+    w = kernel_weights(spec)
+    return float(w[len(w) // 2])
 
 
 def gauss_kernel_samples(gamma, cutoff, order, spacing=1.0):

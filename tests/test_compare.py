@@ -4,6 +4,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -69,3 +70,44 @@ def test_within_bound_is_the_relative_worsening_of_the_median(better, head, with
 
 def test_a_zero_base_median_has_no_relative_change():
     assert math.isnan(summarize([0.0] * 10, [0.0] * 10, "lower", 0.1)["change"])
+
+
+def _noisy_pairs(shift, seed, spread=0.04, pairs=10):
+    """Base runs around 80 and head runs ``shift`` times base, each run
+    scattered by ``spread`` of its value."""
+    rng = np.random.default_rng(seed)
+    base = 80.0 * (1.0 + spread * rng.standard_normal(pairs))
+    head = shift * 80.0 * (1.0 + spread * rng.standard_normal(pairs))
+    return base.tolist(), head.tolist()
+
+
+def test_ten_percent_shift_claims_with_its_interval_below_one():
+    base, head = _noisy_pairs(0.9, seed=3)
+    s = summarize(base, head, "lower", 0.1)
+    low, ratio, high = s["ratio"]
+    assert low <= ratio <= high < 1.0 and ratio == pytest.approx(0.9, abs=0.05)
+    assert s["claim"]
+    assert not summarize(base, head, "higher", 0.1)["claim"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scattered_a_a_ratios_claim_nothing(seed):
+    base, head = _noisy_pairs(1.0, seed)
+    for better in ("lower", "higher"):
+        s = summarize(base, head, better, 0.1)
+        low, _, high = s["ratio"]
+        assert low < 1.0 < high and not s["claim"]
+
+
+def test_the_interval_is_reproducible_and_brackets_the_median():
+    base, head = _noisy_pairs(1.0, seed=7)
+    first = compare.ratio_interval(base, head)
+    assert compare.ratio_interval(base, head) == first
+    low, ratio, high = first[1], first[0], first[2]
+    ratios = np.array(head) / np.array(base)
+    assert ratio == np.median(ratios)
+    assert ratios.min() <= low <= ratio <= high <= ratios.max()
+
+
+def test_identical_pairs_have_a_point_interval_at_one():
+    assert compare.ratio_interval(BASE, BASE) == (1.0, 1.0, 1.0)

@@ -12,7 +12,6 @@ from stemcpd import (
     NoiseModel,
     TimeSeries,
     find_local_extrema,
-    kernel_value,
     kernel_weights,
     make_staircase,
     null_max_rate,
@@ -23,7 +22,7 @@ from stemcpd import (
 from stemcpd.detect import _RECORD_CHUNK
 from stemcpd.kernels import _BLOCK, convolve_weights
 
-from helpers import dense_staircase, extrema_of
+from helpers import center_tap, dense_staircase, extrema_of, gauss_kernel_at
 
 
 def series(values, **kw):
@@ -67,7 +66,7 @@ class TestSmoothDerivative:
         seg = dy.values[lo:hi]
         peak_at = lo + int(np.argmax(seg)) + 1  # grid location
         assert abs(peak_at - v) <= 1
-        expected_height = a * float(kernel_value(KernelSpec(gamma=gamma), 0.0))
+        expected_height = a * center_tap(KernelSpec(gamma=gamma))
         assert seg.max() == pytest.approx(expected_height, rel=0.01)
 
     def test_constant_input_is_identically_zero(self):
@@ -80,15 +79,13 @@ class TestSmoothDerivative:
         """Two well-separated jumps produce the sum of two shifted kernel
         bumps (checked against analytic kernel evaluations)."""
         gamma = 4.0
-        spec0 = KernelSpec(gamma=gamma)
         n = 400
         t = np.arange(1, n + 1)
         a1, v1, a2, v2 = 1.5, 120, -2.5, 280
         y = series(a1 * (t >= v1) + a2 * (t >= v2))
         dy = smooth(y, KernelSpec(gamma=gamma, order=1))
-        expected = a1 * np.asarray(kernel_value(spec0, t - v1 + 0.5)) + a2 * np.asarray(
-            kernel_value(spec0, t - v2 + 0.5)
-        )
+        expected = (a1 * gauss_kernel_at(t - v1 + 0.5, gamma)
+                    + a2 * gauss_kernel_at(t - v2 + 0.5, gamma))
         sl = dy.interior_slice()
         assert np.max(np.abs(dy.values[sl] - expected[sl])) < 3e-4 * max(abs(a1), abs(a2))
 

@@ -9,11 +9,10 @@ from stemcpd import (
     GAUSSIAN_CUTOFF,
     InvalidParameterError,
     KernelSpec,
-    kernel_value,
     kernel_weights,
 )
 
-from helpers import gauss_kernel_samples
+from helpers import center_tap, gauss_kernel_at, gauss_kernel_samples
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -48,8 +47,8 @@ class TestKernelWeights:
     def test_center_value_before_renormalization(self):
         # density value at zero is phi(0)/gamma
         spec = KernelSpec(gamma=6.0)
-        assert kernel_value(spec, 0.0) == pytest.approx(PHI0 / 6.0, rel=1e-12)
-        assert kernel_value(spec, 0.0) == pytest.approx(0.066490, abs=1e-6)
+        assert center_tap(spec) == pytest.approx(PHI0 / 6.0, rel=1e-12)
+        assert center_tap(spec) == pytest.approx(0.066490, abs=1e-6)
 
     def test_odd_orders_sum_exactly_zero(self):
         for order in (1, 3):
@@ -87,13 +86,13 @@ class TestKernelWeights:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_finite_difference_consistency(self, order):
-        """Central differences of the order-(k-1) kernel reproduce the
-        order-k kernel, sampled at offsets 0.01 apart."""
-        step = 0.01
-        t = np.arange(-2400, 2401) * step
-        lower = kernel_value(KernelSpec(gamma=6.0, order=order - 1), t)
-        upper = kernel_value(KernelSpec(gamma=6.0, order=order), t)
-        fd = (lower[2:] - lower[:-2]) / (2.0 * step)
+        """Central differences of the order-(k-1) weights reproduce the
+        order-k weights at gamma 600, where the unit grid step is 1/600 of
+        a bandwidth."""
+        lower = kernel_weights(KernelSpec(gamma=600.0, order=order - 1))
+        upper = kernel_weights(KernelSpec(gamma=600.0, order=order))
+        assert len(upper) == 4801
+        fd = (lower[2:] - lower[:-2]) / 2.0
         target = upper[1:-1]
         mask = np.abs(target) > 1e-2 * np.max(np.abs(target))
         rel = np.abs(fd[mask] - target[mask]) / np.abs(target[mask])
@@ -113,13 +112,13 @@ class TestKernelWeights:
         step = (np.arange(1, n + 1) >= v).astype(float)
         response = np.convolve(step, w1, mode="same")
         t = np.arange(1, n + 1)
-        edge = float(kernel_value(spec0, GAUSSIAN_CUTOFF * gamma))
-        expected = np.asarray(kernel_value(spec0, t - v + 0.5)) - edge
+        edge = float(gauss_kernel_at(GAUSSIAN_CUTOFF * gamma, gamma))
+        expected = gauss_kernel_at(t - v + 0.5, gamma) - edge
         expected *= np.abs(t - v + 0.5) <= GAUSSIAN_CUTOFF * gamma
         inner = slice(k + 1, n - k - 1)
         assert np.max(np.abs(response[inner] - expected[inner])) < 1e-4
         # peak height matches the kernel's center value to within a percent
-        assert response.max() == pytest.approx(float(kernel_value(spec0, 0.0)), rel=0.01)
+        assert response.max() == pytest.approx(center_tap(spec0), rel=0.01)
         # far from the step the running sum of antisymmetric weights cancels
         assert abs(response[v + k + 5]) < 1e-12
 
@@ -127,8 +126,11 @@ class TestKernelWeights:
         with pytest.raises(InvalidParameterError, match="narrower than one grid step"):
             kernel_weights(KernelSpec(gamma=0.2))
 
-    def test_kernel_value_zero_outside_support(self):
-        spec = KernelSpec(gamma=2.0, order=0)
-        assert kernel_value(spec, 8.01) == 0.0
-        assert kernel_value(spec, -9.0) == 0.0
-        assert kernel_value(spec, 7.99) > 0.0
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_end_taps_zero_past_the_support(self, order):
+        """At gamma 2.2 the support ends at 8.8, so the taps at offsets
+        +-9 lie past it and are exactly zero, and those at +-8 are not."""
+        w = kernel_weights(KernelSpec(gamma=2.2, order=order))
+        assert len(w) == 19
+        assert w[0] == w[-1] == 0.0
+        assert w[1] != 0.0 and w[-2] != 0.0

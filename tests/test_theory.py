@@ -16,7 +16,6 @@ from stemcpd import (
     approx_power,
     closed_form_moments,
     invert_peak_height_tail,
-    kernel_value,
     null_max_rate,
     peak_height_tail,
     run_simulation,
@@ -24,7 +23,7 @@ from stemcpd import (
     theory_table,
 )
 
-from helpers import power_column, step_up_limit
+from helpers import center_tap, power_column, step_up_limit
 
 MODEL = NoiseModel(sigma=1.0, nu=2.0)
 MOMENTS = closed_form_moments(MODEL, 6.0)
@@ -75,7 +74,7 @@ class TestSnr:
         computed through the kernel and moment code paths."""
         for gamma in (0.5, 2.0, 6.0, 10.0):
             m = closed_form_moments(MODEL, gamma)
-            w0 = float(kernel_value(KernelSpec(gamma=gamma), 0.0))
+            w0 = center_tap(KernelSpec(gamma=gamma))
             for jump in (1.0, -2.5):
                 expected = abs(jump) * w0 / m.sd_d1
                 assert snr(jump, MODEL, gamma) == pytest.approx(expected, rel=1e-12)
@@ -98,8 +97,20 @@ class TestSnr:
 
 class TestApproxPower:
     def test_half_at_peak_height(self):
-        w0 = float(kernel_value(KernelSpec(gamma=6.0), 0.0))
-        assert approx_power(2.0, 2.0 * w0, MOMENTS, 6.0) == pytest.approx(0.5)
+        w0 = center_tap(KernelSpec(gamma=6.0))
+        assert approx_power(2.0, 2.0 * w0, MOMENTS, 6.0) == 0.5
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.1, 0.2])
+    def test_bandwidths_below_one_grid_step_support(self, gamma):
+        """The center value needs no sampled kernel, so bandwidths whose
+        support is narrower than one grid step are accepted."""
+        w0 = 1.0 / math.sqrt(2.0 * math.pi) / gamma
+        assert approx_power(2.0, 2.0 * w0, MOMENTS, gamma) == 0.5
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+    def test_refuses_a_bandwidth_that_is_not_positive(self, gamma):
+        with pytest.raises(InvalidParameterError, match="gamma must be positive"):
+            approx_power(1.0, 0.0, MOMENTS, gamma)
 
     def test_limits(self):
         assert approx_power(1.0, -math.inf, MOMENTS, 6.0) == 1.0

@@ -12,9 +12,12 @@ each run imports the package from its own tree.
 For each end-to-end metric in ``BENCHMARK.json`` the script prints both
 trees' medians and quartiles, the pairs the working tree wins (ties count
 for neither), the change of the median and whether it stays within the
-metric's bound, and whether a gain may be claimed: the working tree wins at
-least nine tenths of at least ten pairs, and its median is better than the
-base median by more than the base runs' interquartile range.
+metric's bound, the median of the per-pair ratios head/base with a 95%
+bootstrap interval of that median (the pairs resampled with replacement,
+from a fixed seed), and whether a gain may be claimed: the working tree
+wins at least nine tenths of at least ten pairs, its median is better than
+the base median by more than the base runs' interquartile range, and the
+ratio's interval lies wholly on the metric's better side of 1.
 """
 
 import argparse
@@ -29,12 +32,28 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: Bootstrap resamples of the pairs, and the seed that draws them.
+RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
+
+
+def ratio_interval(base, head):
+    """The median of the per-pair ratios ``head[i]/base[i]`` and a 95%
+    bootstrap interval of that median, as ``(median, low, high)``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.asarray(head, dtype=float) / np.asarray(base, dtype=float)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    picks = rng.integers(len(ratios), size=(RESAMPLES, len(ratios)))
+    low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5]).tolist()
+    return float(np.median(ratios)), low, high
+
 
 def summarize(base, head, better: str, bound: float) -> dict:
     """Compare one metric over paired runs: ``base[i]`` and ``head[i]`` are
     pair i's values, ``better`` is "lower" or "higher", and ``bound`` is the
     fraction of the base median by which the head's median may be worse."""
     sign = 1.0 if better == "lower" else -1.0
+    ratio, low, high = ratio_interval(base, head)
     b = np.percentile(base, [25, 50, 75]).tolist()
     h = np.percentile(head, [25, 50, 75]).tolist()
     pairs = len(base)
@@ -47,7 +66,9 @@ def summarize(base, head, better: str, bound: float) -> dict:
         "pairs": pairs,
         "change": (h[1] - b[1]) / b[1] if b[1] else math.nan,
         "within_bound": -gain <= bound * abs(b[1]),
-        "claim": pairs >= 10 and 10 * wins >= 9 * pairs and gain > b[2] - b[0],
+        "ratio": [low, ratio, high],
+        "claim": (pairs >= 10 and 10 * wins >= 9 * pairs and gain > b[2] - b[0]
+                  and (high < 1.0 if better == "lower" else low > 1.0)),
     }
 
 
@@ -69,8 +90,8 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def _fmt(q) -> str:
-    return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+def _fmt(q, spec=".6g") -> str:
+    return f"{q[1]:{spec}} [{q[0]:{spec}}, {q[2]:{spec}}]"
 
 
 def main(argv=None) -> int:
@@ -101,7 +122,7 @@ def main(argv=None) -> int:
         failed = sum(line["failed"] for line in lines)
         print(f"  {side}: {correct} of {len(lines)} runs correct, {failed} failed ops")
     print(f"  {'metric':26s} {'base median [q1, q3]':38s} {'head median [q1, q3]':38s} "
-          f"{'wins':>6s} {'change':>8s}  within bound  claim")
+          f"{'wins':>6s} {'change':>8s}  within bound  {'head/base [95% interval]':30s} claim")
     for metric in manifest["end_to_end"]:
         name = metric["name"]
         s = summarize([line["metrics"][name]["value"] for line in runs["base"]],
@@ -109,7 +130,8 @@ def main(argv=None) -> int:
                       metric["better"], metric["bound"])
         print(f"  {name:26s} {_fmt(s['base']):38s} {_fmt(s['head']):38s} "
               f"{s['wins']:>3d}/{s['pairs']:<2d} {s['change']:+8.2%}  "
-              f"{'yes' if s['within_bound'] else 'NO':12s}  {'yes' if s['claim'] else 'no'}")
+              f"{'yes' if s['within_bound'] else 'NO':12s}  {_fmt(s['ratio'], '.4f'):30s} "
+              f"{'yes' if s['claim'] else 'no'}")
     return 0
 
 
