@@ -5,9 +5,8 @@ the smoothed derivative, so candidate change points are the strict local
 maxima and minima of the derivative-smoothed sequence.  Candidates are
 restricted to the interior where the full kernel support fits inside the
 data, which avoids partial-kernel bias at the boundaries.  Extraction
-compares neighbours once and drops the ties: a candidate is a turn in the
-directions of the remaining moves, mapped back to its sample by counting
-the ties before it, so a plateau is one candidate.
+compares neighbours; a tie takes the direction of the next move, so a
+candidate is a turn in the directions and a plateau is one candidate.
 
 The candidates of one sequence travel through inference and selection as
 one ``Extrema``: parallel arrays of grid index, height, sign and p-value.
@@ -116,31 +115,28 @@ def find_local_extrema(dy: TimeSeries) -> Extrema:
     extremum is reported within the boundary margin.  P-values are NaN
     until ``assign_pvalues`` fills them in.
 
-    Each pair of neighbours is compared once.  Dropping the ties leaves
-    the directions of the moves; an extremum sits right after each move
-    whose successor turns the other way, and its sample is found by adding
-    back the ties before that move.  The full-length temporaries are
-    boolean, at most three alive at once; the index arrays are sized by
-    the ties and the candidates.
+    Neighbours are compared for a rise and for a tie.  A run of ties takes
+    the direction of the move after it, so the directions turn where a
+    plateau starts; a run that no move ends is cut off.  An extremum sits
+    one sample past each move whose successor turns the other way.  The
+    full-length temporaries are boolean, at most two alive at once.
     """
     sl = dy.interior_slice()
     seg = dy.values[sl]
     before, after = seg[:-1], seg[1:]
-    up = after > before
-    moves = after < before
-    moves |= up
-    rising = up[moves]
-    del up
-    # move j (counting moves only) is followed by one the other way
-    turns = np.flatnonzero(rising[1:] != rising[:-1])
-    # tie i has ties[i] - i moves before it: add the ties before each turn
-    ties = np.flatnonzero(np.logical_not(moves, out=moves))
-    del moves
-    at = turns + 1 + np.searchsorted(ties - np.arange(len(ties)), turns, side="right")
-    height = seg[at]
+    rising = after > before
+    ties = (after == before).nonzero()[0]
+    # ties[i] - i is constant along a run of ties: the move after tie i's run
+    run = ties - np.arange(len(ties))
+    ends = run + run.searchsorted(run, side="right")
+    cut = np.count_nonzero(ends == len(rising))  # the last run, if no move ends it
+    rising = rising[: len(rising) - cut]
+    rising[ties[: len(ties) - cut]] = rising[ends[: len(ties) - cut]]
+    turns = (rising[1:] != rising[:-1]).nonzero()[0]
+    height = after[turns]
     keep = height != 0.0
     return Extrema(
-        index=at[keep] + (1 + sl.start),
+        index=turns[keep] + (2 + sl.start),
         height=height[keep],
         sign=np.where(rising[turns[keep]], 1, -1),
         p_value=np.full(np.count_nonzero(keep), np.nan),

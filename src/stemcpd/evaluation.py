@@ -25,7 +25,7 @@ def _nearest_distance(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     nearest in floats: only the targets on either side of a point are
     compared, and the distance is the one a full scan would find."""
     fenced = np.concatenate(([-np.inf], targets, [np.inf]))
-    right = np.searchsorted(fenced, points)
+    right = fenced.searchsorted(points)
     return np.minimum(points - fenced[right - 1], fenced[right] - points)
 
 
@@ -37,22 +37,22 @@ def classify(detections: Extrema, truth: PiecewiseSignal, tolerances) -> np.ndar
 
     Distances are taken once, each by a sorted search: each detection's
     nearest jump and each jump's nearest detection of matching sign.  The
-    window test at tolerance ``b`` is then ``distance < b``.  Overlapping
-    windows (2b above the smallest jump spacing) are scored by the same
-    literal definitions, without a warning: ``SimulateRequest`` warns.
+    window test ``distance < b`` passes the distances sorted left of ``b``.
+    Overlapping windows (2b above the smallest jump spacing) are scored by
+    the same literal definitions, without a warning: ``SimulateRequest`` warns.
     """
-    b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
-    if not np.all(b > 0):
+    b = np.asarray(tolerances, dtype=float).reshape(-1)
+    if not (b > 0).all():
         raise InvalidParameterError("tolerance must be positive")
     pos = detections.index.astype(float)
     raised = detections.sign > 0
     locations = truth.locations
     found = np.where(truth.sizes > 0, _nearest_distance(locations, np.sort(pos[raised])),
                      _nearest_distance(locations, np.sort(pos[~raised])))  # (J,)
-    hits = found < b  # (T, J)
-    power = hits.mean(axis=1) if truth.n_jumps else np.full(len(b), np.nan)
-    n_false = len(pos) - np.count_nonzero(_nearest_distance(pos, locations) < b, axis=1)
-    return np.array((n_false / max(len(pos), 1), power))
+    hits = np.sort(found).searchsorted(b)  # jumps found at each tolerance
+    power = hits / truth.n_jumps if truth.n_jumps else np.full(len(b), np.nan)
+    n_true = np.sort(_nearest_distance(pos, locations)).searchsorted(b)
+    return np.array(((len(pos) - n_true) / max(len(pos), 1), power))
 
 
 def aggregate(scores) -> np.ndarray:

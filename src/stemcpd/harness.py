@@ -124,13 +124,14 @@ def run_replicate(req: SimulateRequest, truths: list, bandwidths: list, rep: int
     realized FDP and power per tolerance.
     """
     noise = sample_noise(req.noise_model(), req.length, req.seed ^ rep)
-    scores = np.empty((len(req.jumps), len(req.gammas), 2, len(req.tolerances)))
+    tolerances = np.asarray(req.tolerances, dtype=float)
+    scores = np.empty((len(req.jumps), len(req.gammas), 2, len(tolerances)))
     for g, (gamma, moments, unit) in enumerate(bandwidths):
         dz = detect.smooth(noise, KernelSpec(gamma=gamma, order=1))
         for j, (jump, truth) in enumerate(zip(req.jumps, truths)):
             dy = dz if jump == 0.0 else TimeSeries(jump * unit.values + dz.values, dz.interior)
             result = select_change_points(dy, moments, gamma, req.alpha)
-            scores[j, g] = classify(result.significant, truth, req.tolerances)
+            scores[j, g] = classify(result.significant, truth, tolerances)
     return scores
 
 

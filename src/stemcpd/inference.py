@@ -7,13 +7,14 @@ second and third derivatives of the smoothed noise.  The moments come
 either in closed form (Gaussian autocorrelation model) or from trimmed
 empirical variances of the observed smoothed derivatives.  P-values for a
 whole candidate set come from one array evaluation of the height tail; the
-height threshold inverts that same tail by secant-slope Newton steps on its
-logarithm, and ends on the adjacent floats that bracket the target.  The
-tail is the one place the null height law is written.
+height threshold inverts that same tail, one Python float at a time, by
+secant-slope Newton steps on its logarithm (its complement's near 1),
+and ends on the adjacent floats that bracket the target.  The tail is the
+one place the null height law is written.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -167,20 +168,29 @@ def peak_height_tail(u, moments: SpectralMoments):
     with ``sd = sqrt(var_d1)`` and ``Q`` the standard normal survival
     function.  Strictly decreasing, with limits 1 and 0 at -inf/+inf.
     Accepts scalars or arrays; results are clipped into (0, 1] so extreme
-    heights never round to an exact zero p-value.
+    heights never round to an exact zero p-value.  A float runs the array's
+    operations as Python floats, which overflow without a warning, so it is
+    the array element's bit for bit and needs no ``errstate``.
     """
-    sd = moments.sd_d1
-    u = float(u) if isinstance(u, (float, int)) else np.asarray(u, dtype=float)
-    sqrt_delta = math.sqrt(moments.delta)
+    if isinstance(u, (float, int)):
+        return float(min(max(_tail_sum(float(u), moments), _TINY), 1.0))
     # past 40 sd the tail saturates: phi is exp(-800) == 0.0 and, as
     # var_d3/delta >= 1/var_d1, the normal integral is exactly 0 or 1; an
     # overflow beyond that (phi's square, up to +/-inf) changes nothing
-    coef = _bump_coefficient(moments)
     with np.errstate(over="ignore"):
-        tail = ndtr(-u * math.sqrt(moments.var_d3) / sqrt_delta)
-        bump = coef * _phi(u / sd) * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
-    out = np.minimum(np.maximum(tail + bump, _TINY), 1.0)
+        out = _tail_sum(np.asarray(u, dtype=float), moments)
+    out = np.minimum(np.maximum(out, _TINY), 1.0)
     return out if out.ndim else float(out)
+
+
+def _tail_sum(u, moments: SpectralMoments):
+    """``peak_height_tail`` before its clip, for a float or an array ``u``."""
+    sd = moments.sd_d1
+    sqrt_delta = math.sqrt(moments.delta)
+    bump = u / sd  # the bump term first and in one name, so no extra array stays alive
+    bump = _bump_coefficient(moments) * (np.exp(-0.5 * (bump * bump)) / _SQRT_2PI)
+    bump = bump * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
+    return ndtr(-u * math.sqrt(moments.var_d3) / sqrt_delta) + bump
 
 
 def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
@@ -190,9 +200,12 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     ``tail(lo) > p >= tail(hi)``, found by Newton steps on ``log tail``
     whose slope is the secant through the last two iterates, so the tail is
     the only formula evaluated.  The first iterate is the bump-term
-    asymptote ``sd*sqrt(2*ln(coef/(p*sqrt(2*pi))))`` (0 when that is
-    undefined), and the first slope the bump term's Gaussian slope
-    ``-max(|u|, sd)/var_d1`` there.  The evaluated heights are kept as a
+    asymptote ``sd*sqrt(2*ln(coef/(p*sqrt(2*pi))))``, else 0, and the first
+    slope the bump term's Gaussian slope ``-max(|u|, sd)/var_d1`` there.
+    Above ``tail(0) = (1 + coef/sqrt(2*pi))/2``, where ``log tail`` flattens
+    towards 1, the steps run on ``-log(1 - tail)`` (``1 - 2**-54`` where the
+    tail rounds to 1) from the Q term's quantile
+    ``ndtri(1-p)*sqrt(delta/var_d3)``.  The evaluated heights are kept as a
     bracket ``[lo, hi]``; a step that leaves the bracket, or that no falling
     slope defines, is replaced by a bisection step, or by a step of
     ``max(sd, |u|)`` while one side is still open.  Once the steps no
@@ -202,7 +215,7 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     rounding step), strides double while the crossing lies ahead, and
     bisection takes over once it is passed.  Where the rounded tail
     decreases monotonically through the crossing the pair is unique, and
-    from the asymptote a few tail evaluations find it.
+    from the asymptote a few tail evaluations find it; near 1 it is not.
 
     ``p == 1`` maps to ``-inf``.  A ``p`` below the smallest normal float
     maps to ``+inf``: no clipped tail is that small, so no height reaches it.
@@ -214,9 +227,11 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     if p < _TINY:
         return math.inf
     sd = moments.sd_d1
-    log_p = math.log(p)
     ratio = _bump_coefficient(moments) / (p * _SQRT_2PI)
-    u = sd * math.sqrt(2.0 * math.log(ratio)) if ratio > 1.0 else 0.0
+    near_one = p > 0.5 + 0.5 * p * ratio  # above tail(0), up the flat side of log tail
+    target = -math.log(1.0 - p) if near_one else math.log(p)
+    u = (sd * math.sqrt(2.0 * math.log(ratio)) if ratio > 1.0 else
+         float(ndtri(1.0 - p)) * math.sqrt(moments.delta / moments.var_d3) if near_one else 0.0)
     slope = -max(abs(u), sd) / moments.var_d1  # the bump term's slope of log tail
     lo, hi = -math.inf, math.inf
     previous = None
@@ -226,10 +241,11 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
             lo = u
         else:
             hi = u
-        log_tail = math.log(tail)
+        scale = (1.0 - tail or 2.0 ** -54) if near_one else tail  # d tail = -scale * d level
+        level = -math.log(scale) if near_one else math.log(scale)
         if previous is not None:  # the secant through the last two iterates
-            slope = (log_tail - previous[1]) / (u - previous[0])
-        nxt = u - (log_tail - log_p) / slope if slope < 0.0 else math.nan
+            slope = (level - previous[1]) / (u - previous[0])
+        nxt = u - (level - target) / slope if slope < 0.0 else math.nan
         if nxt == u:
             break
         if not lo < nxt < hi:  # also catches a NaN step
@@ -241,13 +257,13 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
                 nxt = 0.5 * (lo + hi)
                 if nxt == lo or nxt == hi:
                     return nxt
-        previous = u, log_tail
+        previous = u, level
         u = nxt
     # u is the last iterate and one end of the bracket; any open side lies ahead of it
     ahead = 1.0 if u == lo else -1.0
     # one float step, or the width of a float-level plateau of the tail if wider:
     # from u = 0 on a plateau, float steps alone would double about 1,000 times
-    stride = max(abs(math.nextafter(u, ahead * math.inf) - u), math.ulp(tail) / tail / -slope)
+    stride = max(abs(math.nextafter(u, ahead * math.inf) - u), math.ulp(tail) / scale / -slope)
     while True:
         trial = u + ahead * stride
         if lo > -math.inf and hi < math.inf:
@@ -272,4 +288,5 @@ def assign_pvalues(extrema: Extrema, moments: SpectralMoments) -> Extrema:
     against the right tail at their height; minima against the right tail
     at the negated height, by sign symmetry of the noise process.
     """
-    return replace(extrema, p_value=peak_height_tail(extrema.sign * extrema.height, moments))
+    return Extrema(extrema.index, extrema.height, extrema.sign,
+                   peak_height_tail(extrema.sign * extrema.height, moments))

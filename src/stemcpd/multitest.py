@@ -54,17 +54,23 @@ def bh_select(pvalues, alpha: float) -> BHOutcome:
     largest index whose i-th smallest p-value is strictly below i*alpha/m.
 
     The inequality is strict, so p-values exactly on the boundary are not
-    rejected.  An empty input yields no rejections with threshold 1.
+    rejected.  An empty input yields no rejections with threshold 1.  Only
+    p-values below the largest bound ``m*(alpha/m)`` can pass or be
+    rejected, so only they are sorted and compared, against the same bounds.
     """
     check_alpha(alpha)
     p = np.asarray(pvalues, dtype=float)
     m = len(p)
-    if not np.all((p > 0.0) & (p <= 1.0)):
+    # NaN propagates to both extremes; no mask is allocated
+    if not (0.0 < p.min(initial=1.0) and p.max(initial=1.0) <= 1.0):
         raise InvalidParameterError("p-values must lie in (0, 1]")
-    below = np.flatnonzero(np.sort(p) < np.arange(1, m + 1) * (alpha / max(m, 1)))
+    step = alpha / max(m, 1)
+    eligible = (p < m * step).nonzero()[0]
+    small = p[eligible]
+    below = (np.sort(small) < np.arange(1, len(small) + 1) * step).nonzero()[0]
     k = int(below[-1]) + 1 if len(below) else 0
     p_threshold = k * alpha / m if m else 1.0
-    rejected = np.flatnonzero(p < p_threshold)
+    rejected = eligible[small < p_threshold]
     rejected.flags.writeable = False
     return BHOutcome(k=k, p_threshold=p_threshold, rejected=rejected)
 

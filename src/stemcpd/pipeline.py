@@ -12,7 +12,7 @@ by linearity, calls that same function.  Candidates stay in one
 loops over them in Python.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,18 +107,18 @@ def select_change_points(
         extrema = assign_pvalues(extrema, moments)
     # without moments there are no candidates: the empty selection's height
     # threshold is -inf and does not read the moments
-    outcome = bh_select(extrema.p_value, alpha)
-    outcome = replace(outcome, u_threshold=bh_height_threshold(outcome, moments))
-    by_height = np.flatnonzero(extrema.sign * extrema.height > outcome.u_threshold)
-    if not np.array_equal(by_height, outcome.rejected):
+    selected = bh_select(extrema.p_value, alpha)
+    u_threshold = bh_height_threshold(selected, moments)
+    by_height = (extrema.sign * extrema.height > u_threshold).nonzero()[0]
+    if not np.array_equal(by_height, selected.rejected):
         raise StemcpdError(
             "p-value and height-threshold selections disagree "
-            f"({len(outcome.rejected)} vs {len(by_height)} rejections)"
+            f"({len(selected.rejected)} vs {len(by_height)} rejections)"
         )
     return DetectionResult(
         extrema=extrema,
         moments=moments,
-        outcome=outcome,
+        outcome=BHOutcome(selected.k, selected.p_threshold, selected.rejected, u_threshold),
         gamma=gamma,
         alpha=alpha,
         interior=dy.interior,

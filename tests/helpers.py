@@ -6,8 +6,9 @@ the height threshold disagree with the step-up selection.
 
 The oracles deliberately avoid the package's own code paths: plain
 loops, np.convolve, brute-force scans, the paper's closed forms and the
-whole-array code that the package's faster forms replaced, so agreement
-is meaningful.
+whole-array code that the package's faster forms replaced (among them the
+extraction, height tail, step-up rule and scorer as they were before their
+per-call cost was cut), so agreement is meaningful.
 Two oracles are exceptions.  The tail inversion bisects the package's own
 ``peak_height_tail``, since bit-for-bit agreement is only defined on the
 same tail.  The simulation replicate adds each noise draw to the truth and
@@ -21,6 +22,7 @@ import math
 from collections import namedtuple
 
 import numpy as np
+from scipy.special import ndtr
 
 from stemcpd import (
     Extrema,
@@ -38,6 +40,7 @@ from stemcpd import (
 )
 from stemcpd import pipeline
 from stemcpd.cli import InputDataError
+from stemcpd.multitest import BHOutcome, check_alpha
 
 
 def extrema_of(index, height, sign, p_value=None):
@@ -407,6 +410,109 @@ def extrema_run_length(dy):
         sign=np.where(is_max[hits], 1, -1),
         p_value=np.full(len(hits), np.nan),
     )
+
+
+# The selection stages and the scorer as they were before their fixed
+# per-call cost was cut, kept verbatim (with the private helpers they call)
+# as bit-exact oracles for the whole-array code that replaced them.
+
+
+def find_local_extrema_ties(dy):
+    """Strict local extrema of ``dy`` inside its interior as an ``Extrema``:
+    neighbours compared once, ties dropped, and each turn of the remaining
+    moves mapped back to its sample by counting the ties before it."""
+    sl = dy.interior_slice()
+    seg = dy.values[sl]
+    before, after = seg[:-1], seg[1:]
+    up = after > before
+    moves = after < before
+    moves |= up
+    rising = up[moves]
+    del up
+    # move j (counting moves only) is followed by one the other way
+    turns = np.flatnonzero(rising[1:] != rising[:-1])
+    # tie i has ties[i] - i moves before it: add the ties before each turn
+    ties = np.flatnonzero(np.logical_not(moves, out=moves))
+    del moves
+    at = turns + 1 + np.searchsorted(ties - np.arange(len(ties)), turns, side="right")
+    height = seg[at]
+    keep = height != 0.0
+    return Extrema(
+        index=at[keep] + (1 + sl.start),
+        height=height[keep],
+        sign=np.where(rising[turns[keep]], 1, -1),
+        p_value=np.full(np.count_nonzero(keep), np.nan),
+    )
+
+
+_TINY = np.finfo(float).tiny
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _phi(x):
+    """Standard Gaussian density at x."""
+    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+
+
+def _bump_coefficient(moments):
+    return _SQRT_2PI * moments.var_d2 / math.sqrt(moments.var_d3 * moments.var_d1)
+
+
+def peak_height_tail_ufuncs(u, moments):
+    """Right-tail probability of the height of a null local maximum, each
+    term one numpy call on scalars and arrays alike, clipped into (0, 1]."""
+    sd = moments.sd_d1
+    u = float(u) if isinstance(u, (float, int)) else np.asarray(u, dtype=float)
+    sqrt_delta = math.sqrt(moments.delta)
+    # past 40 sd the tail saturates: phi is exp(-800) == 0.0 and, as
+    # var_d3/delta >= 1/var_d1, the normal integral is exactly 0 or 1; an
+    # overflow beyond that (phi's square, up to +/-inf) changes nothing
+    coef = _bump_coefficient(moments)
+    with np.errstate(over="ignore"):
+        tail = ndtr(-u * math.sqrt(moments.var_d3) / sqrt_delta)
+        bump = coef * _phi(u / sd) * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
+    out = np.minimum(np.maximum(tail + bump, _TINY), 1.0)
+    return out if out.ndim else float(out)
+
+
+def bh_select_full_sort(pvalues, alpha):
+    """Step-up selection by sorting every p-value and comparing the i-th
+    smallest with i*alpha/m; p-values outside (0, 1] are refused."""
+    check_alpha(alpha)
+    p = np.asarray(pvalues, dtype=float)
+    m = len(p)
+    if not np.all((p > 0.0) & (p <= 1.0)):
+        raise InvalidParameterError("p-values must lie in (0, 1]")
+    below = np.flatnonzero(np.sort(p) < np.arange(1, m + 1) * (alpha / max(m, 1)))
+    k = int(below[-1]) + 1 if len(below) else 0
+    p_threshold = k * alpha / m if m else 1.0
+    rejected = np.flatnonzero(p < p_threshold)
+    rejected.flags.writeable = False
+    return BHOutcome(k=k, p_threshold=p_threshold, rejected=rejected)
+
+
+def _nearest_distance(points, targets):
+    fenced = np.concatenate(([-np.inf], targets, [np.inf]))
+    right = np.searchsorted(fenced, points)
+    return np.minimum(points - fenced[right - 1], fenced[right] - points)
+
+
+def classify_window_matrix(detections, truth, tolerances):
+    """The (2, T) rows of realized FDP and power, NaN without jumps, from
+    (tolerances x jumps) and (tolerances x detections) window tests on the
+    nearest distances."""
+    b = np.asarray(tolerances, dtype=float).reshape(-1, 1)
+    if not np.all(b > 0):
+        raise InvalidParameterError("tolerance must be positive")
+    pos = detections.index.astype(float)
+    raised = detections.sign > 0
+    locations = truth.locations
+    found = np.where(truth.sizes > 0, _nearest_distance(locations, np.sort(pos[raised])),
+                     _nearest_distance(locations, np.sort(pos[~raised])))  # (J,)
+    hits = found < b  # (T, J)
+    power = hits.mean(axis=1) if truth.n_jumps else np.full(len(b), np.nan)
+    n_false = len(pos) - np.count_nonzero(_nearest_distance(pos, locations) < b, axis=1)
+    return np.array((n_false / max(len(pos), 1), power))
 
 
 def step_signal_loop(jumps, length):

@@ -111,3 +111,18 @@ def test_the_interval_is_reproducible_and_brackets_the_median():
 
 def test_identical_pairs_have_a_point_interval_at_one():
     assert compare.ratio_interval(BASE, BASE) == (1.0, 1.0, 1.0)
+
+
+def _line(correct, failed, attempted):
+    return {"correct": correct, "failed": failed, "attempted": attempted, "metrics": {}}
+
+
+def test_side_summary_gives_the_median_attempted_ops():
+    """Each tree's line carries the median op count of its runs, so a
+    metric that grows with it (``simulate_grid``'s peak RSS) can be read
+    against it."""
+    lines = [_line(True, 0, 1454), _line(True, 0, 1620), _line(False, 2, 1301)]
+    assert compare.side_summary("base", lines) == (
+        "  base: 2 of 3 runs correct, 2 failed ops, median 1454 ops attempted")
+    even = [_line(True, 0, 1000), _line(True, 0, 1001)]
+    assert compare.side_summary("head", even).endswith("median 1000.5 ops attempted")

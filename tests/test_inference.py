@@ -277,6 +277,32 @@ class TestInvertPeakHeightTail:
         assert np.mean(calls) <= 4.0
         assert max(calls) <= 8
 
+    #: Tail calls per inversion at nu = 2, per gamma, at the targets of
+    #: ``test_tail_calls_are_capped`` in order, as the inversion first spent
+    #: them with the tail one ufunc per term.
+    CALL_CAPS = {2.0: (2, 2, 3, 4, 4, 5, 6, 8), 6.0: (2, 2, 3, 4, 4, 5, 5, 7),
+                 10.0: (2, 2, 3, 4, 4, 5, 5, 9), 50.0: (2, 2, 3, 4, 4, 5, 6, 6)}
+
+    def test_tail_calls_are_capped(self, monkeypatch):
+        """No target from 1e-12 to 0.5 costs more tail evaluations than it
+        did: a cheaper tail must not hide a costlier search."""
+        calls = []
+
+        def counting(u, moments):
+            calls[-1] += 1
+            return peak_height_tail(u, moments)
+
+        monkeypatch.setattr(inference, "peak_height_tail", counting)
+        spent = {}
+        for gamma in self.CALL_CAPS:
+            m = closed_form_moments(MODEL, gamma)
+            for p in (1e-12, 1e-8, 1e-4, 1e-3, 0.01, 0.05, 0.2, 0.5):
+                calls.append(0)
+                invert_peak_height_tail(p, m)
+            spent[gamma] = tuple(calls[-8:])
+        assert all(c <= cap for gamma, caps in self.CALL_CAPS.items()
+                   for c, cap in zip(spent[gamma], caps)), spent
+
     def test_plateau_at_zero_costs_no_more_than_bisection(self, monkeypatch):
         """At p = tail(0) the steps stop at u = 0, inside the plateau where
         the rounded tail equals p; the walk's first stride spans it instead
@@ -298,14 +324,13 @@ class TestInvertPeakHeightTail:
                 assert invert(p, m) == pytest.approx(0.0, abs=1e-9 * m.sd_d1)
             assert calls[-2] <= calls[-1]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="Newton starts at u = 0 and creeps up the flat left side "
-                              "of log tail: 77 and 100-104 tail calls against bisection's "
-                              "57; ROADMAP item 4")
     def test_near_one_costs_no_more_than_bisection(self, monkeypatch):
         """Targets within about 1e-10 of 1, which a BH threshold reaches for
         any alpha close enough to 1, cost no more tail evaluations than
-        bisection."""
+        bisection: the steps start at the Q term's quantile and run on
+        ``-log(1 - tail)``, which stays steep where ``log tail`` flattens
+        (40 and 52 calls against 57; from u = 0 on ``log tail`` they took 77
+        and 100-104)."""
         calls = []
 
         def counting(u, moments):

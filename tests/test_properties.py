@@ -11,7 +11,9 @@ a power of two to its own result with only the heights scaled.
 The tail inversion must land on the bracketed bisection's adjacent-float
 crossing, with no more tail evaluations, and the tail itself must
 saturate exactly from 40 standard deviations out.  Benjamini-Hochberg
-rejections can only grow with the level.  The command line's CSV
+rejections can only grow with the level.  Extraction, the height tail
+(scalar and array), the step-up rule and the scorer must equal, bit for
+bit, the former code kept in ``helpers``.  The command line's CSV
 reader and writer must read and write exactly what the row-by-row code
 they replaced did, and the reader must read, and refuse, the same at any
 piece size.
@@ -38,6 +40,7 @@ from stemcpd import (
     SpectralMoments,
     TimeSeries,
     bh_select,
+    classify,
     closed_form_moments,
     detect_change_points,
     find_local_extrema,
@@ -502,6 +505,149 @@ class TestBHMonotoneInAlpha:
     def test_rejections_grow_with_alpha(self, p, alphas):
         low, high = sorted(alphas)
         assert set(bh_select(p, low).rejected) <= set(bh_select(p, high).rejected)
+
+
+@st.composite
+def spectral_moments(draw):
+    """Valid moments with derivative variances from 1e-100 to 1e100."""
+    log_var = st.floats(-100.0, 100.0)
+    var_d1, var_d3 = (10.0 ** draw(log_var) for _ in range(2))
+    rho = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    try:
+        return SpectralMoments(var_d1, rho * math.sqrt(var_d1 * var_d3), var_d3)
+    except InvalidParameterError:  # var_d2 rounded to 0, or delta to <= 0
+        reject()
+
+
+@st.composite
+def heights(draw, moments):
+    """Heights in units of the moments' sd: within a few sd, past the 40 sd
+    where the tail saturates, beyond 1e154 sd where a square overflows,
+    and the non-finite ones."""
+    sd = moments.sd_d1
+    scaled = st.one_of(st.floats(-6.0, 6.0), st.floats(-45.0, 45.0), st.floats(40.0, 1e200),
+                       st.floats(-1e200, -40.0), st.floats(1e154, 1e300))
+    special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+    return draw(st.lists(scaled.map(lambda x: x * sd) | special, max_size=40))
+
+
+@st.composite
+def scoring_inputs(draw):
+    """Detections of mixed sign, in any order and with repeats, against no
+    jumps or jumps of both signs at integer, quarter or arbitrary
+    locations; tolerances unsorted, with repeats and the distances
+    themselves."""
+    length = 200
+    steps = draw(st.lists(st.integers(4, 4 * length), max_size=14, unique=True))
+    floats = draw(st.lists(st.floats(1.0, float(length)), max_size=3))
+    locations = sorted(set([q / 4.0 for q in steps] + floats))
+    sizes = draw(st.lists(st.sampled_from([-1.5, -1.0, 0.5, 2.0]),
+                          min_size=len(locations), max_size=len(locations)))
+    index = draw(st.lists(st.integers(1, length), max_size=30))
+    sign = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(index), max_size=len(index)))
+    distances = [abs(i - v) for i in index for v in locations if 0 < abs(i - v) < 40]
+    grid_b = st.one_of(st.floats(0.25, 30.0), st.sampled_from([0.5, 1.0, 2.0, math.inf]),
+                       *([st.sampled_from(distances)] if distances else []))
+    tolerances = draw(st.lists(grid_b, max_size=9))
+    return index, sign, tuple(zip(locations, sizes)), tuple(tolerances)
+
+
+class TestStagesEqualTheirFormerCode:
+    """The selection stages and the scorer, cut to fewer and larger numpy
+    calls, against their former code kept in ``helpers``: bit for bit on
+    int64 views, dtype for dtype, and refusing the same inputs."""
+
+    @SETTINGS
+    @given(
+        runs=st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 9)), max_size=30),
+        noise=st.integers(0, 2**32 - 1) | st.none(),
+        cut=st.tuples(st.integers(0, 300), st.integers(0, 300)),
+    )
+    @example(runs=[], noise=None, cut=(0, 0))  # empty
+    @example(runs=[(1, 40)], noise=None, cut=(0, 300))  # constant: no candidates
+    @example(runs=[(0, 5), (1, 5), (0, 5), (-1, 5), (0, 5)], noise=None, cut=(0, 300))  # zeros
+    @example(runs=[(1, 1), (2, 1), (3, 1), (4, 1)], noise=None, cut=(0, 300))  # monotone
+    def test_extraction(self, runs, noise, cut):
+        """Sequences of plateaus, with exact zeros, with no candidates at
+        all, and the same plateaus with noise added to some of them."""
+        y = np.repeat([float(v) for v, _ in runs], [n for _, n in runs])
+        if noise is not None:  # noise on some samples breaks some plateaus
+            rng = np.random.default_rng(noise)
+            y += np.where(rng.random(len(y)) < 0.3, rng.standard_normal(len(y)), 0.0)
+        lo, hi = sorted(min(c, len(y)) for c in cut)
+        dy = TimeSeries(y, interior=(lo, hi))
+        found, former = find_local_extrema(dy), helpers.find_local_extrema_ties(dy)
+        for name in FIELDS:
+            mine, theirs = getattr(found, name), getattr(former, name)
+            assert mine.dtype == theirs.dtype, name
+            assert np.array_equal(mine.view(np.int64), theirs.view(np.int64)), name
+
+    @SETTINGS
+    @given(data=st.data(), moments=spectral_moments())
+    @example(data=None, moments=SpectralMoments(1.0, 0.5, 1.0))
+    def test_tail_array_and_scalar(self, data, moments):
+        """Random valid moments and heights from the centre to past 1e154
+        sd, inf and NaN: the array call equals the former code's, and each
+        scalar call equals the array call's element."""
+        u = (data.draw(heights(moments)) if data is not None
+             else [0.0, -0.0, 40.0, -1e155, 1e300, math.inf, -math.inf, math.nan])
+        array = peak_height_tail(np.array(u, dtype=float), moments)
+        former = helpers.peak_height_tail_ufuncs(np.array(u, dtype=float), moments)
+        assert array.dtype == former.dtype == np.float64
+        assert bits(array).tolist() == bits(former).tolist()
+        scalars = [peak_height_tail(x, moments) for x in u]
+        assert all(type(x) is float for x in scalars)
+        assert bits(scalars).tolist() == bits(array).tolist()
+
+    @SETTINGS
+    @given(
+        p=st.lists(st.floats(1e-300, 1.0) | st.sampled_from([1e-4, 0.01, 0.05, 1.0])
+                   | st.floats(0.0, 1e-3), max_size=80),
+        alpha=st.floats(1e-6, 1.0, exclude_max=True) | st.sampled_from([0.01, 0.05, 0.5]),
+        spoil=st.sampled_from([None, 0.0, -0.5, 1.5, math.nan, math.inf]),
+    )
+    # 11*(0.05/11) rounds above 0.05, so a p-value of 0.05 passes the 11th bound
+    @example(p=[i * 0.05 / 22 for i in range(1, 11)] + [0.05], alpha=0.05, spoil=None)
+    def test_step_up(self, p, alpha, spoil):
+        """Step-up selection, p-values on the bounds ``i*(alpha/m)``, on the
+        thresholds ``i*alpha/m`` and ties included; a zero, negative, too
+        large or NaN p-value is refused by both."""
+        if spoil is not None:
+            p = p + [spoil]
+        third = len(p) // 3
+        p[:third] = [min(1.0, (i + 1) * (alpha / len(p))) for i in range(third)]
+        p[third : 2 * third] = [min(1.0, (i + 1) * alpha / len(p)) for i in range(third)]
+        outcomes = []
+        for select in (bh_select, helpers.bh_select_full_sort):
+            try:
+                outcomes.append(select(p, alpha))
+            except InvalidParameterError as exc:
+                outcomes.append(str(exc))
+        mine, former = outcomes
+        if isinstance(former, str):
+            assert mine == former
+            return
+        assert (mine.k, bits(mine.p_threshold).tolist()) == (former.k,
+                                                            bits(former.p_threshold).tolist())
+        assert mine.rejected.dtype == former.rejected.dtype
+        assert np.array_equal(mine.rejected, former.rejected)
+        assert not mine.rejected.flags.writeable
+
+    @settings(SETTINGS, max_examples=200)
+    @given(case=scoring_inputs())
+    @example(case=([15, 15, 25], [1, -1, -1], ((10.0, 1.0), (20.0, -2.0), (30.0, 0.5)),
+                   (5.0, 5.5, 0.5)))
+    @example(case=([], [], (), (3.0,)))
+    def test_scoring(self, case):
+        """Realized FDP and power rows with mixed signs, jumps of both
+        signs or none, and any tolerances: equal to the former code's."""
+        index, sign, jumps, tolerances = case
+        detections = extrema_of(index, [float(s) for s in sign], sign)
+        truth = PiecewiseSignal(jumps, 200)
+        mine = classify(detections, truth, tolerances)
+        former = helpers.classify_window_matrix(detections, truth, tolerances)
+        assert mine.dtype == former.dtype == np.float64 and mine.shape == former.shape
+        assert bits(mine).tolist() == bits(former).tolist()
 
 
 class TestStepSignal:

@@ -9,15 +9,18 @@ and the tree that runs first alternates from pair to pair.  Both trees run
 the same workload and seed for ``run_seconds`` of ``BENCHMARK.json``, and
 each run imports the package from its own tree.
 
-For each end-to-end metric in ``BENCHMARK.json`` the script prints both
-trees' medians and quartiles, the pairs the working tree wins (ties count
-for neither), the change of the median and whether it stays within the
-metric's bound, the median of the per-pair ratios head/base with a 95%
-bootstrap interval of that median (the pairs resampled with replacement,
-from a fixed seed), and whether a gain may be claimed: the working tree
-wins at least nine tenths of at least ten pairs, its median is better than
-the base median by more than the base runs' interquartile range, and the
-ratio's interval lies wholly on the metric's better side of 1.
+Each tree's line gives its correct runs, its failed operations and the
+median number of operations a run attempted, which a per-run metric such
+as ``simulate_grid``'s ``peak_rss_mb`` grows with.  For each end-to-end
+metric in ``BENCHMARK.json`` the script then prints both trees' medians
+and quartiles, the pairs the working tree wins (ties count for neither),
+the change of the median and whether it stays within the metric's bound,
+the median of the per-pair ratios head/base with a 95% bootstrap interval
+of that median (the pairs resampled with replacement, from a fixed seed),
+and whether a gain may be claimed: the working tree wins at least nine
+tenths of at least ten pairs, its median is better than the base median
+by more than the base runs' interquartile range, and the ratio's interval
+lies wholly on the metric's better side of 1.
 """
 
 import argparse
@@ -72,6 +75,16 @@ def summarize(base, head, better: str, bound: float) -> dict:
     }
 
 
+def side_summary(side: str, lines) -> str:
+    """One tree's line: its correct runs, failed operations and median
+    attempted operations, from the result lines of its runs."""
+    correct = sum(line["correct"] for line in lines)
+    failed = sum(line["failed"] for line in lines)
+    attempted = np.median([line["attempted"] for line in lines])
+    return (f"  {side}: {correct} of {len(lines)} runs correct, {failed} failed ops, "
+            f"median {attempted:g} ops attempted")
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one untraced benchmark run of ``tree``."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -118,9 +131,7 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {args.base} (base) against the working tree (head), "
           f"{args.pairs} pairs, seed {args.seed}, {seconds:g} s runs")
     for side, lines in runs.items():
-        correct = sum(line["correct"] for line in lines)
-        failed = sum(line["failed"] for line in lines)
-        print(f"  {side}: {correct} of {len(lines)} runs correct, {failed} failed ops")
+        print(side_summary(side, lines))
     print(f"  {'metric':26s} {'base median [q1, q3]':38s} {'head median [q1, q3]':38s} "
           f"{'wins':>6s} {'change':>8s}  within bound  {'head/base [95% interval]':30s} claim")
     for metric in manifest["end_to_end"]:
