@@ -8,9 +8,9 @@ either in closed form (Gaussian autocorrelation model) or from trimmed
 empirical variances of the observed smoothed derivatives.  P-values for a
 whole candidate set come from one array evaluation of the height tail; the
 height threshold inverts that same tail, one Python float at a time, by
-secant-slope Newton steps on its logarithm (its complement's near 1),
-and ends on the adjacent floats that bracket the target.  The tail is the
-one place the null height law is written.
+secant-slope Newton steps on its logarithm, and ends on the adjacent
+floats that bracket the target.  The tail is the one place the null height
+law is written.
 """
 
 import math
@@ -187,8 +187,7 @@ def _tail_sum(u, moments: SpectralMoments):
     """``peak_height_tail`` before its clip, for a float or an array ``u``."""
     sd = moments.sd_d1
     sqrt_delta = math.sqrt(moments.delta)
-    bump = u / sd  # the bump term first and in one name, so no extra array stays alive
-    bump = _bump_coefficient(moments) * (np.exp(-0.5 * (bump * bump)) / _SQRT_2PI)
+    bump = _bump_coefficient(moments) * _phi(u / sd)  # first, so fewer arrays are alive at once
     bump = bump * ndtr(u * moments.var_d2 / (sd * sqrt_delta))
     return ndtr(-u * math.sqrt(moments.var_d3) / sqrt_delta) + bump
 
@@ -200,12 +199,9 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     ``tail(lo) > p >= tail(hi)``, found by Newton steps on ``log tail``
     whose slope is the secant through the last two iterates, so the tail is
     the only formula evaluated.  The first iterate is the bump-term
-    asymptote ``sd*sqrt(2*ln(coef/(p*sqrt(2*pi))))``, else 0, and the first
-    slope the bump term's Gaussian slope ``-max(|u|, sd)/var_d1`` there.
-    Above ``tail(0) = (1 + coef/sqrt(2*pi))/2``, where ``log tail`` flattens
-    towards 1, the steps run on ``-log(1 - tail)`` (``1 - 2**-54`` where the
-    tail rounds to 1) from the Q term's quantile
-    ``ndtri(1-p)*sqrt(delta/var_d3)``.  The evaluated heights are kept as a
+    asymptote ``sd*sqrt(2*ln(coef/(p*sqrt(2*pi))))`` (0 when that is
+    undefined), and the first slope the bump term's Gaussian slope
+    ``-max(|u|, sd)/var_d1`` there.  The evaluated heights are kept as a
     bracket ``[lo, hi]``; a step that leaves the bracket, or that no falling
     slope defines, is replaced by a bisection step, or by a step of
     ``max(sd, |u|)`` while one side is still open.  Once the steps no
@@ -215,7 +211,7 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     rounding step), strides double while the crossing lies ahead, and
     bisection takes over once it is passed.  Where the rounded tail
     decreases monotonically through the crossing the pair is unique, and
-    from the asymptote a few tail evaluations find it; near 1 it is not.
+    from the asymptote a few tail evaluations find it.
 
     ``p == 1`` maps to ``-inf``.  A ``p`` below the smallest normal float
     maps to ``+inf``: no clipped tail is that small, so no height reaches it.
@@ -227,11 +223,9 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
     if p < _TINY:
         return math.inf
     sd = moments.sd_d1
+    log_p = math.log(p)
     ratio = _bump_coefficient(moments) / (p * _SQRT_2PI)
-    near_one = p > 0.5 + 0.5 * p * ratio  # above tail(0), up the flat side of log tail
-    target = -math.log(1.0 - p) if near_one else math.log(p)
-    u = (sd * math.sqrt(2.0 * math.log(ratio)) if ratio > 1.0 else
-         float(ndtri(1.0 - p)) * math.sqrt(moments.delta / moments.var_d3) if near_one else 0.0)
+    u = sd * math.sqrt(2.0 * math.log(ratio)) if ratio > 1.0 else 0.0
     slope = -max(abs(u), sd) / moments.var_d1  # the bump term's slope of log tail
     lo, hi = -math.inf, math.inf
     previous = None
@@ -241,11 +235,10 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
             lo = u
         else:
             hi = u
-        scale = (1.0 - tail or 2.0 ** -54) if near_one else tail  # d tail = -scale * d level
-        level = -math.log(scale) if near_one else math.log(scale)
+        log_tail = math.log(tail)
         if previous is not None:  # the secant through the last two iterates
-            slope = (level - previous[1]) / (u - previous[0])
-        nxt = u - (level - target) / slope if slope < 0.0 else math.nan
+            slope = (log_tail - previous[1]) / (u - previous[0])
+        nxt = u - (log_tail - log_p) / slope if slope < 0.0 else math.nan
         if nxt == u:
             break
         if not lo < nxt < hi:  # also catches a NaN step
@@ -257,13 +250,13 @@ def invert_peak_height_tail(p: float, moments: SpectralMoments) -> float:
                 nxt = 0.5 * (lo + hi)
                 if nxt == lo or nxt == hi:
                     return nxt
-        previous = u, level
+        previous = u, log_tail
         u = nxt
     # u is the last iterate and one end of the bracket; any open side lies ahead of it
     ahead = 1.0 if u == lo else -1.0
     # one float step, or the width of a float-level plateau of the tail if wider:
     # from u = 0 on a plateau, float steps alone would double about 1,000 times
-    stride = max(abs(math.nextafter(u, ahead * math.inf) - u), math.ulp(tail) / scale / -slope)
+    stride = max(abs(math.nextafter(u, ahead * math.inf) - u), math.ulp(tail) / tail / -slope)
     while True:
         trial = u + ahead * stride
         if lo > -math.inf and hi < math.inf:

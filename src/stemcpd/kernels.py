@@ -30,7 +30,7 @@ _BLOCK = 32768
 
 def _phi(x):
     """Standard Gaussian density at x."""
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+    return np.exp(-0.5 * (x * x)) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
