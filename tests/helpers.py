@@ -100,6 +100,17 @@ def step_up_limit(moments, gamma, density, alpha):
     return null_fraction, q_star, m0 * q_star / (density + m0 * q_star)
 
 
+#: Step-up inputs whose last p-value equals alpha, at an m where
+#: ``m*(alpha/m)`` rounds above alpha but ``(m*alpha)/m`` does not (m 11 and
+#: 22 at 0.05, 37 at 0.3): a rule that picks k with one rounding of the bound
+#: and the rejected set with the other reports k = m above m - 1 rejections.
+ROUNDED_BOUND_CASES = (
+    ([i * 0.05 / 22 for i in range(1, 11)] + [0.05], 0.05),
+    ([i * 0.05 / 44 for i in range(1, 22)] + [0.05], 0.05),
+    ([i * 0.3 / 74 for i in range(1, 37)] + [0.3], 0.3),
+)
+
+
 def bh_bruteforce(pvalues, alpha):
     """Step-up rule by scanning i from m down to 1 (strict inequality)."""
     p = list(pvalues)
@@ -414,7 +425,9 @@ def extrema_run_length(dy):
 
 # The selection stages and the scorer as they were before their fixed
 # per-call cost was cut, kept verbatim (with the private helpers they call)
-# as bit-exact oracles for the whole-array code that replaced them.
+# as bit-exact oracles for the whole-array code that replaced them.  The
+# step-up copy's bounds are ``(i*alpha)/m``, the expression its threshold
+# uses, so that k and the rejected set agree (``ROUNDED_BOUND_CASES``).
 
 
 def find_local_extrema_ties(dy):
@@ -477,13 +490,13 @@ def peak_height_tail_ufuncs(u, moments):
 
 def bh_select_full_sort(pvalues, alpha):
     """Step-up selection by sorting every p-value and comparing the i-th
-    smallest with i*alpha/m; p-values outside (0, 1] are refused."""
+    smallest with ``(i*alpha)/m``; p-values outside (0, 1] are refused."""
     check_alpha(alpha)
     p = np.asarray(pvalues, dtype=float)
     m = len(p)
     if not np.all((p > 0.0) & (p <= 1.0)):
         raise InvalidParameterError("p-values must lie in (0, 1]")
-    below = np.flatnonzero(np.sort(p) < np.arange(1, m + 1) * (alpha / max(m, 1)))
+    below = np.flatnonzero(np.sort(p) < np.arange(1, m + 1) * alpha / max(m, 1))
     k = int(below[-1]) + 1 if len(below) else 0
     p_threshold = k * alpha / m if m else 1.0
     rejected = np.flatnonzero(p < p_threshold)

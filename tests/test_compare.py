@@ -1,5 +1,6 @@
 """The paired-run summary of ``tools/compare.py``, on synthetic numbers."""
 
+import argparse
 import importlib.util
 import math
 from pathlib import Path
@@ -126,3 +127,22 @@ def test_side_summary_gives_the_median_attempted_ops():
         "  base: 2 of 3 runs correct, 2 failed ops, median 1454 ops attempted")
     even = [_line(True, 0, 1000), _line(True, 0, 1001)]
     assert compare.side_summary("head", even).endswith("median 1000.5 ops attempted")
+
+
+def _args(base="HEAD~1"):
+    return argparse.Namespace(workload="simulate_grid", base=base, pairs=10, seed=0)
+
+
+def test_header_names_both_commits():
+    """The summary names the commit BASE resolves to and the head commit,
+    so a paired-run number can be traced to exactly what it compared."""
+    assert compare.header(_args(), 30, "a" * 40, "b" * 40, dirty=False) == (
+        f"simulate_grid: base HEAD~1 ({'a' * 40}) against the working tree at {'b' * 40} "
+        "(head), 10 pairs, seed 0, 30 s runs")
+
+
+def test_header_marks_uncommitted_changes():
+    line = compare.header(_args("main"), 2.5, "a" * 40, "b" * 40, dirty=True)
+    assert f"at {'b' * 40} + uncommitted changes (head)" in line
+    assert line.startswith(f"simulate_grid: base main ({'a' * 40})")
+    assert line.endswith("2.5 s runs")

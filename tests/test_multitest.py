@@ -18,7 +18,7 @@ from stemcpd import (
     peak_height_tail,
 )
 
-from helpers import bh_bruteforce
+from helpers import ROUNDED_BOUND_CASES, bh_bruteforce
 
 MOMENTS = closed_form_moments(NoiseModel(1.0, 2.0), 6.0)
 
@@ -76,6 +76,17 @@ class TestBHSelect:
             assert out.k == k
             assert set(out.rejected) == rejected
             assert out.p_threshold == pytest.approx(thr)
+
+    @pytest.mark.parametrize("p,alpha", ROUNDED_BOUND_CASES,
+                             ids=[f"m{len(p)}" for p, _ in ROUNDED_BOUND_CASES])
+    def test_one_rounding_decides_k_and_the_rejections(self, p, alpha):
+        """The last p-value is alpha, which passes the bound ``m*(alpha/m)``
+        but not ``(m*alpha)/m``: k counts the rejections, the m - 1 others."""
+        out = bh_select(p, alpha)
+        k, threshold, rejected = bh_bruteforce(p, alpha)
+        assert out.k == len(out.rejected) == k == len(p) - 1
+        assert set(out.rejected.tolist()) == rejected
+        assert out.p_threshold == threshold
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(19)

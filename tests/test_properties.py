@@ -13,7 +13,8 @@ crossing, with no more tail evaluations, and the tail itself must
 saturate exactly from 40 standard deviations out.  Benjamini-Hochberg
 rejections can only grow with the level.  Extraction, the height tail
 (scalar and array), the step-up rule and the scorer must equal, bit for
-bit, the former code kept in ``helpers``.  The command line's CSV
+bit, the former code kept in ``helpers``, and the step-up rule the literal
+scan too, with exactly k rejections.  The command line's CSV
 reader and writer must read and write exactly what the row-by-row code
 they replaced did, and the reader must read, and refuse, the same at any
 piece size.
@@ -555,7 +556,8 @@ def scoring_inputs(draw):
 class TestStagesEqualTheirFormerCode:
     """The selection stages and the scorer, cut to fewer and larger numpy
     calls, against their former code kept in ``helpers``: bit for bit on
-    int64 views, dtype for dtype, and refusing the same inputs."""
+    int64 views, dtype for dtype, and refusing the same inputs.  The
+    step-up's copy uses the literal scan's bounds ``(i*alpha)/m``."""
 
     @SETTINGS
     @given(
@@ -606,14 +608,18 @@ class TestStagesEqualTheirFormerCode:
         alpha=st.floats(1e-6, 1.0, exclude_max=True) | st.sampled_from([0.01, 0.05, 0.5]),
         spoil=st.sampled_from([None, 0.0, -0.5, 1.5, math.nan, math.inf]),
     )
-    # 11*(0.05/11) rounds above 0.05, so a p-value of 0.05 passes the 11th bound
-    @example(p=[i * 0.05 / 22 for i in range(1, 11)] + [0.05], alpha=0.05, spoil=None)
+    # m*(alpha/m) rounds above alpha, (m*alpha)/m does not: the last p-value
+    # is alpha, which only the bound i*(alpha/m) would let pass
+    @example(p=helpers.ROUNDED_BOUND_CASES[0][0], alpha=0.05, spoil=None)
+    @example(p=helpers.ROUNDED_BOUND_CASES[1][0], alpha=0.05, spoil=None)
+    @example(p=helpers.ROUNDED_BOUND_CASES[2][0], alpha=0.3, spoil=None)
     def test_step_up(self, p, alpha, spoil):
-        """Step-up selection, p-values on the bounds ``i*(alpha/m)``, on the
-        thresholds ``i*alpha/m`` and ties included; a zero, negative, too
-        large or NaN p-value is refused by both."""
-        if spoil is not None:
-            p = p + [spoil]
+        """Step-up selection, p-values on both roundings of the bound,
+        ``i*(alpha/m)`` and ``(i*alpha)/m``, and ties included: equal to the
+        full-sort reference and to the literal scan ``bh_bruteforce`` in k,
+        threshold bits and rejected set, which holds exactly k p-values; a
+        zero, negative, too large or NaN p-value is refused by both."""
+        p = list(p) if spoil is None else p + [spoil]
         third = len(p) // 3
         p[:third] = [min(1.0, (i + 1) * (alpha / len(p))) for i in range(third)]
         p[third : 2 * third] = [min(1.0, (i + 1) * alpha / len(p)) for i in range(third)]
@@ -632,6 +638,9 @@ class TestStagesEqualTheirFormerCode:
         assert mine.rejected.dtype == former.rejected.dtype
         assert np.array_equal(mine.rejected, former.rejected)
         assert not mine.rejected.flags.writeable
+        k, threshold, rejected = helpers.bh_bruteforce(p, alpha)
+        assert (mine.k, bits(mine.p_threshold).tolist()) == (k, bits(threshold).tolist())
+        assert set(mine.rejected.tolist()) == rejected and len(mine.rejected) == k
 
     @settings(SETTINGS, max_examples=200)
     @given(case=scoring_inputs())

@@ -9,6 +9,9 @@ and the tree that runs first alternates from pair to pair.  Both trees run
 the same workload and seed for ``run_seconds`` of ``BENCHMARK.json``, and
 each run imports the package from its own tree.
 
+The summary's first line names the workload, the commit BASE resolves to
+and the commit the working tree is at when the script starts, with "+
+uncommitted changes" when ``git status --porcelain`` then lists any change.
 Each tree's line gives its correct runs, its failed operations and the
 median number of operations a run attempted, which a per-run metric such
 as ``simulate_grid``'s ``peak_rss_mb`` grows with.  For each end-to-end
@@ -85,6 +88,21 @@ def side_summary(side: str, lines) -> str:
             f"median {attempted:g} ops attempted")
 
 
+def git(*argv: str) -> str:
+    """The stripped output of ``git argv`` in this repository."""
+    return subprocess.run(["git", "-C", str(ROOT), *argv], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def header(args, seconds: float, base_commit: str, head_commit: str, dirty: bool) -> str:
+    """The summary's first line: the workload, BASE and the commit it
+    resolves to, the head commit (with "+ uncommitted changes" when
+    ``dirty``), and the pairs, seed and run length."""
+    head = head_commit + (" + uncommitted changes" if dirty else "")
+    return (f"{args.workload}: base {args.base} ({base_commit}) against the working tree at "
+            f"{head} (head), {args.pairs} pairs, seed {args.seed}, {seconds:g} s runs")
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one untraced benchmark run of ``tree``."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -116,9 +134,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = manifest["run_seconds"]
+    base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    title = header(args, seconds, base_commit, git("rev-parse", "HEAD"),
+                   bool(git("status", "--porcelain")))
     runs = {"base": [], "head": []}
     with tempfile.TemporaryDirectory(prefix="compare-base-") as tmp:
-        export(args.base, Path(tmp))
+        export(base_commit, Path(tmp))
         trees = {"base": Path(tmp), "head": ROOT}
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -128,8 +149,7 @@ def main(argv=None) -> int:
                                f"{runs['head'][-1]['metrics'][m]['value']:.6g}"
                                for m in runs["head"][-1]["metrics"])
             print(f"pair {i + 1} ({order[0]} first)  {values}", flush=True)
-    print(f"\n{args.workload}: {args.base} (base) against the working tree (head), "
-          f"{args.pairs} pairs, seed {args.seed}, {seconds:g} s runs")
+    print(f"\n{title}")
     for side, lines in runs.items():
         print(side_summary(side, lines))
     print(f"  {'metric':26s} {'base median [q1, q3]':38s} {'head median [q1, q3]':38s} "
