@@ -4,8 +4,9 @@ and theory curves.  CSV in, CSV out; plots are left to downstream tools.
 Outputs carry a header row, then data rows, then footer metadata lines
 prefixed with '#'.  A refusal prints one ``stemcpd <command>: error:``
 line and exits 2 when it is one of the subcommand's ``input_errors``, else
-3.  The STEMCPD_THREADS environment variable caps simulation parallelism;
-unset or not an integer, it reads as 1.
+3.  ``detect`` uses closed-form moments given both ``--sigma`` and ``--nu``,
+and empirical ones given neither.  STEMCPD_THREADS, a positive integer,
+caps simulation parallelism; unset, it reads as 1.
 """
 
 import argparse
@@ -268,33 +269,30 @@ def parse_detection_csv(path: str):
             if not parts:
                 continue
             if parts[0].startswith("#"):
-                key = parts[0].lstrip("# ").strip()
-                meta[key] = parts[1] if len(parts) > 1 else ""
-                continue
-            rows.append(parts)
-    header, data = rows[0], rows[1:]
-    return [dict(zip(header, row)) for row in data], meta
+                meta[parts[0].lstrip("# ").strip()] = parts[1] if len(parts) > 1 else ""
+            else:
+                rows.append(parts)
+    return [dict(zip(rows[0], row)) for row in rows[1:]], meta
 
 
 def cmd_detect(args) -> int:
+    if (args.sigma is None) != (args.nu is None):
+        missing = "--sigma" if args.sigma is None else "--nu"
+        raise StemcpdError(f"closed-form moments need both --sigma and --nu; {missing} is missing")
+    model = None if args.sigma is None else NoiseModel(sigma=args.sigma, nu=args.nu)
+    source = (f"empirical(trim={inference._TRIM:g})" if model is None
+              else f"closed(sigma={args.sigma:g},nu={args.nu:g})")
     values, positions = read_sequence_csv(args.input)
-    series = TimeSeries(values)
-    if args.moments == "closed":
-        model = NoiseModel(sigma=args.sigma, nu=args.nu)
-        source = f"closed(sigma={args.sigma:g},nu={args.nu:g})"
-    else:
-        model = None
-        source = f"empirical(trim={inference._TRIM:g})"
-    result = detect_change_points(series, args.gamma, args.alpha, noise_model=model)
+    result = detect_change_points(TimeSeries(values), args.gamma, args.alpha, noise_model=model)
     write_detection_csv(args.output, result, positions, source)
     return 0
 
 
 def _threads() -> int:
-    try:
-        return int(os.environ.get("STEMCPD_THREADS", ""))
-    except ValueError:
-        return 1
+    text = os.environ.get("STEMCPD_THREADS", "1")
+    if text.strip().isdecimal() and int(text) > 0:
+        return int(text)
+    raise StemcpdError(f"STEMCPD_THREADS must be a positive integer, got {text!r}")
 
 
 def cmd_simulate(args) -> int:
@@ -328,22 +326,24 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", required=True)
     common.add_argument("--alpha", type=float, default=SimulateRequest.alpha, help="FDR level")
-    common.add_argument("--sigma", type=float, default=SimulateRequest.sigma)
-    common.add_argument("--nu", type=float, default=SimulateRequest.nu)
-    grids = argparse.ArgumentParser(add_help=False)
-    grids.add_argument("--jump", dest="jumps", type=_float_list,
+    # simulate and theory only; detect's --sigma/--nu have no default (parents share actions)
+    design = argparse.ArgumentParser(add_help=False)
+    design.add_argument("--sigma", type=float, default=SimulateRequest.sigma)
+    design.add_argument("--nu", type=float, default=SimulateRequest.nu)
+    design.add_argument("--jump", dest="jumps", type=_float_list,
                        default=SimulateRequest.jumps,
                        help="comma-separated jump sizes (0 for a null cell)")
-    grids.add_argument("--grid-gamma", dest="gammas", type=_float_list,
+    design.add_argument("--grid-gamma", dest="gammas", type=_float_list,
                        default=SimulateRequest.gammas)
 
     p = sub.add_parser("detect", parents=[common], help="detect change points in a CSV sequence")
     p.add_argument("--input", required=True)
     p.add_argument("--gamma", type=float, required=True, help="smoothing bandwidth")
-    p.add_argument("--moments", choices=("closed", "empirical"), default="empirical")
+    for name in ("--sigma", "--nu"):
+        p.add_argument(name, type=float, help="with both, closed-form moments (default: empirical)")
     p.set_defaults(func=cmd_detect, input_errors=(InputDataError, OSError))
 
-    p = sub.add_parser("simulate", parents=[common, grids],
+    p = sub.add_parser("simulate", parents=[common, design],
                        help="run a replicated simulation grid")
     p.add_argument("--length", type=int, default=SimulateRequest.length)
     p.add_argument("--separation", type=int, default=SimulateRequest.separation)
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first replicate index (for split runs)")
     p.set_defaults(func=cmd_simulate, input_errors=(StemcpdError, OSError))
 
-    p = sub.add_parser("theory", parents=[common, grids], help="emit analytic curves and bounds")
+    p = sub.add_parser("theory", parents=[common, design], help="emit analytic curves and bounds")
     p.add_argument("--density", type=float, default=1.0 / SimulateRequest.separation,
                    help="expected change points per unit length")
     p.set_defaults(func=cmd_theory, input_errors=(StemcpdError, OSError))

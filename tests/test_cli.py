@@ -14,8 +14,10 @@ from scipy.stats import norm
 
 from stemcpd import cli
 from stemcpd.cli import (InputDataError, build_parser, main, parse_detection_csv,
-                         read_sequence_csv)
+                         read_sequence_csv, write_detection_csv)
 from stemcpd.harness import SimulateRequest
+from stemcpd.pipeline import detect_change_points
+from stemcpd.signals import NoiseModel, TimeSeries
 
 from helpers import bh_bruteforce, break_height_threshold, gauss_kernel_samples, reference_tail
 
@@ -27,6 +29,8 @@ SIMULATE_NULL_GOLDEN = DATA / "simulate_null_golden.csv"
 SIMULATE_GRID_GOLDEN = DATA / "simulate_grid_golden.csv"
 THEORY_GOLDEN = DATA / "theory_golden.csv"
 NULL_SEQ = DATA / "null_sequence.csv"
+#: ``detect``'s closed-form moments at the design noise model.
+DESIGN_NOISE = ("--sigma", 1, "--nu", 2)
 
 
 def run(*argv):
@@ -37,7 +41,7 @@ class TestDetectCommand:
     def test_golden_fixture_byte_exact(self, tmp_path):
         out = tmp_path / "out.csv"
         code = run("detect", "--input", CGH, "--output", out,
-                   "--gamma", 10, "--alpha", 0.2, "--moments", "empirical")
+                   "--gamma", 10, "--alpha", 0.2)
         assert code == 0
         assert out.read_bytes() == GOLDEN.read_bytes()
 
@@ -113,20 +117,47 @@ class TestDetectCommand:
     def test_null_fixture_yields_no_detections(self, tmp_path):
         out = tmp_path / "out.csv"
         code = run("detect", "--input", NULL_SEQ, "--output", out,
-                   "--gamma", 6, "--alpha", 0.05, "--moments", "closed",
-                   "--sigma", 1.0, "--nu", 2.0)
+                   "--gamma", 6, "--alpha", 0.05, "--sigma", 1.0, "--nu", 2.0)
         assert code == 0
         rows, meta = parse_detection_csv(str(out))
         assert meta["k"] == "0"
         assert all(r["significant"] == "0" for r in rows)
 
-    @pytest.mark.parametrize("source", ["closed", "empirical"])
-    def test_constant_input_clean_exit(self, tmp_path, source):
+    @pytest.mark.parametrize("path", [NULL_SEQ, CGH], ids=["null_sequence", "cgh_like"])
+    @pytest.mark.parametrize("sigma, nu", [(1.0, 2.0), (0.2, 0.0)])
+    def test_noise_flags_are_the_library_noise_model(self, tmp_path, path, sigma, nu):
+        """``--sigma s --nu n`` writes what the library writes with
+        ``NoiseModel(s, n)``, the moment source named in the footer."""
+        out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
+        assert run("detect", "--input", path, "--output", out, "--gamma", 6,
+                   "--sigma", sigma, "--nu", nu) == 0
+        values, positions = read_sequence_csv(str(path))
+        result = detect_change_points(TimeSeries(values), 6.0, 0.05,
+                                      noise_model=NoiseModel(sigma, nu))
+        write_detection_csv(expected, result, positions, f"closed(sigma={sigma:g},nu={nu:g})")
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_no_moments_switch(self, tmp_path, capsys):
+        """The noise flags alone choose the moments: ``--moments`` is gone."""
+        with pytest.raises(SystemExit) as info:
+            run("detect", "--help")
+        usage = capsys.readouterr().out
+        assert info.value.code == 0 and "--sigma" in usage and "--moments" not in usage
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            run("detect", "--input", NULL_SEQ, "--output", out, "--gamma", 6,
+                "--moments", "closed")
+        assert info.value.code == 2 and not out.exists()
+        assert "unrecognized arguments: --moments closed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", [DESIGN_NOISE, ()],
+                             ids=["closed", "empirical"])
+    def test_constant_input_clean_exit(self, tmp_path, noise):
         src = tmp_path / "flat.csv"
         src.write_text("value\n" + "7.5\n" * 400)
         out = tmp_path / "out.csv"
         code = run("detect", "--input", src, "--output", out, "--gamma", 6,
-                   "--alpha", 0.05, "--moments", source)
+                   "--alpha", 0.05, *noise)
         assert code == 0
         rows, meta = parse_detection_csv(str(out))
         assert rows == []
@@ -201,6 +232,17 @@ class TestSimulateCommand:
                    "--grid-gamma", "2,6", "--grid-b", "2,5", "--reps", 3, "--seed", 5,
                    "--output", out) == 0
         assert out.read_bytes() == SIMULATE_GRID_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
+    def test_threads_not_a_positive_integer_refused(self, tmp_path, monkeypatch, capsys,
+                                                    threads):
+        """STEMCPD_THREADS is a worker count or refused, before any replicate runs."""
+        monkeypatch.setenv("STEMCPD_THREADS", threads)
+        monkeypatch.setattr(cli, "run_simulation", lambda *args: pytest.fail("replicates ran"))
+        out = tmp_path / "sim.csv"
+        assert run(*self.ARGS, "--output", out) == 2 and not out.exists()
+        assert capsys.readouterr().err == ("stemcpd simulate: error: STEMCPD_THREADS must be "
+                                           f"a positive integer, got {threads!r}\n")
 
     def test_csv_structure(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -318,16 +360,20 @@ class TestTheoryCommand:
 
 
 @pytest.mark.parametrize("argv, shared", [
-    (["detect", "--input", "x.csv", "--gamma", "6"], {"alpha", "sigma", "nu"}),
+    (["detect", "--input", "x.csv", "--gamma", "6"], {"alpha"}),
     (["theory"], {"alpha", "sigma", "nu", "jumps", "gammas"}),
     (["simulate"], {f.name for f in fields(SimulateRequest)}),
 ])
 def test_parser_defaults_are_the_design_defaults(argv, shared):
+    """``detect`` shares only alpha: without --sigma and --nu it uses
+    empirical moments, so they have no default."""
     args = build_parser().parse_args([*argv, "--output", "o.csv"])
     design = SimulateRequest()
-    assert {f.name for f in fields(SimulateRequest)} & set(vars(args)) == shared
+    unset = {"sigma", "nu"} if argv[0] == "detect" else set()
+    assert {f.name for f in fields(SimulateRequest)} & set(vars(args)) == shared | unset
     assert {name: getattr(args, name) for name in shared} == \
         {name: getattr(design, name) for name in shared}
+    assert all(getattr(args, name) is None for name in unset)
 
 
 class TestReadSequenceCsv:
@@ -446,7 +492,7 @@ class TestReadInPieces:
         lines.insert(30_000, '# a comment line, "quoted"')
         src, out = tmp_path / "x.csv", tmp_path / "out.csv"
         src.write_text("position,ratio\n" + "\n".join(lines) + "\n")
-        assert run("detect", "--input", src, "--output", out, "--moments", "closed",
+        assert run("detect", "--input", src, "--output", out, *DESIGN_NOISE,
                    "--gamma", 10) == 0
         rows, _ = parse_detection_csv(str(out))
         assert rows and [r["position"] for r in rows] == [labels[int(r["index"]) - 1] for r in rows]
@@ -515,20 +561,29 @@ REFUSALS = [
     ("bad_row", ("detect", "--gamma", 2), "position,value\na,1\nb,2\nc,3\nx,abc\nd,4\n", 2,
      "<path> line 5 is not 2 column(s) of numbers: 'x,abc'"),
     # a label over the csv field limit is cut, and refused, before the output opens
-    ("over_long_label", ("detect", "--gamma", 2, "--moments", "closed"), LONG_LABELS, 2,
+    ("over_long_label", ("detect", "--gamma", 2, *DESIGN_NOISE), LONG_LABELS, 2,
      "<path> line 121: field larger than field limit (131072)"),
     # and 3 for every other refusal: a kernel too wide, however wide, in one short line
-    *((f"gamma_{gamma}", ("detect", "--gamma", gamma, "--moments", "closed"), SHORT, 3, message)
+    *((f"gamma_{gamma}", ("detect", "--gamma", gamma, *DESIGN_NOISE), SHORT, 3, message)
       for gamma, message in (("6", WIDE + "6 (2*24+1 samples)\n"),
                              ("1e12", WIDE + "1e+12 (2*4e+12+1 samples)\n"),
                              ("1e300", WIDE + "1e+300 (2*4e+300+1 samples)\n"),
                              ("4e307", WIDE + "4e+307 (2*1.6e+308+1 samples)\n"),
                              ("1e308", INFINITE), ("inf", INFINITE))),
-    *((f"alpha_{moments}", ("detect", "--gamma", 6, "--alpha", 1.5, "--moments", moments),
-       NULL_TEXT, 3, "alpha must lie in (0, 1)") for moments in ("closed", "empirical")),
-    *((f"closed_{name}_{value}", ("detect", "--gamma", 6, "--moments", "closed", f"--{name}",
-       value), NULL_TEXT, 3, f"sigma={sigma}") for name, value, sigma in
-      (("nu", "1e200", 1), ("sigma", "1e200", "1e+200"), ("sigma", "1e-200", "1e-200"))),
+    *((f"alpha_{moments}", ("detect", "--gamma", 6, "--alpha", 1.5, *noise),
+       NULL_TEXT, 3, "alpha must lie in (0, 1)")
+      for moments, noise in (("closed", DESIGN_NOISE), ("empirical", ()))),
+    *((f"closed_{case}", ("detect", "--gamma", 6, "--sigma", sigma, "--nu", nu),
+       NULL_TEXT, 3, fragment) for case, sigma, nu, fragment in (
+        ("nu_1e200", 1, "1e200", "sigma=1"),
+        ("sigma_1e200", "1e200", 2, "sigma=1e+200"),
+        ("sigma_1e-200", "1e-200", 2, "sigma=1e-200"),
+        ("sigma_-1_nu_nan", -1, "nan", "sigma must be positive and finite, got -1.0"))),
+    # a noise model needs both flags: one alone is refused before the input is read
+    ("sigma_alone", ("detect", "--gamma", 6, "--sigma", 1), None, 3,
+     "closed-form moments need both --sigma and --nu; --nu is missing"),
+    ("nu_alone", ("detect", "--gamma", 6, "--nu", 2), NULL_TEXT, 3,
+     "closed-form moments need both --sigma and --nu; --sigma is missing"),
     ("short_interior", ("detect", "--gamma", 6), "value\n" + normal_text(1.0, 60, 2), 3,
      "interior too short for moment estimation (12 samples)"),
     # inputs whose variances or smooths overflow, refused by name without a numpy warning
@@ -538,7 +593,7 @@ REFUSALS = [
      "out of floating-point range for an input of magnitude 3.88646e+160 at gamma=6"),
     ("empirical_mean", ("detect", "--gamma", 3), normal_text(1.2e154, 3000, 3), 3,
      "out of floating-point range for an input of magnitude 4.66375e+154 at gamma=3"),
-    ("smooth", ("detect", "--gamma", 3, "--moments", "closed"), "1e+308\n1e+308\n-1e+308\n"
+    ("smooth", ("detect", "--gamma", 3, *DESIGN_NOISE), "1e+308\n1e+308\n-1e+308\n"
      "-1e+308\n" * 100, 3, "smoothing at gamma=3 leaves the floating-point range for an input "
      "of magnitude 1e+308"),
     # simulate and theory exit 2 for every refusal, before any replicate runs

@@ -3,6 +3,9 @@
 import argparse
 import importlib.util
 import math
+import os
+import signal
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +149,17 @@ def test_header_marks_uncommitted_changes():
     assert f"at {'b' * 40} + uncommitted changes (head)" in line
     assert line.startswith(f"simulate_grid: base main ({'a' * 40})")
     assert line.endswith("2.5 s runs")
+
+
+def test_sigterm_removes_the_temporary_tree():
+    """``main``'s SIGTERM handler exits by ``SystemExit(143)``, so the
+    exported base tree's ``TemporaryDirectory`` is removed."""
+    old = signal.signal(signal.SIGTERM, compare.exit_on_signal)
+    try:
+        with pytest.raises(SystemExit) as info:
+            with tempfile.TemporaryDirectory(prefix="compare-base-") as tmp:
+                os.kill(os.getpid(), signal.SIGTERM)
+        assert info.value.code == 143
+        assert not os.path.exists(tmp)
+    finally:
+        signal.signal(signal.SIGTERM, old)

@@ -3,7 +3,8 @@
     python3 tools/compare.py BASE --workload cli_empirical --pairs 10
 
 BASE's committed files are exported with ``git archive`` into a temporary
-directory, which is removed at the end.  Each of the K pairs runs
+directory, which is removed at the end, also when the script is stopped
+with SIGTERM.  Each of the K pairs runs
 ``bench/run.py --trace 0`` once in each tree, each run in a fresh process,
 and the tree that runs first alternates from pair to pair.  Both trees run
 the same workload and seed for ``run_seconds`` of ``BENCHMARK.json``, and
@@ -29,6 +30,7 @@ lies wholly on the metric's better side of 1.
 import argparse
 import json
 import math
+import signal
 import subprocess
 import sys
 import tempfile
@@ -121,6 +123,12 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def exit_on_signal(signum, frame):
+    """A signal handler that exits as the shell reports a stopped process,
+    by an exception, so that ``with`` blocks clean up."""
+    raise SystemExit(128 + signum)
+
+
 def _fmt(q, spec=".6g") -> str:
     return f"{q[1]:{spec}} [{q[0]:{spec}}, {q[2]:{spec}}]"
 
@@ -132,6 +140,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    # TemporaryDirectory cleans up on an exception, not on a signal's default action
+    signal.signal(signal.SIGTERM, exit_on_signal)
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = manifest["run_seconds"]
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
